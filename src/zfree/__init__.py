@@ -29,7 +29,8 @@ from .oracles import (brute_force_min, check_exchange_axiom,
                       check_mnatural_local, table_from_quadratic)
 from .generate import GenConfig, generate_instance, laminar_pair_values
 from .pipeline import (CertifyResult, SolveReport, SolveStatus,
-                       build_relaxation, certify, minimize_zfree)
+                       build_relaxation, certify, check_bottleneck,
+                       minimize_zfree)
 
 __version__ = "0.1.0"
 
@@ -53,6 +54,6 @@ __all__ = [
     "table_from_quadratic",
     "GenConfig", "generate_instance", "laminar_pair_values",
     "CertifyResult", "SolveReport", "SolveStatus", "build_relaxation",
-    "certify", "minimize_zfree",
+    "certify", "check_bottleneck", "minimize_zfree",
     "__version__",
 ]

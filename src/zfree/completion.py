@@ -27,7 +27,7 @@ import math
 
 from .errors import BudgetExceededError, NotCompletableError, ParseError
 from .properties import Violation, ViolationKind, _anti_ultra_scan
-from .values import ZERO, ExtValue, format_value, parse_value
+from .values import ZERO, ExtValue, _decode_value, format_value
 
 __all__ = [
     "PartialMatrix",
@@ -402,9 +402,9 @@ def parse_partial_matrix(text: str) -> PartialMatrix:
             raise ParseError(f"entries[{k}]: duplicate pair ({i},{j})")
         seen.add((i, j))
         try:
-            parsed = parse_value(value, where=f"entries[{k}].value")
+            parsed = _decode_value(value)
         except ValueError as exc:
-            raise ParseError(str(exc)) from None
+            raise ParseError(f"entries[{k}].value: {exc}") from None
         entries.append(((i - 1, j - 1), parsed))
     return PartialMatrix(n, entries)
 

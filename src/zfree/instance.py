@@ -21,7 +21,7 @@ import json
 from bisect import bisect_right
 
 from .errors import NotOneHotError, ParseError
-from .values import INF, ZERO, ExtValue, format_value, parse_value
+from .values import INF, ZERO, ExtValue, _decode_value, format_value
 
 __all__ = [
     "OneHotLayout",
@@ -126,13 +126,11 @@ class Instance:
                 raise ValueError(f"binary pair ({i},{j}) must satisfy 0 <= i < j < r")
             if (i, j) in tables:
                 raise ValueError(f"duplicate binary pair ({i},{j})")
-            t = tuple(tuple(ExtValue.of(v) for v in row) for row in table)
+            t = tuple(tuple(map(ExtValue.of, row)) for row in table)
             if len(t) != domains[i] or any(len(row) != domains[j] for row in t):
                 raise ValueError(f"binary table ({i},{j}) is not {domains[i]}x{domains[j]}")
-            for row in t:
-                for v in row:
-                    if v.is_finite and v < ZERO:
-                        raise ValueError(f"binary table ({i},{j}) has a negative entry")
+            if any(v.raw < 0 for row in t for v in row):
+                raise ValueError(f"binary table ({i},{j}) has a negative entry")
             tables[(i, j)] = t
         self._binary = tables
         # Assigned last: its presence is what freezes the object (__setattr__).
@@ -258,6 +256,18 @@ def mask_from_bits(bits) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _parse_cells(row, where) -> list:
+    """Decode a row of cells.  where(b) labels cell b; it is formatted only
+    when that cell fails, for the ParseError message."""
+    out = []
+    for b, v in enumerate(row):
+        try:
+            out.append(_decode_value(v))
+        except ValueError as exc:
+            raise ParseError(f"{where(b)}: {exc}") from None
+    return out
+
+
 def instance_from_dict(doc) -> Instance:
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
@@ -283,10 +293,7 @@ def instance_from_dict(doc) -> Instance:
     for i, row in enumerate(unary_doc):
         if not isinstance(row, list) or len(row) != domains[i]:
             raise ParseError(f"unary row {i + 1} must list {domains[i]} values")
-        try:
-            vals = [parse_value(v, where=f"unary[{i + 1}][{a + 1}]") for a, v in enumerate(row)]
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        vals = _parse_cells(row, lambda a: f"unary[{i + 1}][{a + 1}]")
         for a, v in enumerate(vals):
             if not v.is_finite:
                 raise ParseError(f"unary[{i + 1}][{a + 1}]: unary costs must be finite")
@@ -320,11 +327,8 @@ def instance_from_dict(doc) -> Instance:
         for a, row in enumerate(table):
             if not isinstance(row, list) or len(row) != dj:
                 raise ParseError(f"binary[{k}]: row {a + 1} must have {dj} values")
-            try:
-                rows.append([parse_value(v, where=f"binary[{k}].table[{a + 1}][{b + 1}]")
-                             for b, v in enumerate(row)])
-            except ValueError as exc:
-                raise ParseError(str(exc)) from None
+            rows.append(_parse_cells(
+                row, lambda b: f"binary[{k}].table[{a + 1}][{b + 1}]"))
         binary[(i - 1, j - 1)] = rows
 
     try:

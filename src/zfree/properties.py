@@ -4,7 +4,9 @@ Each check returns None when the property holds, otherwise a Violation
 carrying the witness indices and offending values, chosen deterministically
 as the first hit in a documented scan order.  The scans are plain exhaustive
 loops: every check is polynomial in the size of its input, and the point of
-this module is to be obviously correct, not fast.
+this module is to be obviously correct, not fast.  The solve path decides
+check_jwp and check_zfree together with pipeline.check_bottleneck; these
+scans are its oracles.
 
 All indices inside Violation are 0-based (API convention); the attached
 message renders them 1-based for human eyes.
@@ -61,6 +63,39 @@ def _raw_table(inst: Instance, i: int, j: int):
     return [[t[b][a].raw for b in range(inst.domains[j])] for a in range(inst.domains[i])]
 
 
+def _jwp_violation(ia, jb, kc, raws) -> Violation:
+    """The join-condition witness at positions ia=(i, a), jb=(j, b), kc=(k, c)
+    with i < j; raws are c_ij(a,b), c_ik(a,c), c_jk(b,c), the first strictly
+    below the other two."""
+    (i, a), (j, b), (k, c) = ia, jb, kc
+    vals = tuple(ExtValue.of(v) for v in raws)
+    return Violation(
+        ViolationKind.JWP,
+        (ia, jb, kc),
+        vals,
+        "jwp violated at "
+        f"({i + 1},{a + 1}),({j + 1},{b + 1}),({k + 1},{c + 1}): "
+        f"c({i + 1},{j + 1})={vals[0]} is below both "
+        f"c({i + 1},{k + 1})={vals[1]} and c({j + 1},{k + 1})={vals[2]}",
+    )
+
+
+def _zfree_violation(iab, jcd, raws) -> Violation:
+    """The 2x2 witness on rows iab=(i, a, b) and columns jcd=(j, c, d) of
+    c_ij, i < j, a < b, c < d; raws are the cells (a,c), (a,d), (b,c), (b,d),
+    with a unique minimum."""
+    (i, a, b), (j, c, d) = iab, jcd
+    vals = tuple(ExtValue.of(v) for v in raws)
+    return Violation(
+        ViolationKind.ZFREE,
+        (iab, jcd),
+        vals,
+        "z-freeness violated on variables "
+        f"{i + 1},{j + 1}, values {{{a + 1},{b + 1}}}x{{{c + 1},{d + 1}}}: "
+        f"unique minimum among {[str(v) for v in vals]}",
+    )
+
+
 def check_jwp(inst: Instance):
     """Joint winner property: c_ij(a,b) >= min(c_jk(b,c), c_ik(a,c)) for all
     distinct variables i, j, k and all values a, b, c.
@@ -86,20 +121,8 @@ def check_jwp(inst: Instance):
                         row_bc = tjk[b]
                         for c in range(inst.domains[k]):
                             if vab < row_bc[c] and vab < row_ac[c]:
-                                vals = (
-                                    ExtValue.of(vab),
-                                    ExtValue.of(row_ac[c]),
-                                    ExtValue.of(row_bc[c]),
-                                )
-                                return Violation(
-                                    ViolationKind.JWP,
-                                    ((i, a), (j, b), (k, c)),
-                                    vals,
-                                    "jwp violated at "
-                                    f"({i + 1},{a + 1}),({j + 1},{b + 1}),({k + 1},{c + 1}): "
-                                    f"c({i + 1},{j + 1})={vals[0]} is below both "
-                                    f"c({i + 1},{k + 1})={vals[1]} and c({j + 1},{k + 1})={vals[2]}",
-                                )
+                                return _jwp_violation((i, a), (j, b), (k, c),
+                                                      (vab, row_ac[c], row_bc[c]))
     return None
 
 
@@ -124,15 +147,7 @@ def check_zfree(inst: Instance):
                             quad = (vac, ra[d], vbc, rb[d])
                             m = min(quad)
                             if quad.count(m) == 1:
-                                vals = tuple(ExtValue.of(v) for v in quad)
-                                return Violation(
-                                    ViolationKind.ZFREE,
-                                    ((i, a, b), (j, c, d)),
-                                    vals,
-                                    "z-freeness violated on variables "
-                                    f"{i + 1},{j + 1}, values {{{a + 1},{b + 1}}}x{{{c + 1},{d + 1}}}: "
-                                    f"unique minimum among {[str(v) for v in vals]}",
-                                )
+                                return _zfree_violation((i, a, b), (j, c, d), quad)
     return None
 
 

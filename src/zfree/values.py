@@ -84,6 +84,10 @@ class ExtValue:
         """Like the constructor, but interns small and repeated values."""
         if isinstance(value, ExtValue):
             return value
+        if type(value) is int:
+            cached = cls._cache.get(value)
+            if cached is not None:
+                return cached
         v = cls(value)
         key = v._raw
         cached = cls._cache.get(key)
@@ -249,23 +253,32 @@ def parse_value(obj, *, where: str = "value") -> ExtValue:
     constructor: floats are rejected outright and negative values are an
     error.  `where` names the offending location in error messages.
     """
+    try:
+        return _decode_value(obj)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _decode_value(obj) -> ExtValue:
+    """parse_value without the location prefix on its error messages, for
+    parsers that format the location only once a cell fails."""
     if isinstance(obj, bool):
-        raise ValueError(f"{where}: booleans are not values")
+        raise ValueError("booleans are not values")
     if isinstance(obj, int):
         if obj < 0:
-            raise ValueError(f"{where}: negative value {obj}")
+            raise ValueError(f"negative value {obj}")
         return ExtValue.of(obj)
     if isinstance(obj, float):
-        raise ValueError(f"{where}: floats are not exact; write integers, 'p/q', or 'inf'")
+        raise ValueError("floats are not exact; write integers, 'p/q', or 'inf'")
     if isinstance(obj, str):
         try:
             raw = _parse_raw(obj)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{where}: {exc}") from None
+        except ZeroDivisionError as exc:
+            raise ValueError(str(exc)) from None
         if raw != _INF_RAW and raw < 0:
-            raise ValueError(f"{where}: negative value {obj!r}")
+            raise ValueError(f"negative value {obj!r}")
         return ExtValue.of(raw) if raw != _INF_RAW else INF
-    raise ValueError(f"{where}: expected int, 'p/q', or 'inf', got {type(obj).__name__}")
+    raise ValueError(f"expected int, 'p/q', or 'inf', got {type(obj).__name__}")
 
 
 def format_value(v: ExtValue):

@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+from zfree import (GenConfig, Instance, check_jwp, check_zfree, dump_instance,
+                   generate_instance)
+
 
 def run_cli(*args, stdin=None):
     return subprocess.run([sys.executable, "-m", "zfree", *args],
@@ -17,6 +20,30 @@ def instance_file(tmp_path_factory):
     assert gen.returncode == 0
     path.write_text(gen.stdout)
     return path
+
+
+@pytest.fixture(scope="module")
+def mutant_file(tmp_path_factory):
+    """A generated instance with one table cell moved by +-1 so that the
+    exhaustive checks reject it."""
+    inst = generate_instance(GenConfig(r=4, dmax=3, seed=21))
+    tables = {p: [[v.raw for v in row] for row in t]
+              for p, t in inst.binary_pairs()}
+    unary = [[v.raw for v in row] for row in inst.unary]
+    for pair, t in sorted(tables.items()):
+        for a, row in enumerate(t):
+            for b, old in enumerate(row):
+                for new in (old + 1, old - 1):
+                    if new < 0:
+                        continue
+                    row[b] = new
+                    mutant = Instance(inst.domains, unary, tables)
+                    if check_jwp(mutant) or check_zfree(mutant):
+                        path = tmp_path_factory.mktemp("data") / "mutant.json"
+                        path.write_text(dump_instance(mutant))
+                        return path, mutant
+                row[b] = old
+    raise AssertionError("no rejected single-cell mutant")
 
 
 def test_gen_is_deterministic():
@@ -139,3 +166,30 @@ def test_parse_error_reports_location(tmp_path):
     res = run_cli("solve", str(path))
     assert res.returncode == 1
     assert "error" in res.stderr
+
+
+def test_solve_json_rejects_mutant_deterministically(mutant_file):
+    path, _ = mutant_file
+    res = run_cli("solve", "--json", str(path))
+    assert res.returncode == 2
+    payload = json.loads(res.stdout)
+    assert payload["status"] == "rejected"
+    assert payload["check"] in ("jwp", "zfree") and payload["reason"]
+    again = run_cli("solve", "--json", str(path))
+    assert again.returncode == 2
+    assert again.stdout == res.stdout and again.stderr == res.stderr
+
+
+def test_check_exit_codes(instance_file, mutant_file):
+    assert run_cli("check", str(instance_file)).returncode == 0
+    path, mutant = mutant_file
+    res = run_cli("check", str(path))
+    assert res.returncode == 2
+    # A rejection reports the exhaustive checks' first violation of each.
+    jwp, zfree = check_jwp(mutant), check_zfree(mutant)
+    want = f"jwp: {'no' if jwp else 'yes'}\nzfree: {'no' if zfree else 'yes'}\n"
+    if jwp:
+        want += f"jwp_reason: {jwp.message}\n"
+    if zfree:
+        want += f"zfree_reason: {zfree.message}\n"
+    assert res.stdout == want

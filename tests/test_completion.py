@@ -203,3 +203,10 @@ class TestMatrixJson:
             parse_partial_matrix('{"n": 3, "entries": ['
                                  '{"i": 1, "j": 2, "value": 0},'
                                  '{"i": 2, "j": 1, "value": 1}]}')
+
+    def test_bad_value_message_names_the_entry(self):
+        text = ('{"n": 3, "entries": [{"i": 1, "j": 2, "value": 0},'
+                '{"i": 2, "j": 3, "value": "-1"}]}')
+        with pytest.raises(ParseError) as exc:
+            parse_partial_matrix(text)
+        assert str(exc.value) == "entries[1].value: negative value '-1'"

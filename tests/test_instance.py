@@ -139,6 +139,27 @@ class TestJson:
         with pytest.raises(ParseError):
             parse_instance('{"r": 1, "domains": [2], "unary": [[0, -1]], "binary": []}')
 
+    @pytest.mark.parametrize("cell, reason", [
+        (-1, "negative value -1"),
+        (0.5, "floats are not exact; write integers, 'p/q', or 'inf'"),
+        (True, "booleans are not values"),
+        ('"1/0"', "zero denominator"),
+        ('"-1/2"', "negative value '-1/2'"),
+        ('"x"', "malformed value string 'x'; expected 'p/q' or 'inf'"),
+        ("null", "expected int, 'p/q', or 'inf', got NoneType"),
+    ])
+    def test_bad_cell_messages_name_the_cell(self, cell, reason):
+        cell = json.dumps(cell) if not isinstance(cell, str) else cell
+        unary = f'{{"r": 1, "domains": [2], "unary": [[0, {cell}]]}}'
+        with pytest.raises(ParseError) as exc:
+            parse_instance(unary)
+        assert str(exc.value) == f"unary[1][2]: {reason}"
+        table = ('{"r": 2, "domains": [1, 2], "unary": [[0], [0, 0]], '
+                 f'"binary": [{{"i": 1, "j": 2, "table": [[1, {cell}]]}}]}}')
+        with pytest.raises(ParseError) as exc:
+            parse_instance(table)
+        assert str(exc.value) == f"binary[0].table[1][2]: {reason}"
+
     def test_roundtrip(self):
         inst = Instance((2, 3), [[0, "1/2"], [1, 2, 3]],
                         {(0, 1): [[0, 1, "inf"], [1, 0, 2]]})
