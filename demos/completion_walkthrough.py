@@ -34,8 +34,10 @@ assert done.value(0, 2).raw == 1
 assert done.value(0, 3).raw == 1
 assert done.value(1, 3).raw == 1
 
-# A four cycle whose smallest entry is unique cannot be completed, and the
-# oracle pins down the offending cycle.
+# A four cycle whose smallest entry is unique cannot be completed.  The
+# exhaustive oracle finds the offending cycle on its own; complete() finds
+# it from the spanning forest (the entry below the minimum on its forest
+# path, closed by that path) and reports it in the refusal.
 bad = PartialMatrix(4, {(0, 1): 1, (1, 2): 2, (2, 3): 2, (0, 3): 2})
 cycle = completable_oracle(bad)
 print("bad cycle through points:", [v + 1 for v in cycle])

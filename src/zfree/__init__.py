@@ -19,8 +19,8 @@ from .properties import (Violation, ViolationKind, check_anti_ultrametric,
                          check_jwp, check_mnatural_quadratic, check_zfree)
 from .completion import (CompletedMatrix, PartialMatrix, complete,
                          completable_oracle, dump_matrix, parse_partial_matrix,
-                         threshold_components, validate_partial)
-from .quadratic import (LayerRestriction, QuadFn, eval_quad, greedy_min_layer,
+                         validate_partial)
+from .quadratic import (QuadFn, eval_quad, greedy_min_layer,
                         induced_partial_matrix, onehot_relaxation)
 from .intersection import (Arc, ArcKind, ExchangeGraph, IterationStats,
                            SspResult, build_exchange_graph,
@@ -44,9 +44,8 @@ __all__ = [
     "Violation", "ViolationKind", "check_anti_ultrametric", "check_jwp",
     "check_mnatural_quadratic", "check_zfree",
     "CompletedMatrix", "PartialMatrix", "complete", "completable_oracle",
-    "dump_matrix", "parse_partial_matrix", "threshold_components",
-    "validate_partial",
-    "LayerRestriction", "QuadFn", "eval_quad", "greedy_min_layer",
+    "dump_matrix", "parse_partial_matrix", "validate_partial",
+    "QuadFn", "eval_quad", "greedy_min_layer",
     "induced_partial_matrix", "onehot_relaxation",
     "Arc", "ArcKind", "ExchangeGraph", "IterationStats", "SspResult",
     "build_exchange_graph", "shortest_path_min_hops", "ssp_intersect",

@@ -6,27 +6,32 @@ complete() either fills in the undefined pairs so the full matrix is
 anti-ultrametric (every triple attains its pairwise minimum twice) or
 raises NotCompletableError with a refutation.
 
-The construction is the bottleneck rule: build a maximum-weight spanning
-forest of the defined-pair graph, give each undefined connected pair the
-minimum weight along its forest path, and give pairs in different
-components the globally smallest defined value (zero when nothing is
-defined).  Completability itself is certified independently by
-completable_oracle, which searches for a chordless cycle whose minimum
-weight edge is unique.
+Checking and filling both read one structure, _Forest: a dense n x n int32
+matrix of value ranks (0 marks an undefined pair, 4 n^2 bytes), scipy's
+minimum spanning tree on the reversed ranks, and every component rooted
+for minimum-edge path queries.  The matrix is completable exactly when
+every defined pair equals the minimum edge on its forest path; otherwise
+the first pair (flat order) that ranks below it, closed by its path and
+shrunk along defined chords, is a chordless cycle whose minimum is unique.
+A completion gives each undefined connected pair that path minimum and
+pairs in different components the globally smallest defined value (zero
+when nothing is defined).  pipeline builds the same structure over the
+cross-variable pairs of an instance to check and complete it.
 
-This module is exact, pure Python, and deterministic: edges are processed
-in (value descending, index ascending) order.  The pipeline has a separate
-vectorized path for the structured matrices induced by instances; this one
-handles arbitrary matrices and doubles as its correctness reference.
+Values stay exact: only integer ranks reach the spanning tree call, and
+the tests check completability against completable_oracle, an independent
+exhaustive search for a chordless cycle whose minimum weight edge is unique.
 """
 
 from __future__ import annotations
 
 import json
-import math
+
+import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 from .errors import BudgetExceededError, NotCompletableError, ParseError
-from .properties import Violation, ViolationKind, _anti_ultra_scan
+from .properties import Violation, ViolationKind
 from .values import ZERO, ExtValue, _decode_value, format_value
 
 __all__ = [
@@ -35,7 +40,6 @@ __all__ = [
     "validate_partial",
     "complete",
     "completable_oracle",
-    "threshold_components",
     "parse_partial_matrix",
     "dump_matrix",
 ]
@@ -130,13 +134,221 @@ class CompletedMatrix:
         return f"CompletedMatrix(n={self.n})"
 
 
-def validate_partial(H: PartialMatrix):
-    """Check the two necessary conditions on defined entries.
+_QUERY_CELLS = 1 << 20   # rank matrix cells scanned per path query batch
 
-    Negativity first (pairs ascending), then the anti-ultrametric condition
-    over triples whose three entries are all defined (i < j < k ascending).
-    Returns None or the first Violation.
+
+def _ranked(raws):
+    """The distinct raw values ascending as ExtValues (the pool) and the map
+    from each raw value to its rank, 1 for the smallest."""
+    ordered = sorted(set(raws))
+    return [ExtValue.of(v) for v in ordered], {v: k + 1 for k, v in enumerate(ordered)}
+
+
+def _tree_costs(ranks):
+    """Sparse costs whose minimum spanning tree is a maximum spanning forest
+    of the defined pairs of ranks: max rank + 1 - rank on defined pairs, no
+    edge elsewhere.  The costs are small positive integers, exact in the
+    float64 arithmetic of scipy's tree routine."""
+    costs = np.subtract(int(ranks.max()) + 1, ranks, dtype=np.int32)
+    costs[ranks == 0] = 0
+    return csr_matrix(costs)
+
+
+class _Forest:
+    """Maximum spanning forest of the defined pairs of a dense rank matrix.
+
+    ranks is a symmetric n x n int32 matrix holding 0 where a pair is
+    undefined and otherwise the rank of its value in pool (1 for the
+    smallest, pool[rank - 1] the value).  tree is the minimum spanning tree
+    of _tree_costs(ranks), computed by the caller: pipeline keeps its own
+    binding of the tree routine, which perfbench/tracing.py wraps.  Each
+    component is rooted at its smallest vertex: parent and depth per vertex,
+    root the component label; a root is its own parent, with edge rank big
+    above every rank.  Path-minimum queries use binary lifting tables built
+    here once.
     """
+
+    __slots__ = ("ranks", "pool", "parent", "depth", "root", "big", "_up", "_mn")
+
+    def __init__(self, ranks, tree, pool):
+        n = len(ranks)
+        tree = tree.tocoo()
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, w in zip(tree.row.tolist(), tree.col.tolist()):
+            adj[u].append(w)
+            adj[w].append(u)
+        parent = [-1] * n
+        depth = [0] * n
+        root = [0] * n
+        for s in range(n):
+            if parent[s] >= 0:
+                continue
+            parent[s] = root[s] = s
+            stack = [s]
+            while stack:
+                v = stack.pop()
+                for w in adj[v]:
+                    if parent[w] < 0:
+                        parent[w] = v
+                        depth[w] = depth[v] + 1
+                        root[w] = s
+                        stack.append(w)
+
+        self.ranks = ranks
+        self.pool = pool
+        self.big = len(pool) + 2
+        self.parent = np.array(parent, dtype=np.int32)
+        self.depth = np.array(depth, dtype=np.int32)
+        self.root = np.array(root, dtype=np.int32)
+        pedge = ranks[self.parent, np.arange(n)]
+        pedge[self.parent == np.arange(n)] = self.big
+        levels = max(1, int(self.depth.max(initial=0)).bit_length())
+        up = np.empty((levels, n), dtype=np.int32)
+        mn = np.empty((levels, n), dtype=np.int32)
+        up[0] = self.parent
+        mn[0] = pedge
+        for k in range(1, levels):
+            up[k] = up[k - 1][up[k - 1]]
+            mn[k] = np.minimum(mn[k - 1], mn[k - 1][up[k - 1]])
+        self._up = up
+        self._mn = mn
+
+    def path_min(self, a, b):
+        """Minimum edge rank on the tree path between each a[k], b[k] pair.
+        Each pair must lie in one component."""
+        up, mn, depth = self._up, self._mn, self.depth
+        a = a.astype(np.int32)
+        b = b.astype(np.int32)
+        res = np.full(a.shape, self.big, dtype=np.int32)
+        swap = depth[b] > depth[a]
+        a2 = np.where(swap, b, a)
+        b2 = np.where(swap, a, b)
+        diff = depth[a2] - depth[b2]
+        for k in range(len(up)):
+            m = ((diff >> k) & 1).astype(bool)
+            if m.any():
+                res[m] = np.minimum(res[m], mn[k][a2[m]])
+                a2[m] = up[k][a2[m]]
+        for k in range(len(up) - 1, -1, -1):
+            m = up[k][a2] != up[k][b2]
+            if m.any():
+                res[m] = np.minimum(res[m], np.minimum(mn[k][a2[m]], mn[k][b2[m]]))
+                a2[m] = up[k][a2[m]]
+                b2[m] = up[k][b2[m]]
+        m = a2 != b2
+        if m.any():
+            res[m] = np.minimum(res[m], np.minimum(mn[0][a2[m]], mn[0][b2[m]]))
+        return res
+
+    def tree_path(self, u: int, w: int) -> list[int]:
+        """Vertices on the tree path from u to w, both ends included."""
+        parent = self.parent.tolist()
+        depth = self.depth.tolist()
+        left, right = [u], [w]
+        while depth[u] > depth[w]:
+            u = parent[u]
+            left.append(u)
+        while depth[w] > depth[u]:
+            w = parent[w]
+            right.append(w)
+        while u != w:
+            u, w = parent[u], parent[w]
+            left.append(u)
+            right.append(w)
+        right.pop()
+        return left + right[::-1]
+
+    def violation(self):
+        """None when every defined pair equals the minimum edge on its tree
+        path, which holds exactly when the matrix is completable.  Otherwise
+        a chordless cycle of defined pairs with a unique minimum, shrunk from
+        the first defined pair (flat order, u < w) that ranks below that
+        minimum and its tree path; the minimum is the closing pair
+        (cycle[-1], cycle[0])."""
+        ranks = self.ranks
+        n = len(ranks)
+        step = max(1, _QUERY_CELLS // n)
+        for lo in range(0, n, step):
+            # Defined pairs u < w with u in rows lo.., in flat order.
+            a, b = np.nonzero(np.triu(ranks[lo:lo + step], lo + 1))
+            a += lo
+            if len(a) == 0:
+                continue
+            bad = np.flatnonzero(ranks[a, b] < self.path_min(a, b))
+            if len(bad):
+                u, w = int(a[bad[0]]), int(b[bad[0]])
+                return self._chordless(self.tree_path(u, w))
+        return None
+
+    def _chordless(self, cycle: list[int]) -> list[int]:
+        """Shrink a cycle of defined pairs whose closing pair (cycle[-1],
+        cycle[0]) is its unique minimum until no defined pair is a chord.
+
+        A chord splits the cycle in two; the half that keeps the closing
+        pair still has it as unique minimum unless the chord ranks no
+        higher, and then the chord is the unique minimum of the other half,
+        rotated to close it.  Chords are taken from cycle[0] first, then in
+        flat order of cycle positions.
+        """
+        ranks = self.ranks
+        while True:
+            k = len(cycle) - 1
+            at = np.array(cycle)
+            for p in range(k - 1):
+                hits = np.flatnonzero(ranks[cycle[p], at[p + 2:k + (p > 0)]])
+                if len(hits):
+                    q = p + 2 + int(hits[0])
+                    break
+            else:
+                return cycle
+            if ranks[cycle[p], cycle[q]] > ranks[cycle[k], cycle[0]]:
+                cycle = cycle[:p + 1] + cycle[q:]
+            else:
+                cycle = cycle[p:q + 1]
+
+
+def _partial_forest(H: PartialMatrix) -> _Forest:
+    """The maximum spanning forest of the defined pairs of H."""
+    n = H.n
+    pool, rank_of = _ranked(v.raw for v in H._entries.values())
+    ranks = np.zeros((n, n), dtype=np.int32)
+    rows, cols = np.array(list(H._entries), dtype=np.intp).T
+    vals = np.array([rank_of[v.raw] for v in H._entries.values()], dtype=np.int32)
+    ranks[rows, cols] = vals
+    ranks[cols, rows] = vals
+    # Called through csgraph: perfbench/tracing.py wraps the name bound in
+    # pipeline, and its spans should count only the solve path's trees.
+    return _Forest(ranks, csgraph.minimum_spanning_tree(_tree_costs(ranks)), pool)
+
+
+def _cycle_refutation(H: PartialMatrix, cycle: list[int]) -> Violation:
+    """The Violation for a chordless cycle of defined entries with a unique
+    minimum; a triangle is reported as its sorted triple."""
+    if len(cycle) == 3:
+        i, j, k = sorted(cycle)
+        vals = (H.value(i, j), H.value(i, k), H.value(j, k))
+        return Violation(
+            ViolationKind.ANTI_ULTRAMETRIC,
+            (i, j, k),
+            vals,
+            f"defined triple ({i + 1},{j + 1},{k + 1}) has entries "
+            f"{vals[0]}, {vals[1]}, {vals[2]} with a unique minimum",
+        )
+    vals = tuple(H.value(cycle[t - 1], cycle[t]) for t in range(1, len(cycle)))
+    vals += (H.value(cycle[-1], cycle[0]),)
+    return Violation(
+        ViolationKind.ANTI_ULTRAMETRIC,
+        tuple(cycle),
+        vals,
+        f"chordless defined cycle ({','.join(str(u + 1) for u in cycle)}) has "
+        f"entries {', '.join(str(v) for v in vals)} with a unique minimum",
+    )
+
+
+def _check(H: PartialMatrix):
+    """(violation, cycle, forest): the first refutation of H, the chordless
+    cycle behind it (None for a negative entry), and the forest it was read
+    from (None when nothing is defined or an entry is negative)."""
     for (i, j), v in H.pairs():
         if v.is_finite and v < ZERO:
             return Violation(
@@ -144,64 +356,32 @@ def validate_partial(H: PartialMatrix):
                 (i, j),
                 (v,),
                 f"entry ({i + 1},{j + 1}) = {v} is negative",
-            )
-    ent = H._entries
-    n = H.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            vij = ent.get((i, j))
-            if vij is None:
-                continue
-            for k in range(j + 1, n):
-                vik = ent.get((i, k))
-                if vik is None:
-                    continue
-                vjk = ent.get((j, k))
-                if vjk is None:
-                    continue
-                trio = (vij.raw, vik.raw, vjk.raw)
-                m = min(trio)
-                if trio.count(m) == 1:
-                    vals = (vij, vik, vjk)
-                    return Violation(
-                        ViolationKind.ANTI_ULTRAMETRIC,
-                        (i, j, k),
-                        vals,
-                        f"defined triple ({i + 1},{j + 1},{k + 1}) has entries "
-                        f"{vals[0]}, {vals[1]}, {vals[2]} with a unique minimum",
-                    )
-    return None
+            ), None, None
+    if H.defined_count == 0:
+        return None, None, None
+    forest = _partial_forest(H)
+    cycle = forest.violation()
+    if cycle is None:
+        return None, None, forest
+    return _cycle_refutation(H, cycle), cycle, forest
 
 
-def _max_spanning_forest(H: PartialMatrix):
-    """Kruskal on defined pairs, weight descending, ties by ascending pair.
+def validate_partial(H: PartialMatrix):
+    """Decide whether H has an anti-ultrametric completion.
 
-    Returns (adjacency, component) where adjacency[u] lists (neighbor,
-    raw weight) forest edges and component labels connected vertices of the
-    defined-pair graph (forest connectivity equals graph connectivity).
+    Returns None when it has, otherwise the first refutation: a negative
+    entry (pairs ascending), or else a chordless cycle of defined entries
+    whose minimum is unique (ViolationKind.ANTI_ULTRAMETRIC, indices the
+    cycle's vertices; a triangle is reported as its sorted triple).  The
+    cycle comes from the maximum spanning forest of the defined pairs: the
+    first defined pair in flat order that ranks below the minimum edge on
+    its forest path, closed by that path and shrunk along defined chords.
+    complete() runs the same check.
     """
-    n = H.n
-    parent = list(range(n))
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    adjacency: list[list[tuple[int, object]]] = [[] for _ in range(n)]
-    edges = sorted(H.pairs(), key=lambda item: (-item[1].raw, item[0]))
-    for (i, j), v in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            adjacency[i].append((j, v.raw))
-            adjacency[j].append((i, v.raw))
-    component = [find(u) for u in range(n)]
-    return adjacency, component
+    return _check(H)[0]
 
 
-def complete(H: PartialMatrix, *, verify: bool = True) -> CompletedMatrix:
+def complete(H: PartialMatrix) -> CompletedMatrix:
     """Fill the undefined entries so the matrix becomes anti-ultrametric.
 
     Undefined pairs connected in the defined-pair graph receive the
@@ -210,64 +390,28 @@ def complete(H: PartialMatrix, *, verify: bool = True) -> CompletedMatrix:
     no defined entries at all, everything becomes zero.  Defined entries are
     never changed.
 
-    With verify=True (default) the result is re-checked against the
-    anti-ultrametric condition, which turns both bad inputs and internal
-    bugs into NotCompletableError; the check costs O(n^3).
-
-    Raises NotCompletableError carrying a Violation when validation or
-    verification fails.
+    Raises NotCompletableError when validate_partial refutes H, carrying its
+    Violation and, unless an entry is negative, the chordless cycle.
     """
-    bad = validate_partial(H)
+    bad, cycle, forest = _check(H)
     if bad is not None:
-        raise NotCompletableError(f"not completable: {bad}", violation=bad)
+        raise NotCompletableError(f"not completable: {bad}", violation=bad, cycle=cycle)
 
     n = H.n
-    if H.defined_count == 0:
-        filled = {(i, j): ZERO for i in range(n) for j in range(i + 1, n)}
-        return CompletedMatrix(n, filled) if n > 1 else CompletedMatrix(n, {})
-
-    adjacency, component = _max_spanning_forest(H)
-    floor_raw = min(v.raw for _, v in H.pairs())
-
+    if forest is None:
+        return CompletedMatrix(n, {(i, j): ZERO for i in range(n) for j in range(i + 1, n)})
+    rows, cols = np.triu_indices(n, 1)
+    undefined = forest.ranks[rows, cols] == 0
+    rows, cols = rows[undefined], cols[undefined]
+    # Rank 1, the smallest defined value, across components.
+    fill = np.ones(len(rows), dtype=np.int32)
+    same = forest.root[rows] == forest.root[cols]
+    fill[same] = forest.path_min(rows[same], cols[same])
+    pool = forest.pool
     entries = dict(H._entries)
-    todo: dict[int, list[int]] = {}
-    for i in range(n):
-        targets = [j for j in range(i + 1, n) if (i, j) not in entries]
-        if targets:
-            todo[i] = targets
-
-    for i, targets in todo.items():
-        # One traversal from i gives the bottleneck to every reachable vertex.
-        bott = {i: math.inf}
-        stack = [i]
-        while stack:
-            u = stack.pop()
-            bu = bott[u]
-            for w, raw in adjacency[u]:
-                if w not in bott:
-                    bott[w] = raw if raw < bu else bu
-                    stack.append(w)
-        for j in targets:
-            if component[j] == component[i]:
-                entries[(i, j)] = ExtValue.of(bott[j])
-            else:
-                entries[(i, j)] = ExtValue.of(floor_raw)
-
-    result = CompletedMatrix(n, entries)
-    if verify:
-        hit = _anti_ultra_scan(n, lambda i, j: result.value(i, j).raw)
-        if hit is not None:
-            i, j, k, raws = hit
-            vals = tuple(ExtValue.of(v) for v in raws)
-            bad = Violation(
-                ViolationKind.ANTI_ULTRAMETRIC,
-                (i, j, k),
-                vals,
-                f"completed triple ({i + 1},{j + 1},{k + 1}) has entries "
-                f"{vals[0]}, {vals[1]}, {vals[2]} with a unique minimum",
-            )
-            raise NotCompletableError(f"not completable: {bad}", violation=bad)
-    return result
+    entries.update(zip(zip(rows.tolist(), cols.tolist()),
+                       [pool[k - 1] for k in fill.tolist()]))
+    return CompletedMatrix(n, entries)
 
 
 def completable_oracle(H: PartialMatrix, *, max_n: int = 30):
@@ -324,34 +468,6 @@ def completable_oracle(H: PartialMatrix, *, max_n: int = 30):
             if hit is not None:
                 return hit
     return None
-
-
-def threshold_components(matrix, alpha: ExtValue):
-    """Connected components of the threshold graph at level alpha.
-
-    Vertices are the endpoints of defined pairs with value >= alpha; other
-    vertices do not appear.  Works on PartialMatrix and CompletedMatrix
-    alike.  Returns a sorted list of sorted vertex lists.
-    """
-    parent: dict[int, int] = {}
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    for (i, j), v in matrix.pairs():
-        if v >= alpha:
-            parent.setdefault(i, i)
-            parent.setdefault(j, j)
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for u in parent:
-        groups.setdefault(find(u), []).append(u)
-    return sorted(sorted(g) for g in groups.values())
 
 
 # ---------------------------------------------------------------------------

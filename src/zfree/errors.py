@@ -27,8 +27,10 @@ class NotOneHotError(ZfreeError, ValueError):
 class NotCompletableError(ZfreeError):
     """The partial matrix admits no anti-ultrametric completion.
 
-    Carries the refuting evidence: a Violation from validation or
-    post-verification, or a chordless cycle certificate from the oracle.
+    Carries the refuting evidence: violation, the Violation that
+    completion.validate_partial reports (a negative entry, or a chordless
+    cycle of defined entries with a unique minimum), and cycle, that cycle's
+    vertices in order (None for a negative entry).
     """
 
     def __init__(self, message: str, violation=None, cycle=None):

@@ -33,8 +33,6 @@ __all__ = [
     "dump_instance",
     "instance_from_dict",
     "instance_to_dict",
-    "bits_tuple",
-    "mask_from_bits",
 ]
 
 
@@ -61,9 +59,6 @@ class OneHotLayout:
             raise IndexError(f"flat position {u} out of range")
         i = bisect_right(self.offsets, u) - 1
         return i, u - self.offsets[i]
-
-    def variable_of(self, u: int) -> int:
-        return bisect_right(self.offsets, u) - 1
 
     def block(self, i: int) -> range:
         """Flat positions belonging to variable i."""
@@ -223,20 +218,6 @@ def evaluate_instance(inst: Instance, x) -> ExtValue:
             return INF
         total = total + v
     return total
-
-
-def bits_tuple(mask: int, n: int) -> tuple[int, ...]:
-    """The mask as an explicit 0/1 tuple of length n (LSB first)."""
-    return tuple((mask >> u) & 1 for u in range(n))
-
-
-def mask_from_bits(bits) -> int:
-    mask = 0
-    for u, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError("entries must be 0 or 1")
-        mask |= b << u
-    return mask
 
 
 # ---------------------------------------------------------------------------

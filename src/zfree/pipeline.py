@@ -6,12 +6,12 @@ coefficient blocks from the same tree, greedy layer minimization of the
 relaxation, then the shortest-path loop that lands the minimizer on a
 one-hot point.
 
-The shared forest (_build_forest) is a dense n x n int32 matrix of value
-ranks for the cross-variable pairs (0 within a variable, where the induced
-partial matrix is undefined; 4 n^2 bytes, 16 MB at n = 2000, plus a
-transient cost copy of the same size for the tree call), scipy's minimum spanning tree on the reversed
-ranks, and the tree rooted at position 0 as parent, edge-rank and depth
-arrays.  Minimum-edge path queries on it (_min_edge_on_paths) answer both
+The shared forest (_build_forest) is completion._Forest over the
+cross-variable pairs: a dense n x n int32 matrix of value ranks (0 within a
+variable, where the induced partial matrix is undefined; 4 n^2 bytes, 16 MB
+at n = 2000, plus a transient cost copy of the same size for the tree
+call), scipy's minimum spanning tree on the reversed ranks, and the tree
+rooted at position 0.  Minimum-edge path queries on it answer both
 questions the solve asks:
 
 - validity: the instance satisfies the join condition and is Z-free exactly
@@ -21,7 +21,11 @@ questions the solve asks:
 - completion: a within-variable pair gets that minimum edge as its
   coefficient.  Cross coefficients stay in the instance tables.  The result
   agrees entry for entry with completion.complete on the induced partial
-  matrix (the tests pin that).
+  matrix, which reads the same kind of forest.
+
+This module keeps the instance's rank matrix, its own spanning tree call
+and the mapping of the forest's chordless cycles to JWP and ZFREE
+witnesses.
 
 All solver arithmetic stays exact; floats appear only inside the spanning
 tree call, on small integer ranks that float64 represents exactly.
@@ -34,11 +38,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .errors import InvariantError
-from .completion import completable_oracle
+from .completion import _Forest, _ranked, _tree_costs, completable_oracle
 from .instance import Instance, one_hot_decode, evaluate_instance
 from .intersection import IterationStats, ssp_intersect
 from .properties import (Violation, _jwp_violation, _zfree_violation, check_jwp,
@@ -117,90 +120,6 @@ class _BlockPairs:
         return self._inst.binary_value(j, b, i, a)
 
 
-def _min_edge_on_paths(n, parent, pedge, depth, queries_a, queries_b, big):
-    """Minimum edge rank on the tree path between each a[k], b[k] pair.
-
-    parent/pedge/depth describe a rooted forest (roots are their own parent
-    with edge rank `big`).  All queried pairs must share a tree.
-    """
-    maxd = int(depth.max()) if n else 0
-    levels = max(1, maxd.bit_length())
-    up = np.empty((levels, n), dtype=np.int32)
-    mn = np.empty((levels, n), dtype=np.int32)
-    up[0] = parent
-    mn[0] = pedge
-    for k in range(1, levels):
-        up[k] = up[k - 1][up[k - 1]]
-        mn[k] = np.minimum(mn[k - 1], mn[k - 1][up[k - 1]])
-
-    a = queries_a.astype(np.int32)
-    b = queries_b.astype(np.int32)
-    res = np.full(a.shape, big, dtype=np.int32)
-    swap = depth[b] > depth[a]
-    a2 = np.where(swap, b, a)
-    b2 = np.where(swap, a, b)
-    diff = depth[a2] - depth[b2]
-    for k in range(levels):
-        m = ((diff >> k) & 1).astype(bool)
-        if m.any():
-            res[m] = np.minimum(res[m], mn[k][a2[m]])
-            a2[m] = up[k][a2[m]]
-    for k in range(levels - 1, -1, -1):
-        m = up[k][a2] != up[k][b2]
-        if m.any():
-            res[m] = np.minimum(res[m], np.minimum(mn[k][a2[m]], mn[k][b2[m]]))
-            a2[m] = up[k][a2[m]]
-            b2[m] = up[k][b2[m]]
-    m = a2 != b2
-    if m.any():
-        res[m] = np.minimum(res[m], np.minimum(mn[0][a2[m]], mn[0][b2[m]]))
-    return res
-
-
-class _Forest:
-    """Maximum spanning tree over the cross pairs of an instance with r >= 2.
-
-    ranks[u, w] is the rank of the cross-pair value in pool (1 for the
-    smallest), 0 when u and w belong to the same variable.  The tree is
-    rooted at position 0: parent, pedge (rank of the edge to the parent) and
-    depth per position; the root is its own parent with edge rank big.
-    """
-
-    __slots__ = ("var", "ranks", "pool", "parent", "pedge", "depth", "big")
-
-    def __init__(self, var, ranks, pool, parent, pedge, depth):
-        self.var = var
-        self.ranks = ranks
-        self.pool = pool
-        self.parent = parent
-        self.pedge = pedge
-        self.depth = depth
-        self.big = len(pool) + 2
-
-    def path_min(self, a, b):
-        """Minimum edge rank on the tree path between each a[k], b[k]."""
-        return _min_edge_on_paths(len(self.var), self.parent, self.pedge,
-                                  self.depth, a, b, self.big)
-
-    def tree_path(self, u: int, w: int) -> list[int]:
-        """Positions on the tree path from u to w, both ends included."""
-        parent = self.parent.tolist()
-        depth = self.depth.tolist()
-        left, right = [u], [w]
-        while depth[u] > depth[w]:
-            u = parent[u]
-            left.append(u)
-        while depth[w] > depth[u]:
-            w = parent[w]
-            right.append(w)
-        while u != w:
-            u, w = parent[u], parent[w]
-            left.append(u)
-            right.append(w)
-        right.pop()
-        return left + right[::-1]
-
-
 def _build_forest(inst: Instance) -> _Forest | None:
     """The shared spanning forest of inst; None for a single variable, which
     has no cross pairs."""
@@ -218,10 +137,7 @@ def _build_forest(inst: Instance) -> _Forest | None:
         cells[(i, j)] = flat
     if len(cells) < r * (r - 1) // 2:
         raws.add(0)
-    pool_raws = sorted(raws)
-    pool = [ExtValue.of(v) for v in pool_raws]
-    rank_of = {v: k + 1 for k, v in enumerate(pool_raws)}
-    levels = len(pool_raws)
+    pool, rank_of = _ranked(raws)
 
     ranks = np.zeros((n, n), dtype=np.int32)
     for i in range(r):
@@ -237,91 +153,26 @@ def _build_forest(inst: Instance) -> _Forest | None:
             ranks[oi:oi + di, oj:oj + dj] = blk
             ranks[oj:oj + dj, oi:oi + di] = blk.T
 
-    # Maximum spanning tree on ranks == minimum spanning tree on the costs
-    # levels + 1 - rank, which are positive exactly on the cross pairs.
-    costs = np.subtract(levels + 1, ranks, dtype=np.int32)
-    costs[ranks == 0] = 0
-    tree = minimum_spanning_tree(csr_matrix(costs)).tocoo()
-    del costs
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, w in zip(tree.row.tolist(), tree.col.tolist()):
-        adj[u].append(w)
-        adj[w].append(u)
-
-    # Root the tree at position 0.
-    parent = [-1] * n
-    depth = [0] * n
-    parent[0] = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                depth[w] = depth[v] + 1
-                stack.append(w)
-    if -1 in parent:
+    forest = _Forest(ranks, minimum_spanning_tree(_tree_costs(ranks)), pool)
+    if forest.root.any():
         raise InvariantError("cross pairs left the position graph disconnected")
-    parent = np.array(parent, dtype=np.int32)
-    pedge = ranks[parent, np.arange(n)]
-    pedge[0] = levels + 2
-    var = [i for i, d in enumerate(inst.domains) for _ in range(d)]
-    return _Forest(var, ranks, pool, parent, pedge,
-                   np.array(depth, dtype=np.int32))
-
-
-_QUERY_CELLS = 1 << 20   # rank matrix cells scanned per path query batch
+    return forest
 
 
 def _bottleneck_violation(inst: Instance, forest: _Forest | None):
     """None when every cross pair equals its tree bottleneck, otherwise the
-    witness shrunk from the first pair (in flat order) that ranks below it."""
+    JWP or ZFREE witness for the forest's chordless cycle."""
     if forest is None:
         return None
-    ranks = forest.ranks
-    n = len(forest.var)
-    step = max(1, _QUERY_CELLS // n)
-    for lo in range(0, n, step):
-        # Cross pairs u < w with u in rows lo.., in flat order.
-        a, b = np.nonzero(np.triu(ranks[lo:lo + step], lo + 1))
-        a += lo
-        if len(a) == 0:
-            continue
-        bad = np.flatnonzero(ranks[a, b] < forest.path_min(a, b))
-        if len(bad):
-            u, w = int(a[bad[0]]), int(b[bad[0]])
-            return _cycle_violation(inst, forest, forest.tree_path(u, w))
-    return None
+    cycle = forest.violation()
+    return None if cycle is None else _cycle_violation(inst, cycle)
 
 
-def _cycle_violation(inst: Instance, forest: _Forest, cycle: list[int]):
-    """Shrink a cycle of cross pairs whose closing edge (cycle[-1], cycle[0])
-    is its unique minimum until no cross pair is a chord, and report it.
-
-    A chord splits the cycle in two; the half that keeps the closing edge
-    still has it as unique minimum unless the chord ranks no higher, and
-    then the chord is the unique minimum of the other half.  Every cycle of
-    length five or more in the cross-pair graph (complete multipartite over
-    the variables) has a chord, so what is left is a triangle over three
-    variables (a join-condition witness) or a 4-cycle over two (a Z).
-    """
-    var = forest.var
-    ranks = forest.ranks
-    while True:
-        v0, k = cycle[0], len(cycle) - 1
-        low = ranks[cycle[k], v0]
-        for j in range(2, k):
-            if var[cycle[j]] != var[v0]:
-                cycle = ([v0, *cycle[j:]] if ranks[v0, cycle[j]] > low
-                         else cycle[:j + 1])
-                break
-        else:
-            if k == 3 and var[cycle[1]] != var[cycle[3]]:
-                _, v1, v2, v3 = cycle
-                cycle = [v0, v1, v3] if ranks[v1, v3] > low else [v1, v2, v3]
-            else:
-                break
-
+def _cycle_violation(inst: Instance, cycle: list[int]):
+    """The witness for a chordless cycle of cross pairs with a unique
+    minimum.  The cross-pair graph is complete multipartite over the
+    variables, so such a cycle is a triangle over three variables (a
+    join-condition witness) or a 4-cycle over two (a Z)."""
     pos = [inst.layout.pair(v) for v in cycle]
 
     def raw(p, q):

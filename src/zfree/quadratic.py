@@ -9,13 +9,12 @@ costs, within-variable pairs come from completion).
 greedy_min_layer minimizes such a function over points with exactly `size`
 ones by repeatedly adding the cheapest position.  That is only valid for
 M-natural-convex functions, which is exactly what the completion step
-produces; a debug-mode check guards the precondition on small inputs.
+produces; an InvariantError check guards the precondition on small inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .completion import CompletedMatrix, PartialMatrix
 from .errors import InvariantError
@@ -25,14 +24,13 @@ from .values import INF, ZERO, ExtValue
 
 __all__ = [
     "QuadFn",
-    "LayerRestriction",
     "eval_quad",
     "induced_partial_matrix",
     "onehot_relaxation",
     "greedy_min_layer",
 ]
 
-_GREEDY_CHECK_LIMIT = 48  # debug precondition check is cubic; keep it cheap
+_GREEDY_CHECK_LIMIT = 48  # the precondition check is cubic; keep it cheap
 
 
 class _DictPairs:
@@ -108,19 +106,6 @@ def eval_quad(f: QuadFn, mask: int) -> ExtValue:
     return ExtValue.of(total)
 
 
-@dataclass(frozen=True)
-class LayerRestriction:
-    """f restricted to points with exactly `size` ones; elsewhere infinite."""
-
-    f: QuadFn
-    size: int
-
-    def value(self, mask: int) -> ExtValue:
-        if mask.bit_count() != self.size:
-            return INF
-        return eval_quad(self.f, mask)
-
-
 def induced_partial_matrix(inst: Instance) -> PartialMatrix:
     """The coefficient matrix an instance pins down: cross-variable pairs
     carry the binary costs (zero for omitted tables), within-variable pairs
@@ -170,13 +155,13 @@ def greedy_min_layer(f: QuadFn, size: int):
     Returns the chosen bitmask, or None when every point of the layer is
     infinite.  Ties go to the lowest flat position.  Every greedy prefix
     is itself a layer minimizer; that is what makes the final point one.
-    Correct only for M-natural-convex f (checked in debug mode when n is
-    small).
+    Correct only for M-natural-convex f (checked when n is small, also
+    under python -O).
     """
     n = f.n
     if not 0 <= size <= n:
         raise ValueError(f"layer size {size} out of range for n={n}")
-    if __debug__ and n <= _GREEDY_CHECK_LIMIT and all(v.is_finite for v in f.linear):
+    if n <= _GREEDY_CHECK_LIMIT and all(v.is_finite for v in f.linear):
         bad = check_mnatural_quadratic(f)
         if bad is not None:
             raise InvariantError(f"greedy needs an M-natural-convex function: {bad}")

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-import zfree.pipeline as pipeline
+import zfree.completion as completion
 from zfree import (GenConfig, Instance, SolveStatus, ViolationKind,
                    check_bottleneck, check_jwp, check_zfree, generate_instance,
                    minimize_zfree)
@@ -146,6 +146,6 @@ def test_row_batches_find_the_same_first_pair(monkeypatch):
     rng = random.Random(8)
     instances = [_random_instance(rng, [0, 1, 2, "inf"]) for _ in range(200)]
     whole = [check_bottleneck(inst) for inst in instances]
-    monkeypatch.setattr(pipeline, "_QUERY_CELLS", 1)  # one row per batch
+    monkeypatch.setattr(completion, "_QUERY_CELLS", 1)  # one row per batch
     assert [check_bottleneck(inst) for inst in instances] == whole
     assert sum(v is not None for v in whole) > 50

@@ -3,12 +3,47 @@ import random
 
 import pytest
 
-from zfree import (CompletedMatrix, ExtValue, PartialMatrix,
+from zfree import (GenConfig, PartialMatrix, ViolationKind,
                    check_anti_ultrametric, complete, completable_oracle,
-                   dump_matrix, parse_partial_matrix, threshold_components,
-                   validate_partial)
+                   dump_matrix, generate_instance, induced_partial_matrix,
+                   parse_partial_matrix, validate_partial)
 from zfree.errors import BudgetExceededError, NotCompletableError, ParseError
 from zfree.values import INF, ZERO
+
+
+def assert_chordless_refutation(h, exc):
+    """The cycle a refusal carries, re-read from h: its consecutive pairs
+    (closing pair included) are defined, no other pair of its vertices is,
+    and the smallest of its entries occurs once."""
+    cycle = exc.cycle
+    k = len(cycle)
+    assert k >= 3 and len(set(cycle)) == k, cycle
+    for s, t in itertools.combinations(range(k), 2):
+        adjacent = t == s + 1 or (s, t) == (0, k - 1)
+        assert h.defined(cycle[s], cycle[t]) == adjacent, (cycle, s, t)
+    raws = [h.value(cycle[t - 1], cycle[t]).raw for t in range(k)]
+    assert raws.count(min(raws)) == 1, (cycle, raws)
+    assert exc.violation.kind is ViolationKind.ANTI_ULTRAMETRIC
+    assert sorted(exc.violation.indices) == sorted(cycle)
+
+
+def check_against_oracle(h):
+    """complete() and validate_partial() agree with completable_oracle; a
+    completion is anti-ultrametric and keeps every defined entry, a refusal
+    carries a chordless cycle.  Returns whether h completed."""
+    can = completable_oracle(h) is None
+    assert (validate_partial(h) is None) == can
+    try:
+        done = complete(h)
+    except NotCompletableError as exc:
+        assert not can
+        assert_chordless_refutation(h, exc)
+        return False
+    assert can
+    assert check_anti_ultrametric(done) is None
+    for (u, w), v in h.pairs():
+        assert done.value(u, w).raw == v.raw
+    return True
 
 
 class TestValidate:
@@ -27,7 +62,20 @@ class TestValidate:
     def test_negative_rejected(self):
         h = PartialMatrix(2, {(0, 1): -3})
         v = validate_partial(h)
-        assert v is not None
+        assert v.kind is ViolationKind.NEGATIVE
+
+    def test_bad_four_cycle_without_bad_triple(self):
+        # no three entries are all defined, so no triple can refute this
+        h = PartialMatrix(4, {(0, 1): 1, (1, 2): 2, (2, 3): 2, (0, 3): 2})
+        assert completable_oracle(h) is not None
+        v = validate_partial(h)
+        assert v.kind is ViolationKind.ANTI_ULTRAMETRIC
+        assert sorted(v.indices) == [0, 1, 2, 3]
+
+    def test_triangle_keeps_triple_wording(self):
+        h = PartialMatrix(3, {(0, 1): 1, (0, 2): 2, (1, 2): 2})
+        assert str(validate_partial(h)) == (
+            "defined triple (1,2,3) has entries 1, 2, 2 with a unique minimum")
 
 
 class TestComplete:
@@ -47,8 +95,32 @@ class TestComplete:
 
     def test_bad_four_cycle(self):
         h = PartialMatrix(4, {(0, 1): 1, (1, 2): 2, (2, 3): 2, (0, 3): 2})
-        with pytest.raises(NotCompletableError):
+        with pytest.raises(NotCompletableError) as exc:
             complete(h)
+        assert_chordless_refutation(h, exc.value)
+        assert sorted(exc.value.cycle) == [0, 1, 2, 3]
+
+    def test_long_cycle_shrinks_to_chordless_triangle(self):
+        # the pentagon 0-1-2-3-4 has the unique minimum (0, 4); the chords
+        # (0, 2) and (0, 3) cut it down to the triangle (0, 3, 4)
+        h = PartialMatrix(5, {(0, 1): 5, (1, 2): 5, (2, 3): 5, (3, 4): 5,
+                              (0, 4): 1, (0, 2): 5, (0, 3): 5})
+        with pytest.raises(NotCompletableError) as exc:
+            complete(h)
+        assert_chordless_refutation(h, exc.value)
+        assert sorted(exc.value.cycle) == [0, 3, 4]
+
+    def test_single_vertex(self):
+        h = PartialMatrix(1)
+        assert validate_partial(h) is None
+        assert complete(h).pairs() == []
+
+    def test_all_infinite_entries(self):
+        h = PartialMatrix(4, {(0, 1): "inf", (1, 2): "inf", (0, 2): "inf",
+                              (2, 3): "inf"})
+        assert check_against_oracle(h)
+        done = complete(h)
+        assert all(v == INF for _, v in done.pairs())
 
     def test_single_undefined_pair_gets_zero(self):
         done = complete(PartialMatrix(2))
@@ -114,19 +186,11 @@ class TestOracle:
 def test_complete_iff_oracle_on_exhaustive_small_matrices():
     # every n=4 matrix with entries from {1, 2, undefined}
     pairs = list(itertools.combinations(range(4), 2))
-    agree = 0
+    refused = 0
     for combo in itertools.product((None, 1, 2), repeat=6):
         entries = {p: v for p, v in zip(pairs, combo) if v is not None}
-        h = PartialMatrix(4, entries)
-        can = completable_oracle(h) is None
-        try:
-            done = complete(h)
-            assert check_anti_ultrametric(done) is None
-            assert can
-        except NotCompletableError:
-            assert not can
-        agree += 1
-    assert agree == 3**6
+        refused += not check_against_oracle(PartialMatrix(4, entries))
+    assert 0 < refused < 3**6
 
 
 def test_complete_iff_oracle_on_random_matrices():
@@ -139,50 +203,43 @@ def test_complete_iff_oracle_on_random_matrices():
         for u, w in itertools.combinations(range(n), 2):
             if rng.random() < 0.55:
                 entries[(u, w)] = rng.choice([0, 1, 2, "inf"])
-        h = PartialMatrix(n, entries)
-        can = completable_oracle(h) is None
-        try:
-            done = complete(h)
-        except NotCompletableError:
+        if check_against_oracle(PartialMatrix(n, entries)):
+            completed += 1
+        else:
             rejected += 1
-            assert not can
-            continue
-        completed += 1
-        assert can
-        assert check_anti_ultrametric(done) is None
-        for (u, w), v in entries.items():
-            assert done.value(u, w).raw == h.value(u, w).raw
     assert completed > 100 and rejected > 100
 
 
-class TestThreshold:
-    def test_infinite_cut_empty(self):
-        m = CompletedMatrix(3, {(0, 1): 1, (0, 2): 2, (1, 2): 2})
-        assert threshold_components(m, INF) == []
+@pytest.mark.parametrize("domains", [(10,) * 6, (30,) * 4, (40,) * 5])
+def test_complete_on_large_induced_matrices_and_mutants(domains):
+    # n = 60, 120 and 200, past the reach of completable_oracle
+    inst = generate_instance(GenConfig(r=len(domains), domains=domains,
+                                       seed=len(domains), inf_share=0.3))
+    h = induced_partial_matrix(inst)
+    done = complete(h)
+    assert check_anti_ultrametric(done) is None
+    for (u, w), v in h.pairs():
+        assert done.value(u, w) == v
 
-    def test_components_on_bad_matrix_are_not_cliques(self):
-        # a path, not a clique: witnesses that this matrix fails the triangle
-        # condition, while the function itself just reports components
-        m = CompletedMatrix(3, {(0, 1): 1, (0, 2): 2, (1, 2): 2})
-        comps = threshold_components(m, ExtValue(2))
-        assert comps == [[0, 1, 2]]
-
-    def test_every_component_is_a_clique_after_completion(self):
-        rng = random.Random(23)
-        for _ in range(60):
-            n = rng.randint(2, 6)
-            entries = {}
-            for u, w in itertools.combinations(range(n), 2):
-                if rng.random() < 0.5:
-                    entries[(u, w)] = rng.choice([0, 1, 3])
-            try:
-                done = complete(PartialMatrix(n, entries))
-            except NotCompletableError:
-                continue
-            for alpha in {v for _, v in done.pairs()}:
-                for comp in threshold_components(done, alpha):
-                    for u, w in itertools.combinations(comp, 2):
-                        assert done.value(u, w) >= alpha
+    # Lowering one entry of a 2x2 subtable to 0, below the other three,
+    # leaves the chordless 4-cycle u-w2-u2-w (u, u2 of one variable, w, w2
+    # of another) with a unique minimum, so every such mutant is refused.
+    rng = random.Random(sum(domains))
+    entries = dict(h.pairs())
+    d = domains[0]
+    mutants = 0
+    while mutants < 5:
+        i, j = sorted(rng.sample(range(len(domains)), 2))
+        u, u2 = (i * d + a for a in rng.sample(range(d), 2))
+        w, w2 = (j * d + b for b in rng.sample(range(d), 2))
+        if min(h.value(u, w2).raw, h.value(u2, w).raw, h.value(u2, w2).raw) == 0:
+            continue
+        mutant = PartialMatrix(h.n, {**entries, (u, w): 0})
+        assert validate_partial(mutant) is not None
+        with pytest.raises(NotCompletableError) as exc:
+            complete(mutant)
+        assert_chordless_refutation(mutant, exc.value)
+        mutants += 1
 
 
 class TestMatrixJson:

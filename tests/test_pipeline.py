@@ -4,9 +4,9 @@ import random
 import pytest
 
 from zfree import (GenConfig, Instance, SolveStatus, ViolationKind,
-                   brute_force_min, build_relaxation, certify, complete,
-                   generate_instance, induced_partial_matrix, minimize_zfree,
-                   onehot_relaxation)
+                   brute_force_min, build_relaxation, certify,
+                   check_mnatural_quadratic, complete, generate_instance,
+                   induced_partial_matrix, minimize_zfree, onehot_relaxation)
 from zfree.values import INF
 
 
@@ -106,6 +106,9 @@ def test_fast_relaxation_matches_reference_completion():
         inst = generate_instance(GenConfig(r=r, dmax=4, seed=seed,
                                            inf_share=0.25))
         fast = build_relaxation(inst)
+        # complete() reads the same kind of forest; the coefficient scan is
+        # the independent oracle
+        assert check_mnatural_quadratic(fast) is None, seed
         slow = onehot_relaxation(inst, complete(induced_partial_matrix(inst)))
         n = inst.layout.n
         assert fast.linear == slow.linear
@@ -118,6 +121,7 @@ def test_fast_relaxation_handles_missing_tables():
     inst = Instance((2, 2, 2), [[0, 1], [2, 0], [1, 1]],
                     {(0, 1): [[3, 3], [3, 3]]})
     fast = build_relaxation(inst)
+    assert check_mnatural_quadratic(fast) is None
     slow = onehot_relaxation(inst, complete(induced_partial_matrix(inst)))
     for u, w in itertools.combinations(range(6), 2):
         assert fast.pair(u, w) == slow.pair(u, w)

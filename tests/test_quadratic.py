@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
-from zfree import (Instance, LayerRestriction, QuadFn, complete, eval_quad,
-                   greedy_min_layer, induced_partial_matrix,
-                   laminar_pair_values, onehot_relaxation)
+from zfree import (Instance, QuadFn, complete, eval_quad, greedy_min_layer,
+                   induced_partial_matrix, laminar_pair_values,
+                   onehot_relaxation)
 from zfree.values import INF
 
 
@@ -27,20 +29,6 @@ class TestEval:
         f = QuadFn.from_coeffs([0], {})
         with pytest.raises(ValueError):
             eval_quad(f, 0b10)
-
-
-class TestLayerRestriction:
-    def test_wrong_size_is_infinite(self):
-        f = QuadFn.from_coeffs([1, 1], {})
-        assert LayerRestriction(f, 2).value(0b01) == INF
-
-    def test_right_size_finite(self):
-        f = QuadFn.from_coeffs([1, 1], {(0, 1): 2})
-        assert LayerRestriction(f, 2).value(0b11).raw == 4
-
-    def test_empty_layer(self):
-        f = QuadFn.from_coeffs([1, 1], {})
-        assert LayerRestriction(f, 0).value(0).raw == 0
 
 
 class TestGreedy:
@@ -67,6 +55,22 @@ class TestGreedy:
         f = QuadFn.from_coeffs([0], {})
         with pytest.raises(ValueError):
             greedy_min_layer(f, 2)
+
+    def test_precondition_check_survives_optimize_flag(self):
+        # python -O drops assert statements and __debug__ blocks; the
+        # M-natural precondition check must still refuse this function,
+        # whose pair coefficients 1, 2, 2 have a unique minimum
+        code = ("from zfree import QuadFn, greedy_min_layer\n"
+                "from zfree.errors import InvariantError\n"
+                "f = QuadFn.from_coeffs([0, 0, 0], "
+                "{(0, 1): 1, (0, 2): 2, (1, 2): 2})\n"
+                "try:\n"
+                "    greedy_min_layer(f, 2)\n"
+                "except InvariantError:\n"
+                "    print('InvariantError')\n")
+        res = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True)
+        assert res.stdout == "InvariantError\n", res.stderr
 
 
 def exhaustive_layer_min(f, size):
