@@ -9,7 +9,7 @@ paths.  See minimize_zfree for the one-call entry point and the zfree CLI
 for file-based use.
 """
 
-from .values import ExtValue, INF, ZERO, ext_sum, format_value, parse_value
+from .values import ExtValue, INF, ZERO, format_value, parse_value
 from .errors import (BudgetExceededError, InvariantError, NotCompletableError,
                      NotOneHotError, ParseError, ZfreeError)
 from .instance import (Instance, OneHotLayout, dump_instance, evaluate_instance,
@@ -35,7 +35,7 @@ from .pipeline import (CertifyResult, SolveReport, SolveStatus,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExtValue", "INF", "ZERO", "ext_sum", "format_value", "parse_value",
+    "ExtValue", "INF", "ZERO", "format_value", "parse_value",
     "BudgetExceededError", "InvariantError", "NotCompletableError",
     "NotOneHotError", "ParseError", "ZfreeError",
     "Instance", "OneHotLayout", "dump_instance", "evaluate_instance",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .completion import complete, dump_matrix, parse_partial_matrix
@@ -70,6 +71,9 @@ def _dot_hook(directory: Path, layout):
     directory.mkdir(parents=True, exist_ok=True)
 
     def hook(index, graph, potential, search):
+        def value(v):   # graph units back to the instance's
+            return Fraction(v, graph.scale)
+
         lines = [f"digraph round_{index} {{", "  rankdir=LR;",
                  '  s [shape=diamond];', '  t [shape=diamond];']
         for v in range(graph.n):
@@ -78,7 +82,7 @@ def _dot_hook(directory: Path, layout):
         on_path = set(search.path_to(graph.t)) if search.reached(graph.t) else set()
         for idx, arc in enumerate(graph.arcs):
             reduced = arc.length + potential[arc.tail] - potential[arc.head]
-            attrs = (f'label="{arc.length}/{reduced}", '
+            attrs = (f'label="{value(arc.length)}/{value(reduced)}", '
                      f'tooltip="{arc.kind.value}"')
             if idx in on_path:
                 attrs += ", color=red, penwidth=2"

@@ -71,6 +71,15 @@ class OneHotLayout:
                 yield i, a
 
 
+def _ext_row(row) -> tuple:
+    """row as a tuple of ExtValues; cells that already are ExtValues (as
+    instance_from_dict decodes them) are kept, not interned again."""
+    row = tuple(row)
+    if set(map(type, row)) == {ExtValue}:
+        return row
+    return tuple(map(ExtValue.of, row))
+
+
 class Instance:
     """An immutable binary valued CSP.
 
@@ -104,7 +113,7 @@ class Instance:
             raise ValueError(f"expected {self.r} unary rows, got {len(unary)}")
         rows = []
         for i, row in enumerate(unary):
-            row = tuple(ExtValue.of(v) for v in row)
+            row = _ext_row(row)
             if len(row) != domains[i]:
                 raise ValueError(f"unary row {i} has {len(row)} entries, expected {domains[i]}")
             for a, v in enumerate(row):
@@ -121,7 +130,7 @@ class Instance:
                 raise ValueError(f"binary pair ({i},{j}) must satisfy 0 <= i < j < r")
             if (i, j) in tables:
                 raise ValueError(f"duplicate binary pair ({i},{j})")
-            t = tuple(tuple(map(ExtValue.of, row)) for row in table)
+            t = tuple(map(_ext_row, table))
             if len(t) != domains[i] or any(len(row) != domains[j] for row in t):
                 raise ValueError(f"binary table ({i},{j}) is not {domains[i]}x{domains[j]}")
             if any(v.raw < 0 for row in t for v in row):
@@ -237,9 +246,22 @@ def evaluate_instance(inst: Instance, x) -> ExtValue:
 # ---------------------------------------------------------------------------
 
 
+# Cell types that can share a dict without two of them comparing equal (a
+# bool would collide with 0 and 1).
+_KEYABLE = {int, str}
+
+
 def _parse_cells(row, where) -> list:
     """Decode a row of cells.  where(b) labels cell b; it is formatted only
     when that cell fails, for the ParseError message."""
+    if set(map(type, row)) <= _KEYABLE:
+        # Decode each distinct cell once; a failure is reported below.
+        try:
+            decoded = {v: _decode_value(v) for v in set(row)}
+        except ValueError:
+            pass
+        else:
+            return list(map(decoded.__getitem__, row))
     out = []
     for b, v in enumerate(row):
         try:

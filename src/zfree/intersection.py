@@ -10,18 +10,26 @@ relaxation over one-hot points, hence the instance.
 Arc lengths can be negative, so Dijkstra runs on reduced lengths under a
 vertex potential that starts at zero and absorbs the distances found in each
 round, capped at the sink's distance.  Nonnegativity of every reduced length
-is asserted, not assumed.
+is checked, not assumed.
 
-All arithmetic is on raw values (int, Fraction, math.inf); arc lengths are
-always finite by construction.
+All arithmetic is on exact integers: f's kernel (QuadFn.kernel) scales every
+finite value by D, so arc lengths, distances and potentials are ints in
+units of 1/D (ExchangeGraph.scale).  Exchange-arc lengths come from one
+r x n array operation per round, in int64 when the sums fit and in Python
+ints otherwise.  Infinite pair terms are counted, never added, so arc
+lengths are always finite.  IterationStats reports in the original units.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InvariantError, NotOneHotError
 from .instance import OneHotLayout
@@ -47,31 +55,69 @@ class ArcKind(Enum):
     SINK = "sink"           # w -> t, w in supp(y) \ supp(x)
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     tail: int
     head: int
-    length: object  # raw int | Fraction; finite
+    length: int     # in units of 1/scale of its graph
     kind: ArcKind
 
 
+class _ArcView(Sequence):
+    """A graph's arcs as Arc tuples, in arc order."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph):
+        self._graph = graph
+
+    def __len__(self):
+        return len(self._graph.head)
+
+    def __getitem__(self, idx):
+        if isinstance(idx, slice):
+            return [self[i] for i in range(*idx.indices(len(self)))]
+        g = self._graph
+        return Arc(g.tail[idx], g.head[idx], g.length[idx], g.kind[idx])
+
+
 class ExchangeGraph:
-    """Directed multigraph on flat positions plus source s and sink t."""
+    """Directed multigraph on flat positions plus source s and sink t.
 
-    __slots__ = ("n", "s", "t", "arcs", "adj")
+    Arc idx runs from tail[idx] to head[idx] with integer length[idx], in
+    units of 1/scale, and kind[idx]; adj[v] lists the arcs leaving v in arc
+    order.  arcs views them as Arc tuples.
+    """
 
-    def __init__(self, n: int, arcs: list[Arc]):
+    __slots__ = ("n", "s", "t", "scale", "tail", "head", "length", "kind", "adj")
+
+    def __init__(self, n: int, tail: list, head: list, length: list, kind: list,
+                 scale: int = 1):
         self.n = n
         self.s = n
         self.t = n + 1
-        self.arcs = arcs
-        adj: list[list[int]] = [[] for _ in range(n + 2)]
-        for idx, arc in enumerate(arcs):
-            adj[arc.tail].append(idx)
-        self.adj = adj
+        self.scale = scale
+        self.tail = tail
+        self.head = head
+        self.length = length
+        self.kind = kind
+        tails = np.array(tail, dtype=np.intp)
+        order = np.argsort(tails, kind="stable")
+        bounds = np.searchsorted(tails[order], np.arange(n + 3)).tolist()
+        order = order.tolist()
+        self.adj = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    @classmethod
+    def from_arcs(cls, n: int, arcs, scale: int = 1) -> "ExchangeGraph":
+        """A graph from (tail, head, length, kind) arcs, in that order."""
+        columns = [list(c) for c in zip(*arcs)] or [[], [], [], []]
+        return cls(n, *columns, scale=scale)
+
+    @property
+    def arcs(self) -> Sequence:
+        return _ArcView(self)
 
     def count(self, kind: ArcKind) -> int:
-        return sum(1 for a in self.arcs if a.kind is kind)
+        return self.kind.count(kind)
 
 
 def _support(mask: int) -> list[int]:
@@ -93,7 +139,7 @@ def _check_one_hot(layout: OneHotLayout, mask: int) -> None:
 
 def build_exchange_graph(f: QuadFn, x_mask: int, y_mask: int,
                          layout: OneHotLayout) -> ExchangeGraph:
-    """Exchange graph for the current pair (x, y).
+    """Exchange graph for the current pair (x, y), on f's integer kernel.
 
     x must be a point of finite f value, y a one-hot point of the same size.
     Exchange arcs u -> w exist for u in supp(x), w outside supp(x), whenever
@@ -107,111 +153,81 @@ def build_exchange_graph(f: QuadFn, x_mask: int, y_mask: int,
     n = f.n
     if layout.n != n:
         raise ValueError("layout does not match the function")
-    supp_x = _support(x_mask)
+    supp_x = np.array(_support(x_mask), dtype=np.intp)
     _check_one_hot(layout, y_mask)
+    k = f.kernel()
+    r = len(supp_x)
+    # Lengths below are differences of two sums of r + 1 values each.
+    linear, by_rank = k.arrays(2 * r + 2)
 
-    linear = [v.raw for v in f.linear]
-    pairs = f.pairs
-
-    # Cost of x with and without each of its own positions, all finite.
-    x_val = 0
-    for u in supp_x:
-        x_val += linear[u]
-    for ai, u in enumerate(supp_x):
-        for w in supp_x[ai + 1:]:
-            x_val += pairs.value(u, w).raw
-    if x_val == math.inf:
+    # Row a: the pair terms of supp_x[a] with every position (the rank
+    # matrix is symmetric), 0 where infinite; the diagonal contributes 0.
+    ranks = k.ranks[supp_x]
+    inf = ranks == k.inf_rank
+    pair = by_rank[ranks]
+    if k.linear_inf[supp_x].any() or inf[:, supp_x].any():
         raise ValueError("x lies outside the finite domain of f")
 
-    in_x = [False] * n
-    for u in supp_x:
-        in_x[u] = True
+    # out_cost[a]: linear plus pair terms inside x of supp_x[a], so
+    # f(x - u) = f(x) - out_cost.  For w outside x the terms to all of x
+    # split into a finite sum and a count of infinite terms, so removing
+    # one u needs no infinity subtraction:
+    # f(x - u + w) - f(x) = in_fin[w] - pair[a, w] - out_cost[a].
+    out_cost = linear[supp_x] + pair[:, supp_x].sum(axis=1)
+    in_fin = linear + pair.sum(axis=0)
+    in_infs = inf.sum(axis=0) + k.linear_inf
+    outside = np.ones(n, dtype=bool)
+    outside[supp_x] = False
+    rows, heads = np.nonzero(outside & (in_infs == inf))
+    lengths = (in_fin[heads] - pair[rows, heads]) - out_cost[rows]
+    tail = supp_x[rows].tolist()
+    head = heads.tolist()
+    length = lengths.tolist()
+    kind = [ArcKind.EXCHANGE] * len(head)
 
-    # out_cost[u] for u in supp(x): linear[u] plus its pair terms inside x;
-    # f(x - u) = x_val - out_cost[u].
-    out_cost = {}
-    for u in supp_x:
-        s = linear[u]
-        for w in supp_x:
-            if w != u:
-                s += pairs.value(u, w).raw
-        out_cost[u] = s
-
-    # For w outside x: linear[w] plus pair terms to all of x, split into the
-    # finite part and the number of infinite terms, so removing one u needs
-    # no infinity subtraction.
-    row = {}       # w -> list of raw pair values aligned with supp_x
-    in_fin = {}
-    in_infs = {}
-    for w in range(n):
-        if in_x[w]:
-            continue
-        vals = [pairs.value(w, u).raw for u in supp_x]
-        fin = linear[w]
-        infs = 0
-        for v in vals:
-            if v == math.inf:
-                infs += 1
-            else:
-                fin += v
-        row[w] = vals
-        in_fin[w] = fin
-        in_infs[w] = infs
-
-    arcs: list[Arc] = []
-    for ai, u in enumerate(supp_x):
-        for w in range(n):
-            if in_x[w]:
-                continue
-            huw = row[w][ai]
-            infs = in_infs[w] - (1 if huw == math.inf else 0)
-            if infs:
-                continue  # the swap leaves the finite domain
-            fin = in_fin[w] - (huw if huw != math.inf else 0)
-            # f(x - u + w) - f(x) = fin - out_cost[u]
-            arcs.append(Arc(u, w, fin - out_cost[u], ArcKind.EXCHANGE))
-
-    for i in range(len(layout.domains)):
-        blk = layout.block(i)
-        picked = [u for u in blk if (y_mask >> u) & 1]
-        target = picked[0]
-        for w in blk:
-            if w != target:
-                arcs.append(Arc(w, target, 0, ArcKind.REASSIGN))
+    supp_y = _support(y_mask)
+    target = np.repeat(supp_y, layout.domains)
+    moved = np.flatnonzero(target != np.arange(n))
+    tail += moved.tolist()
+    head += target[moved].tolist()
 
     s, t = n, n + 1
-    for u in supp_x:
-        if not (y_mask >> u) & 1:
-            arcs.append(Arc(s, u, 0, ArcKind.SOURCE))
-    for w in _support(y_mask):
-        if not in_x[w]:
-            arcs.append(Arc(w, t, 0, ArcKind.SINK))
-
-    return ExchangeGraph(n, arcs)
+    in_y = set(supp_y)
+    sources = [u for u in supp_x.tolist() if u not in in_y]
+    in_x = set(supp_x.tolist())
+    sinks = [w for w in supp_y if w not in in_x]
+    tail += [s] * len(sources) + sinks
+    head += sources + [t] * len(sinks)
+    length += [0] * (len(head) - len(length))
+    kind += ([ArcKind.REASSIGN] * len(moved) + [ArcKind.SOURCE] * len(sources)
+             + [ArcKind.SINK] * len(sinks))
+    return ExchangeGraph(n, tail, head, length, kind, k.scale)
 
 
 @dataclass
 class PathSearch:
-    """Dijkstra output: reduced distances, hop counts, and parent arcs.
+    """Dijkstra output on graph: reduced distances, hop counts, and parent
+    arcs.
 
     dist entries are None for unreachable vertices.
     """
 
+    graph: ExchangeGraph
     dist: list
     hops: list
-    parent: list      # arc index into graph.arcs, or None
-    arc_tails: list   # tail vertex per arc, for path reconstruction
+    parent: list      # arc index into graph's arcs, or None
 
     def reached(self, v: int) -> bool:
         return self.dist[v] is not None
 
     def path_to(self, v: int) -> list[int]:
         """Arc indices from s to v, in path order."""
+        tail = self.graph.tail
         out = []
         while self.parent[v] is not None:
             idx = self.parent[v]
             out.append(idx)
-            v = self.arc_tails[idx]
+            v = tail[idx]
         out.reverse()
         return out
 
@@ -220,45 +236,53 @@ def shortest_path_min_hops(graph: ExchangeGraph, potential: list) -> PathSearch:
     """Shortest s-to-everywhere distances under reduced lengths, breaking
     distance ties by fewest arcs, then by smallest head, then by arc order.
 
-    potential holds a raw value per vertex (n positions, then s, then t).
-    Every reduced length must come out nonnegative; a negative one means the
-    potentials are stale and raises InvariantError.
+    potential holds an int per vertex (n positions, then s, then t), in the
+    graph's units.  Every reduced length must come out nonnegative; a
+    negative one means the potentials are stale and raises InvariantError.
     """
     m = graph.n + 2
     if len(potential) != m:
         raise ValueError("potential length does not match the graph")
-    reduced = []
-    for arc in graph.arcs:
-        lp = arc.length + potential[arc.tail] - potential[arc.head]
-        if lp < 0:
-            raise InvariantError(
-                f"negative reduced length {lp} on arc {arc.tail}->{arc.head}")
-        reduced.append(lp)
+    reduced = [lp + potential[a] - potential[b]
+               for a, b, lp in zip(graph.tail, graph.head, graph.length)]
+    if reduced and min(reduced) < 0:
+        idx = next(i for i, lp in enumerate(reduced) if lp < 0)
+        raise InvariantError(
+            f"negative reduced length {Fraction(reduced[idx], graph.scale)} "
+            f"on arc {graph.tail[idx]}->{graph.head[idx]}")
 
+    head, adj = graph.head, graph.adj
     dist = [None] * m
     hops = [0] * m
     parent = [None] * m
     done = [False] * m
     s = graph.s
     dist[s] = 0
-    heap = [(0, 0, s)]
+    # One int per heap entry orders by (distance, hops, vertex): hops and
+    # vertices are below m.  A vertex's first pop carries its final
+    # distance and hops, so only the vertex is decoded.
+    mm = m * m
+    heap = [s]
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        d, h, v = heapq.heappop(heap)
+        v = heappop(heap) % m
         if done[v]:
             continue
         done[v] = True
-        for idx in graph.adj[v]:
-            arc = graph.arcs[idx]
-            w = arc.head
+        d = dist[v]
+        nh = hops[v] + 1
+        key_hops = nh * m
+        for idx in adj[v]:
+            w = head[idx]
             if done[w]:
                 continue
             nd = d + reduced[idx]
-            nh = h + 1
-            if dist[w] is None or nd < dist[w] or (nd == dist[w] and nh < hops[w]):
+            dw = dist[w]
+            if dw is None or nd < dw or (nd == dw and nh < hops[w]):
                 dist[w], hops[w], parent[w] = nd, nh, idx
-                heapq.heappush(heap, (nd, nh, w))
+                heappush(heap, nd * mm + key_hops + w)
 
-    return PathSearch(dist, hops, parent, [a.tail for a in graph.arcs])
+    return PathSearch(graph, dist, hops, parent)
 
 
 @dataclass
@@ -273,13 +297,19 @@ class IterationStats:
     arcs_reassign: int
     arcs_source: int
     arcs_sink: int
-    min_reduced: object      # smallest reduced length seen, raw
+    min_reduced: object      # smallest reduced length on the path: int or Fraction
 
 
 @dataclass
 class SspResult:
     mask: int | None                      # common point, or None if infeasible
     iterations: list[IterationStats] = field(default_factory=list)
+
+
+def _unscaled(v: int, scale: int):
+    """v / scale as an int when integral, else as a Fraction."""
+    q, rem = divmod(v, scale)
+    return q if rem == 0 else Fraction(v, scale)
 
 
 def ssp_intersect(f: QuadFn, layout: OneHotLayout, x0_mask: int, y0_mask: int,
@@ -291,7 +321,8 @@ def ssp_intersect(f: QuadFn, layout: OneHotLayout, x0_mask: int, y0_mask: int,
     that no one-hot point has finite value.
 
     dump_hook, when given, is called once per round with
-    (index, graph, potential, search) before x and y change.
+    (index, graph, potential, search) before x and y change; potential is in
+    the graph's units (graph.scale).
     """
     n = f.n
     if x0_mask.bit_count() != y0_mask.bit_count():
@@ -316,14 +347,15 @@ def ssp_intersect(f: QuadFn, layout: OneHotLayout, x0_mask: int, y0_mask: int,
         path = search.path_to(graph.t)
         min_reduced = None
         for idx in path:
-            arc = graph.arcs[idx]
-            lp = arc.length + potential[arc.tail] - potential[arc.head]
+            tail, head = graph.tail[idx], graph.head[idx]
+            lp = graph.length[idx] + potential[tail] - potential[head]
             if min_reduced is None or lp < min_reduced:
                 min_reduced = lp
-            if arc.kind is ArcKind.EXCHANGE:
-                x = (x ^ (1 << arc.tail)) | (1 << arc.head)
-            elif arc.kind is ArcKind.REASSIGN:
-                y = (y ^ (1 << arc.head)) | (1 << arc.tail)
+            kind = graph.kind[idx]
+            if kind is ArcKind.EXCHANGE:
+                x = (x ^ (1 << tail)) | (1 << head)
+            elif kind is ArcKind.REASSIGN:
+                y = (y ^ (1 << head)) | (1 << tail)
             # source and sink arcs are connectors; they change nothing
 
         gap_after = (x ^ y).bit_count()
@@ -352,6 +384,6 @@ def ssp_intersect(f: QuadFn, layout: OneHotLayout, x0_mask: int, y0_mask: int,
             arcs_reassign=graph.count(ArcKind.REASSIGN),
             arcs_source=graph.count(ArcKind.SOURCE),
             arcs_sink=graph.count(ArcKind.SINK),
-            min_reduced=min_reduced,
+            min_reduced=None if min_reduced is None else _unscaled(min_reduced, graph.scale),
         ))
     return SspResult(x, stats)

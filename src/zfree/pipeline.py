@@ -18,10 +18,17 @@ questions the solve asks:
   when its induced partial matrix is completable, which holds exactly when
   no cross pair ranks below the minimum edge on its tree path (see
   check_bottleneck);
-- completion: a within-variable pair gets that minimum edge as its
-  coefficient.  Cross coefficients stay in the instance tables.  The result
-  agrees entry for entry with completion.complete on the induced partial
-  matrix, which reads the same kind of forest.
+- completion: a within-variable pair gets the rank of that minimum edge.
+  The relaxation's pair source (quadratic.RankPairs) is a copy of the rank
+  matrix with the within-variable blocks filled so, over the forest's value
+  pool; it agrees entry for entry with completion.complete on the induced
+  partial matrix, which reads the same kind of forest.
+
+build_relaxation also builds the relaxation's integer kernel once: every
+finite unary and pool value times D, the LCM of their denominators (1 for
+all-integer input, 2 for the generator's half-integer unary costs).  The
+greedy layer minimum and the shortest-path loop run on it; ExtValue comes
+back only for the final check and the report.
 
 This module keeps the instance's rank matrix, its own spanning tree call
 and the mapping of the forest's chordless cycles to JWP and ZFREE
@@ -46,7 +53,8 @@ from .instance import Instance, one_hot_decode, evaluate_instance
 from .intersection import IterationStats, ssp_intersect
 from .properties import (Violation, _jwp_violation, _zfree_violation, check_jwp,
                          check_mnatural_quadratic, check_zfree)
-from .quadratic import QuadFn, eval_quad, greedy_min_layer, induced_partial_matrix
+from .quadratic import (QuadFn, RankPairs, eval_quad, greedy_min_layer,
+                        induced_partial_matrix)
 from .values import INF, ZERO, ExtValue, format_value
 
 __all__ = [
@@ -91,35 +99,6 @@ class SolveReport:
         return out
 
 
-class _BlockPairs:
-    """Pair coefficients: instance tables across variables, completed ranks
-    within them."""
-
-    __slots__ = ("n", "_inst", "_var", "_local", "_blocks", "_pool")
-
-    def __init__(self, inst: Instance, blocks, pool):
-        self.n = inst.layout.n
-        self._inst = inst
-        var = []
-        local = []
-        for i, d in enumerate(inst.domains):
-            var.extend([i] * d)
-            local.extend(range(d))
-        self._var = var
-        self._local = local
-        self._blocks = blocks    # per variable: row-major list of lists of ranks
-        self._pool = pool        # rank - 1 -> ExtValue
-
-    def value(self, u: int, w: int) -> ExtValue:
-        i, j = self._var[u], self._var[w]
-        a, b = self._local[u], self._local[w]
-        if i == j:
-            return self._pool[self._blocks[i][a][b] - 1]
-        if i < j:
-            return self._inst.binary_value(i, a, j, b)
-        return self._inst.binary_value(j, b, i, a)
-
-
 def _build_forest(inst: Instance) -> _Forest | None:
     """The shared spanning forest of inst; None for a single variable, which
     has no cross pairs."""
@@ -138,6 +117,7 @@ def _build_forest(inst: Instance) -> _Forest | None:
     if len(cells) < r * (r - 1) // 2:
         raws.add(0)
     pool, rank_of = _ranked(raws)
+    rank = rank_of.__getitem__
 
     ranks = np.zeros((n, n), dtype=np.int32)
     for i in range(r):
@@ -148,8 +128,8 @@ def _build_forest(inst: Instance) -> _Forest | None:
             if flat is None:
                 blk = np.full((di, dj), rank_of[0], dtype=np.int32)
             else:
-                blk = np.array([rank_of[v] for v in flat],
-                               dtype=np.int32).reshape(di, dj)
+                blk = np.fromiter(map(rank, flat), dtype=np.int32,
+                                  count=di * dj).reshape(di, dj)
             ranks[oi:oi + di, oj:oj + dj] = blk
             ranks[oj:oj + dj, oi:oi + di] = blk.T
 
@@ -219,30 +199,38 @@ def build_relaxation(inst: Instance, forest: _Forest | None = None) -> QuadFn:
     Requires a valid instance (join condition plus the subtable condition);
     on anything else the output is meaningless and may trip downstream
     invariant checks.  forest is the instance's shared spanning forest,
-    built here when not given.
+    built here when not given; it is not modified.
+
+    The pairs are a RankPairs over a copy of the forest's cross ranks (4 n^2
+    bytes) whose within-variable blocks hold their tree path minima.  The
+    integer kernel (each finite value scaled by the LCM D of the
+    denominators) is built here, once.
     """
     lay = inst.layout
     n = lay.n
     linear = [inst.unary[i][a] for i, a in lay.pairs()]
 
     if inst.r == 1:
-        blocks = [[[1] * n for _ in range(n)]]
-        return QuadFn(linear, _BlockPairs(inst, blocks, [ZERO]))
-    if forest is None:
-        forest = _build_forest(inst)
-
-    blocks = []
-    for i, d in enumerate(inst.domains):
-        grid = np.zeros((d, d), dtype=np.int32)
-        if d > 1:
-            ai, bi = np.triu_indices(d, 1)
-            res = forest.path_min(ai + lay.offsets[i], bi + lay.offsets[i])
+        ranks = np.ones((n, n), dtype=np.int32)
+        np.fill_diagonal(ranks, 0)
+        pairs = RankPairs(ranks, [ZERO])
+    else:
+        if forest is None:
+            forest = _build_forest(inst)
+        ranks = forest.ranks.copy()
+        within = [np.triu_indices(d, 1) for d in inst.domains]
+        a = np.concatenate([ai + o for (ai, _), o in zip(within, lay.offsets)])
+        b = np.concatenate([bi + o for (_, bi), o in zip(within, lay.offsets)])
+        if len(a):
+            res = forest.path_min(a, b)
             if int(res.max()) >= forest.big:
                 raise InvariantError("path query escaped the spanning tree")
-            grid[ai, bi] = res
-            grid[bi, ai] = res
-        blocks.append(grid.tolist())
-    return QuadFn(linear, _BlockPairs(inst, blocks, forest.pool))
+            ranks[a, b] = res
+            ranks[b, a] = res
+        pairs = RankPairs(ranks, forest.pool)
+    f = QuadFn(linear, pairs)
+    f.kernel()   # scale once, here
+    return f
 
 
 def _warm_start(inst: Instance) -> int:

@@ -6,6 +6,14 @@ the relaxation of an instance: linear part from the unary costs, pair part
 from the completed coefficient matrix (cross-variable pairs keep the binary
 costs, within-variable pairs come from completion).
 
+The solver does not compute with the ExtValue coefficients.  QuadFn.kernel()
+scales f once into exact integers: every finite linear and pair value times
+D, the LCM of their denominators (1 for all-integer input), pair values as
+an n x n int32 rank matrix into a pool of scaled values, and infinity as the
+pool's top rank, read as a boolean mask.  greedy_min_layer and the
+shortest-path loop in intersection run on that kernel; ExtValue stays at
+the API (pair, eval_quad, the property checks).
+
 greedy_min_layer minimizes such a function over points with exactly `size`
 ones by repeatedly adding the cheapest position.  That is only valid for
 M-natural-convex functions, which is exactly what the completion step
@@ -16,13 +24,16 @@ from __future__ import annotations
 
 import math
 
-from .completion import CompletedMatrix, PartialMatrix
+import numpy as np
+
+from .completion import CompletedMatrix, PartialMatrix, _ranked
 from .errors import InvariantError
 from .instance import Instance
 from .properties import check_mnatural_quadratic
 from .values import INF, ZERO, ExtValue
 
 __all__ = [
+    "RankPairs",
     "QuadFn",
     "eval_quad",
     "induced_partial_matrix",
@@ -52,15 +63,89 @@ class _DictPairs:
         return self._entries.get((u, w) if u < w else (w, u), ZERO)
 
 
+class RankPairs:
+    """Pair coefficients read off a symmetric n x n int32 rank matrix:
+    rank k >= 1 stands for pool[k - 1], pool ascending.  The diagonal is 0
+    and never read as a pair."""
+
+    __slots__ = ("n", "ranks", "pool", "_by_rank")
+
+    def __init__(self, ranks, pool):
+        self.n = len(ranks)
+        self.ranks = ranks
+        self.pool = pool
+        self._by_rank = [ZERO, *pool]
+
+    def value(self, u: int, w: int) -> ExtValue:
+        return self._by_rank[self.ranks[u, w]]
+
+    @classmethod
+    def of(cls, pairs) -> "RankPairs":
+        """The rank matrix of any pair source, read pair by pair."""
+        if isinstance(pairs, cls):
+            return pairs
+        n = pairs.n
+        raws = [pairs.value(u, w).raw for u in range(n) for w in range(u + 1, n)]
+        pool, rank_of = _ranked(raws)
+        ranks = np.zeros((n, n), dtype=np.int32)
+        upper = np.triu_indices(n, 1)
+        ranks[upper] = [rank_of[v] for v in raws]
+        return cls(ranks + ranks.T, pool)
+
+
+class _Kernel:
+    """A QuadFn in exact scaled integers; see the module docstring.
+
+    ranks is the pair rank matrix and inf_rank the rank of infinity
+    (len(pool) + 1, which never occurs, when no pair is infinite).
+    arrays() gives the scaled linear values, 0 where linear_inf marks an
+    infinite one, and the scaled value of each rank, 0 for the diagonal's
+    rank 0 and for inf_rank.
+    """
+
+    __slots__ = ("scale", "ranks", "inf_rank", "linear_inf", "_linear",
+                 "_by_rank", "_max_abs", "_arrays")
+
+    def __init__(self, linear, pairs: RankPairs):
+        finite = [v for v in (*linear, *pairs.pool) if v.is_finite]
+        scale = math.lcm(*(v.denominator for v in finite))
+
+        def scaled(v):
+            return v.numerator * (scale // v.denominator) if v.is_finite else 0
+
+        self.scale = scale
+        self.ranks = pairs.ranks
+        pool = pairs.pool
+        has_inf = bool(pool) and not pool[-1].is_finite
+        self.inf_rank = len(pool) if has_inf else len(pool) + 1
+        self.linear_inf = np.array([not v.is_finite for v in linear], dtype=bool)
+        self._linear = [scaled(v) for v in linear]
+        self._by_rank = [0, *map(scaled, pool)]
+        self._max_abs = max(map(abs, self._linear + self._by_rank))
+        self._arrays = {}
+
+    def arrays(self, terms: int):
+        """(linear, by_rank) as numpy arrays whose dtype holds any sum or
+        difference of `terms` values: int64 when that fits, Python ints in
+        object arrays otherwise."""
+        dtype = np.int64 if self._max_abs * terms < 2**63 else object
+        out = self._arrays.get(dtype)
+        if out is None:
+            out = self._arrays[dtype] = (np.array(self._linear, dtype=dtype),
+                                         np.array(self._by_rank, dtype=dtype))
+        return out
+
+
 class QuadFn:
     """Linear coefficients plus a source of symmetric pair coefficients.
 
-    pairs can be a CompletedMatrix or any object with n and value(u, w).
-    The linear part is expected finite for solving; sign and finiteness are
-    deliberately not enforced here, the property checks own that.
+    pairs can be a CompletedMatrix, a RankPairs, or any object with n and
+    value(u, w).  The linear part is expected finite for solving; sign and
+    finiteness are deliberately not enforced here, the property checks own
+    that.
     """
 
-    __slots__ = ("n", "linear", "pairs")
+    __slots__ = ("n", "linear", "pairs", "_kernel")
 
     def __init__(self, linear, pairs):
         self.linear = tuple(ExtValue.of(v) for v in linear)
@@ -68,6 +153,13 @@ class QuadFn:
         if pairs.n != self.n:
             raise ValueError(f"pair source covers {pairs.n} positions, linear has {self.n}")
         self.pairs = pairs
+        self._kernel = None
+
+    def kernel(self) -> _Kernel:
+        """f scaled to exact integers, built on the first call."""
+        if self._kernel is None:
+            self._kernel = _Kernel(self.linear, RankPairs.of(self.pairs))
+        return self._kernel
 
     @classmethod
     def from_coeffs(cls, linear, pair_entries) -> "QuadFn":
@@ -166,20 +258,20 @@ def greedy_min_layer(f: QuadFn, size: int):
         if bad is not None:
             raise InvariantError(f"greedy needs an M-natural-convex function: {bad}")
 
-    marginal = [v.raw for v in f.linear]
-    unset = list(range(n))
+    k = f.kernel()
+    linear, by_rank = k.arrays(size + 1)
+    marginal = linear.copy()
+    infs = k.linear_inf.astype(np.int64)   # infinite terms per marginal
+    free = np.ones(n, dtype=bool)
     mask = 0
     for _ in range(size):
-        best_pos = None
-        best = math.inf
-        for idx, u in enumerate(unset):
-            m = marginal[u]
-            if m < best:
-                best, best_pos = m, idx
-        if best_pos is None or best == math.inf:
+        open_ = np.flatnonzero(free & (infs == 0))
+        if len(open_) == 0:
             return None
-        picked = unset.pop(best_pos)
+        picked = int(open_[np.argmin(marginal[open_])])
+        free[picked] = False
         mask |= 1 << picked
-        for u in unset:
-            marginal[u] += f.pairs.value(u, picked).raw
+        col = k.ranks[picked]
+        marginal += by_rank[col]
+        infs += col == k.inf_rank
     return mask

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic for costs: rationals extended with plus infinity.
 
-Every cost, weight, and path length in this package is an ExtValue.  Finite
+Every cost and weight at the API and file boundary is an ExtValue; inside
+the solver, quadratic.QuadFn.kernel scales them to exact integers.  Finite
 values are exact rationals (stored as int when integral, fractions.Fraction
 otherwise); the single non-finite value is positive infinity.  No finite
 value is ever represented as a float, so equality and comparison are exact
@@ -28,7 +29,7 @@ import math
 import re
 from fractions import Fraction
 
-__all__ = ["ExtValue", "INF", "ZERO", "ext_sum", "parse_value", "format_value"]
+__all__ = ["ExtValue", "INF", "ZERO", "parse_value", "format_value"]
 
 _INF_RAW = math.inf
 
@@ -47,7 +48,9 @@ class ExtValue:
     and hash equal regardless of how they were constructed.
     """
 
-    __slots__ = ("_raw",)
+    # raw is the underlying int, Fraction, or math.inf.  A slot, not a
+    # property, so hot loops read it without a Python call.
+    __slots__ = ("raw",)
 
     def __init__(self, value: "int | Fraction | str | float | ExtValue" = 0, den: int | None = None):
         if den is not None:
@@ -57,7 +60,7 @@ class ExtValue:
                 raise ZeroDivisionError("zero denominator")
             raw: object = _normalize(Fraction(value, den))
         elif isinstance(value, ExtValue):
-            raw = value._raw
+            raw = value.raw
         elif isinstance(value, bool):
             raise TypeError("bool is not a valid cost value")
         elif isinstance(value, int):
@@ -73,7 +76,7 @@ class ExtValue:
             raw = _parse_raw(value)
         else:
             raise TypeError(f"cannot build ExtValue from {type(value).__name__}")
-        object.__setattr__(self, "_raw", raw)
+        object.__setattr__(self, "raw", raw)
 
     # A small cache so that tables holding millions of repeated cells share
     # objects.  Values are immutable, so sharing is safe.
@@ -89,7 +92,7 @@ class ExtValue:
             if cached is not None:
                 return cached
         v = cls(value)
-        key = v._raw
+        key = v.raw
         cached = cls._cache.get(key)
         if cached is not None:
             return cached
@@ -100,34 +103,24 @@ class ExtValue:
     @classmethod
     def _wrap(cls, raw) -> "ExtValue":
         v = object.__new__(cls)
-        object.__setattr__(v, "_raw", raw)
+        object.__setattr__(v, "raw", raw)
         return v
 
     @property
-    def raw(self):
-        """The underlying int, Fraction, or math.inf.  For hot loops."""
-        return self._raw
-
-    @property
     def is_finite(self) -> bool:
-        return self._raw != _INF_RAW
+        return self.raw != _INF_RAW
 
     @property
     def numerator(self) -> int:
-        if self._raw == _INF_RAW:
+        if self.raw == _INF_RAW:
             raise ValueError("infinity has no numerator")
-        return self._raw if isinstance(self._raw, int) else self._raw.numerator
+        return self.raw if isinstance(self.raw, int) else self.raw.numerator
 
     @property
     def denominator(self) -> int:
-        if self._raw == _INF_RAW:
+        if self.raw == _INF_RAW:
             raise ValueError("infinity has no denominator")
-        return 1 if isinstance(self._raw, int) else self._raw.denominator
-
-    def as_fraction(self) -> Fraction:
-        if self._raw == _INF_RAW:
-            raise ValueError("infinity is not a fraction")
-        return Fraction(self._raw)
+        return 1 if isinstance(self.raw, int) else self.raw.denominator
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtValue is immutable")
@@ -135,7 +128,7 @@ class ExtValue:
     def __add__(self, other):
         if not isinstance(other, ExtValue):
             return NotImplemented
-        a, b = self._raw, other._raw
+        a, b = self.raw, other.raw
         if a == _INF_RAW or b == _INF_RAW:
             return INF
         return ExtValue._wrap(_normalize(a + b))
@@ -143,7 +136,7 @@ class ExtValue:
     def __sub__(self, other):
         if not isinstance(other, ExtValue):
             return NotImplemented
-        a, b = self._raw, other._raw
+        a, b = self.raw, other.raw
         if b == _INF_RAW:
             raise ValueError("cannot subtract infinity")
         if a == _INF_RAW:
@@ -155,50 +148,50 @@ class ExtValue:
             return NotImplemented
         if k < 0:
             raise ValueError("multiplier must be a nonnegative integer")
-        if self._raw == _INF_RAW:
+        if self.raw == _INF_RAW:
             return ZERO if k == 0 else INF
-        return ExtValue._wrap(_normalize(self._raw * k))
+        return ExtValue._wrap(_normalize(self.raw * k))
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, ExtValue):
             return NotImplemented
-        return self._raw == other._raw
+        return self.raw == other.raw
 
     def __ne__(self, other):
         if not isinstance(other, ExtValue):
             return NotImplemented
-        return self._raw != other._raw
+        return self.raw != other.raw
 
     def __lt__(self, other):
         if not isinstance(other, ExtValue):
             return NotImplemented
-        return self._raw < other._raw
+        return self.raw < other.raw
 
     def __le__(self, other):
         if not isinstance(other, ExtValue):
             return NotImplemented
-        return self._raw <= other._raw
+        return self.raw <= other.raw
 
     def __gt__(self, other):
         if not isinstance(other, ExtValue):
             return NotImplemented
-        return self._raw > other._raw
+        return self.raw > other.raw
 
     def __ge__(self, other):
         if not isinstance(other, ExtValue):
             return NotImplemented
-        return self._raw >= other._raw
+        return self.raw >= other.raw
 
     def __hash__(self):
-        return hash(self._raw)
+        return hash(self.raw)
 
     def __bool__(self):
-        return self._raw != 0
+        return self.raw != 0
 
     def __str__(self):
-        raw = self._raw
+        raw = self.raw
         if raw == _INF_RAW:
             return "inf"
         if isinstance(raw, int):
@@ -233,17 +226,6 @@ def _parse_raw(s: str):
 
 INF = ExtValue(math.inf)
 ZERO = ExtValue(0)
-
-
-def ext_sum(values) -> ExtValue:
-    """Exact sum of an iterable of ExtValue (empty sum is 0)."""
-    total = 0
-    for v in values:
-        r = v._raw
-        if r == _INF_RAW:
-            return INF
-        total += r
-    return ExtValue._wrap(_normalize(total))
 
 
 def parse_value(obj, *, where: str = "value") -> ExtValue:

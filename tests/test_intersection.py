@@ -76,7 +76,7 @@ class TestBuild:
 class TestShortestPath:
     def test_two_arc_path(self):
         # one interior vertex: s -> 0 (len 2), 0 -> t (len 0)
-        g = ExchangeGraph(1, [Arc(1, 0, 2, ArcKind.SOURCE),
+        g = ExchangeGraph.from_arcs(1, [Arc(1, 0, 2, ArcKind.SOURCE),
                               Arc(0, 2, 0, ArcKind.SINK)])
         search = shortest_path_min_hops(g, [0, 0, 0])
         assert search.dist[g.t] == 2
@@ -90,23 +90,23 @@ class TestShortestPath:
             Arc(0, 1, 0, ArcKind.EXCHANGE),
             Arc(1, 3, 1, ArcKind.SINK),
         ]
-        g = ExchangeGraph(2, arcs)
+        g = ExchangeGraph.from_arcs(2, arcs)
         search = shortest_path_min_hops(g, [0] * 4)
         assert search.dist[g.t] == 2
         assert len(search.path_to(g.t)) == 2
 
     def test_unreachable_sink(self):
-        g = ExchangeGraph(1, [Arc(1, 0, 0, ArcKind.SOURCE)])
+        g = ExchangeGraph.from_arcs(1, [Arc(1, 0, 0, ArcKind.SOURCE)])
         search = shortest_path_min_hops(g, [0, 0, 0])
         assert not search.reached(g.t)
 
     def test_negative_reduced_length_raises(self):
-        g = ExchangeGraph(1, [Arc(1, 0, -1, ArcKind.SOURCE)])
+        g = ExchangeGraph.from_arcs(1, [Arc(1, 0, -1, ArcKind.SOURCE)])
         with pytest.raises(InvariantError):
             shortest_path_min_hops(g, [0, 0, 0])
 
     def test_potential_shifts_reduced_lengths(self):
-        g = ExchangeGraph(1, [Arc(1, 0, 2, ArcKind.SOURCE),
+        g = ExchangeGraph.from_arcs(1, [Arc(1, 0, 2, ArcKind.SOURCE),
                               Arc(0, 2, 0, ArcKind.SINK)])
         # potential 2 on the interior vertex cancels the first arc's length
         search = shortest_path_min_hops(g, [2, 0, 2])
