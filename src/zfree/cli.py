@@ -12,6 +12,7 @@ details, fixed key order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -164,6 +165,7 @@ def _cmd_certify(args) -> int:
     return 0 if result.jwp_ok and result.zfree_ok else 2
 
 
+@functools.cache   # building costs far more than one parse_args call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="zfree",
                      description="Exact minimization of valid binary instances.")

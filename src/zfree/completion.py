@@ -7,20 +7,25 @@ anti-ultrametric (every triple attains its pairwise minimum twice) or
 raises NotCompletableError with a refutation.
 
 Checking and filling both read one structure, _Forest: a dense n x n int32
-matrix of value ranks (0 marks an undefined pair, 4 n^2 bytes), scipy's
-minimum spanning tree on the reversed ranks, and every component rooted
-for minimum-edge path queries.  The matrix is completable exactly when
-every defined pair equals the minimum edge on its forest path; otherwise
-the first pair (flat order) that ranks below it, closed by its path and
-shrunk along defined chords, is a chordless cycle whose minimum is unique.
-A completion gives each undefined connected pair that path minimum and
-pairs in different components the globally smallest defined value (zero
-when nothing is defined).  pipeline builds the same structure over the
-cross-variable pairs of an instance to check and complete it.
+matrix of value ranks (0 marks an undefined pair) and floor, the n x n int32
+matrix of tree-path minima that Prim's algorithm fills while it grows the
+maximum spanning forest of the defined pairs; the two take 8 n^2 bytes.
+Ties are broken one way everywhere: the highest offered rank goes next, the
+lowest vertex on a tie, each component is rooted at its smallest vertex and
+every other vertex hangs off the earliest tree vertex that offered its
+rank.  The matrix is completable exactly when every defined pair equals its
+floor value; otherwise the first pair (flat order) that ranks below it,
+closed by its tree path and shrunk along defined chords, is a chordless
+cycle whose minimum is unique.  A completion gives each undefined connected
+pair its floor value and pairs in different components the globally
+smallest defined value (zero when nothing is defined).  pipeline builds the
+same structure over the cross-variable pairs of an instance to check and
+complete it.
 
-Values stay exact: only integer ranks reach the spanning tree call, and
-the tests check completability against completable_oracle, an independent
-exhaustive search for a chordless cycle whose minimum weight edge is unique.
+Values stay exact: the forest works on integer ranks only, and the tests
+check completability against completable_oracle, an independent exhaustive
+search for a chordless cycle whose minimum weight edge is unique, and the
+forest against a brute force maximin closure.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 from .errors import BudgetExceededError, NotCompletableError, ParseError
 from .properties import Violation, ViolationKind
@@ -134,9 +138,6 @@ class CompletedMatrix:
         return f"CompletedMatrix(n={self.n})"
 
 
-_QUERY_CELLS = 1 << 20   # rank matrix cells scanned per path query batch
-
-
 def _ranked(raws):
     """The distinct raw values ascending as ExtValues (the pool) and the map
     from each raw value to its rank, 1 for the smallest."""
@@ -144,14 +145,47 @@ def _ranked(raws):
     return [ExtValue.of(v) for v in ordered], {v: k + 1 for k, v in enumerate(ordered)}
 
 
-def _tree_costs(ranks):
-    """Sparse costs whose minimum spanning tree is a maximum spanning forest
-    of the defined pairs of ranks: max rank + 1 - rank on defined pairs, no
-    edge elsewhere.  The costs are small positive integers, exact in the
-    float64 arithmetic of scipy's tree routine."""
-    costs = np.subtract(int(ranks.max()) + 1, ranks, dtype=np.int32)
-    costs[ranks == 0] = 0
-    return csr_matrix(costs)
+def _spanning_forest(ranks):
+    """Prim's maximum spanning forest of the defined pairs of a rank matrix,
+    with the tie rule _Forest states.
+
+    Returns parent, depth and root per vertex (int32 arrays) and floor, the
+    n x n int32 matrix of tree-path minima: floor[u, w] is the smallest rank
+    on the forest path between u and w, 0 across components and on the
+    diagonal.  Each vertex v joins with key, the best rank the tree offers
+    it, so floor[v] = minimum(floor[parent], key) over the tree so far.
+    """
+    n = len(ranks)
+    floor = np.zeros((n, n), dtype=np.int32)
+    key = np.zeros(n, dtype=np.int32)       # -1 once in the tree
+    via = np.zeros(n, dtype=np.int32)       # tree vertex offering key
+    outside = np.ones(n, dtype=bool)
+    better = np.empty(n, dtype=bool)
+    parent = [0] * n
+    depth = [0] * n
+    root = [0] * n
+    for _ in range(n):
+        v = int(key.argmax())
+        k = key.item(v)
+        if k == 0:
+            parent[v] = root[v] = v
+        else:
+            p = parent[v] = via.item(v)
+            depth[v] = depth[p] + 1
+            root[v] = root[p]
+            row = floor[v]
+            np.minimum(floor[p], k, out=row)
+            row[p] = k
+            floor[:, v] = row
+        key[v] = -1
+        outside[v] = False
+        offer = ranks[v]
+        np.greater(offer, key, out=better)
+        better &= outside
+        np.copyto(key, offer, where=better)
+        via[better] = v
+    return (np.array(parent, dtype=np.int32), np.array(depth, dtype=np.int32),
+            np.array(root, dtype=np.int32), floor)
 
 
 class _Forest:
@@ -159,86 +193,26 @@ class _Forest:
 
     ranks is a symmetric n x n int32 matrix holding 0 where a pair is
     undefined and otherwise the rank of its value in pool (1 for the
-    smallest, pool[rank - 1] the value).  tree is the minimum spanning tree
-    of _tree_costs(ranks), computed by the caller: pipeline keeps its own
-    binding of the tree routine, which perfbench/tracing.py wraps.  Each
-    component is rooted at its smallest vertex: parent and depth per vertex,
-    root the component label; a root is its own parent, with edge rank big
-    above every rank.  Path-minimum queries use binary lifting tables built
-    here once.
+    smallest, pool[rank - 1] the value).  floor holds every pair's
+    tree-path minimum, which is its bottleneck (maximin) value over the
+    defined-pair graph.  parent, depth and root give each vertex's place in
+    the forest; every component is rooted at its smallest vertex, and a
+    root is its own parent.
+
+    Tie rule (Prim's algorithm, _spanning_forest): the outside vertex the
+    tree offers the highest rank joins next, the lowest such vertex on a
+    tie; when every offer is 0 the smallest unvisited vertex starts a new
+    component; a joining vertex hangs off the earliest tree vertex that
+    offered its rank.  Only the tree path that closes a violating pair into
+    a witness cycle depends on this rule, never a verdict or a floor value.
     """
 
-    __slots__ = ("ranks", "pool", "parent", "depth", "root", "big", "_up", "_mn")
+    __slots__ = ("ranks", "pool", "parent", "depth", "root", "floor")
 
-    def __init__(self, ranks, tree, pool):
-        n = len(ranks)
-        tree = tree.tocoo()
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, w in zip(tree.row.tolist(), tree.col.tolist()):
-            adj[u].append(w)
-            adj[w].append(u)
-        parent = [-1] * n
-        depth = [0] * n
-        root = [0] * n
-        for s in range(n):
-            if parent[s] >= 0:
-                continue
-            parent[s] = root[s] = s
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if parent[w] < 0:
-                        parent[w] = v
-                        depth[w] = depth[v] + 1
-                        root[w] = s
-                        stack.append(w)
-
+    def __init__(self, ranks, pool):
         self.ranks = ranks
         self.pool = pool
-        self.big = len(pool) + 2
-        self.parent = np.array(parent, dtype=np.int32)
-        self.depth = np.array(depth, dtype=np.int32)
-        self.root = np.array(root, dtype=np.int32)
-        pedge = ranks[self.parent, np.arange(n)]
-        pedge[self.parent == np.arange(n)] = self.big
-        levels = max(1, int(self.depth.max(initial=0)).bit_length())
-        up = np.empty((levels, n), dtype=np.int32)
-        mn = np.empty((levels, n), dtype=np.int32)
-        up[0] = self.parent
-        mn[0] = pedge
-        for k in range(1, levels):
-            up[k] = up[k - 1][up[k - 1]]
-            mn[k] = np.minimum(mn[k - 1], mn[k - 1][up[k - 1]])
-        self._up = up
-        self._mn = mn
-
-    def path_min(self, a, b):
-        """Minimum edge rank on the tree path between each a[k], b[k] pair.
-        Each pair must lie in one component."""
-        up, mn, depth = self._up, self._mn, self.depth
-        a = a.astype(np.int32)
-        b = b.astype(np.int32)
-        res = np.full(a.shape, self.big, dtype=np.int32)
-        swap = depth[b] > depth[a]
-        a2 = np.where(swap, b, a)
-        b2 = np.where(swap, a, b)
-        diff = depth[a2] - depth[b2]
-        for k in range(len(up)):
-            m = ((diff >> k) & 1).astype(bool)
-            if m.any():
-                res[m] = np.minimum(res[m], mn[k][a2[m]])
-                a2[m] = up[k][a2[m]]
-        for k in range(len(up) - 1, -1, -1):
-            m = up[k][a2] != up[k][b2]
-            if m.any():
-                res[m] = np.minimum(res[m], np.minimum(mn[k][a2[m]], mn[k][b2[m]]))
-                a2[m] = up[k][a2[m]]
-                b2[m] = up[k][b2[m]]
-        m = a2 != b2
-        if m.any():
-            res[m] = np.minimum(res[m], np.minimum(mn[0][a2[m]], mn[0][b2[m]]))
-        return res
+        self.parent, self.depth, self.root, self.floor = _spanning_forest(ranks)
 
     def tree_path(self, u: int, w: int) -> list[int]:
         """Vertices on the tree path from u to w, both ends included."""
@@ -259,26 +233,20 @@ class _Forest:
         return left + right[::-1]
 
     def violation(self):
-        """None when every defined pair equals the minimum edge on its tree
-        path, which holds exactly when the matrix is completable.  Otherwise
-        a chordless cycle of defined pairs with a unique minimum, shrunk from
-        the first defined pair (flat order, u < w) that ranks below that
-        minimum and its tree path; the minimum is the closing pair
-        (cycle[-1], cycle[0])."""
+        """None when every defined pair equals its tree-path minimum, which
+        holds exactly when the matrix is completable.  Otherwise a chordless
+        cycle of defined pairs with a unique minimum, shrunk from the first
+        defined pair (flat order, u < w) that ranks below that minimum and
+        its tree path; the minimum is the closing pair (cycle[-1], cycle[0])."""
         ranks = self.ranks
-        n = len(ranks)
-        step = max(1, _QUERY_CELLS // n)
-        for lo in range(0, n, step):
-            # Defined pairs u < w with u in rows lo.., in flat order.
-            a, b = np.nonzero(np.triu(ranks[lo:lo + step], lo + 1))
-            a += lo
-            if len(a) == 0:
-                continue
-            bad = np.flatnonzero(ranks[a, b] < self.path_min(a, b))
-            if len(bad):
-                u, w = int(a[bad[0]]), int(b[bad[0]])
-                return self._chordless(self.tree_path(u, w))
-        return None
+        bad = ranks < self.floor
+        bad &= ranks > 0
+        # bad is symmetric, so its first cell in flat order has u < w.
+        first = int(np.argmax(bad))
+        if not bad.flat[first]:
+            return None
+        u, w = divmod(first, len(ranks))
+        return self._chordless(self.tree_path(u, w))
 
     def _chordless(self, cycle: list[int]) -> list[int]:
         """Shrink a cycle of defined pairs whose closing pair (cycle[-1],
@@ -316,9 +284,7 @@ def _partial_forest(H: PartialMatrix) -> _Forest:
     vals = np.array([rank_of[v.raw] for v in H._entries.values()], dtype=np.int32)
     ranks[rows, cols] = vals
     ranks[cols, rows] = vals
-    # Called through csgraph: perfbench/tracing.py wraps the name bound in
-    # pipeline, and its spans should count only the solve path's trees.
-    return _Forest(ranks, csgraph.minimum_spanning_tree(_tree_costs(ranks)), pool)
+    return _Forest(ranks, pool)
 
 
 def _cycle_refutation(H: PartialMatrix, cycle: list[int]) -> Violation:
@@ -403,10 +369,8 @@ def complete(H: PartialMatrix) -> CompletedMatrix:
     rows, cols = np.triu_indices(n, 1)
     undefined = forest.ranks[rows, cols] == 0
     rows, cols = rows[undefined], cols[undefined]
-    # Rank 1, the smallest defined value, across components.
-    fill = np.ones(len(rows), dtype=np.int32)
-    same = forest.root[rows] == forest.root[cols]
-    fill[same] = forest.path_min(rows[same], cols[same])
+    # Rank 1, the smallest defined value, across components (floor 0).
+    fill = np.maximum(forest.floor[rows, cols], 1)
     pool = forest.pool
     entries = dict(H._entries)
     entries.update(zip(zip(rows.tolist(), cols.tolist()),

@@ -8,19 +8,19 @@ one-hot point.
 
 The shared forest (_build_forest) is completion._Forest over the
 cross-variable pairs: a dense n x n int32 matrix of value ranks (0 within a
-variable, where the induced partial matrix is undefined; 4 n^2 bytes, 16 MB
-at n = 2000, plus a transient cost copy of the same size for the tree
-call), scipy's minimum spanning tree on the reversed ranks, and the tree
-rooted at position 0.  Minimum-edge path queries on it answer both
-questions the solve asks:
+variable, where the induced partial matrix is undefined) and the int32
+matrix of tree-path minima (floor) that Prim's algorithm fills as it grows
+the tree from position 0, 8 n^2 bytes in all (32 MB at n = 2000).  Ties go
+to the lowest position, and a position hangs off the earliest tree position
+that offered its rank.  The two matrices answer both questions the solve
+asks:
 
 - validity: the instance satisfies the join condition and is Z-free exactly
   when its induced partial matrix is completable, which holds exactly when
-  no cross pair ranks below the minimum edge on its tree path (see
-  check_bottleneck);
-- completion: a within-variable pair gets the rank of that minimum edge.
-  The relaxation's pair source (quadratic.RankPairs) is a copy of the rank
-  matrix with the within-variable blocks filled so, over the forest's value
+  no cross pair ranks below its floor value (see check_bottleneck);
+- completion: a within-variable pair gets its floor value.  The
+  relaxation's pair source (quadratic.RankPairs) is the rank matrix with
+  the within-variable blocks taken from floor, over the forest's value
   pool; it agrees entry for entry with completion.complete on the induced
   partial matrix, which reads the same kind of forest.
 
@@ -30,12 +30,11 @@ all-integer input, 2 for the generator's half-integer unary costs).  The
 greedy layer minimum and the shortest-path loop run on it; ExtValue comes
 back only for the final check and the report.
 
-This module keeps the instance's rank matrix, its own spanning tree call
-and the mapping of the forest's chordless cycles to JWP and ZFREE
-witnesses.
+This module keeps the instance's rank matrix and the mapping of the
+forest's chordless cycles to JWP and ZFREE witnesses.
 
-All solver arithmetic stays exact; floats appear only inside the spanning
-tree call, on small integer ranks that float64 represents exactly.
+All arithmetic stays exact (integers and fractions); no float enters the
+solver, the forest included.
 """
 
 from __future__ import annotations
@@ -45,10 +44,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .errors import InvariantError
-from .completion import _Forest, _ranked, _tree_costs, completable_oracle
+from .completion import _Forest, _ranked, completable_oracle
+# perfbench/tracing.py traces the forest routine under this name.
+from .completion import _spanning_forest as minimum_spanning_tree
 from .instance import Instance, one_hot_decode, evaluate_instance
 from .intersection import IterationStats, ssp_intersect
 from .properties import (Violation, _jwp_violation, _zfree_violation, check_jwp,
@@ -133,7 +133,7 @@ def _build_forest(inst: Instance) -> _Forest | None:
             ranks[oi:oi + di, oj:oj + dj] = blk
             ranks[oj:oj + dj, oi:oi + di] = blk.T
 
-    forest = _Forest(ranks, minimum_spanning_tree(_tree_costs(ranks)), pool)
+    forest = _Forest(ranks, pool)
     if forest.root.any():
         raise InvariantError("cross pairs left the position graph disconnected")
     return forest
@@ -201,10 +201,10 @@ def build_relaxation(inst: Instance, forest: _Forest | None = None) -> QuadFn:
     invariant checks.  forest is the instance's shared spanning forest,
     built here when not given; it is not modified.
 
-    The pairs are a RankPairs over a copy of the forest's cross ranks (4 n^2
-    bytes) whose within-variable blocks hold their tree path minima.  The
-    integer kernel (each finite value scaled by the LCM D of the
-    denominators) is built here, once.
+    The pairs are a RankPairs over a new rank matrix (4 n^2 bytes): the
+    forest's cross ranks, with the within-variable blocks read from its
+    floor of tree-path minima.  The integer kernel (each finite value
+    scaled by the LCM D of the denominators) is built here, once.
     """
     lay = inst.layout
     n = lay.n
@@ -217,17 +217,8 @@ def build_relaxation(inst: Instance, forest: _Forest | None = None) -> QuadFn:
     else:
         if forest is None:
             forest = _build_forest(inst)
-        ranks = forest.ranks.copy()
-        within = [np.triu_indices(d, 1) for d in inst.domains]
-        a = np.concatenate([ai + o for (ai, _), o in zip(within, lay.offsets)])
-        b = np.concatenate([bi + o for (_, bi), o in zip(within, lay.offsets)])
-        if len(a):
-            res = forest.path_min(a, b)
-            if int(res.max()) >= forest.big:
-                raise InvariantError("path query escaped the spanning tree")
-            ranks[a, b] = res
-            ranks[b, a] = res
-        pairs = RankPairs(ranks, forest.pool)
+        ranks = forest.ranks
+        pairs = RankPairs(np.where(ranks > 0, ranks, forest.floor), forest.pool)
     f = QuadFn(linear, pairs)
     f.kernel()   # scale once, here
     return f

@@ -8,10 +8,10 @@ import random
 
 import pytest
 
-import zfree.completion as completion
 from zfree import (GenConfig, Instance, SolveStatus, ViolationKind,
-                   check_bottleneck, check_jwp, check_zfree, generate_instance,
-                   minimize_zfree)
+                   check_bottleneck, check_jwp, check_zfree, dump_instance,
+                   generate_instance, minimize_zfree)
+from zfree.cli import main
 
 
 def _random_instance(rng, values):
@@ -142,10 +142,43 @@ def test_witness_kinds():
     assert v == check_zfree(z)
 
 
-def test_row_batches_find_the_same_first_pair(monkeypatch):
-    rng = random.Random(8)
-    instances = [_random_instance(rng, [0, 1, 2, "inf"]) for _ in range(200)]
-    whole = [check_bottleneck(inst) for inst in instances]
-    monkeypatch.setattr(completion, "_QUERY_CELLS", 1)  # one row per batch
-    assert [check_bottleneck(inst) for inst in instances] == whole
-    assert sum(v is not None for v in whole) > 50
+# Single-cell mutants of mostly tied tables (unary costs zero).  Ties in the
+# spanning forest decide which cycle closes the first violating pair, so
+# these bytes pin the forest's tie rule.
+TIED_MUTANTS = [
+    ((3, 3, 2, 3), {(0, 1): [[3, 3, 3], [0, 1, 1], [3, 3, 3]], (0, 2): [[3, 3], [1, 1], [3, 3]],
+                    (0, 3): [[3, 1, 3], [1, 4, 1], [3, 1, 3]], (1, 2): [[3, 3], [3, 3], [3, 3]],
+                    (1, 3): [[3, 1, 3], [3, 1, 3], [3, 1, 3]], (2, 3): [[3, 1, 3], [3, 1, 3]]},
+     "zfree", "z-freeness violated on variables 1,2, values {1,2}x{1,2}: unique minimum "
+              "among ['3', '3', '0', '1']"),
+    ((2, 3, 3, 2), {(0, 1): [[2, 0, 1], [1, 4, 4]], (0, 2): [[2, 2, 2], [1, 1, 1]],
+                    (0, 3): [[1, 2], [4, 1]], (1, 2): [[2, 2, 2], [1, 1, 1], [1, 1, 1]],
+                    (1, 3): [[1, 2], [4, 1], [4, 1]], (2, 3): [[1, 2], [1, 2], [1, 2]]},
+     "zfree", "z-freeness violated on variables 1,2, values {1,2}x{1,2}: unique minimum "
+              "among ['2', '0', '1', '4']"),
+    ((3, 2, 2, 3), {(0, 1): [[0, 1], [2, 2], [1, 1]], (0, 2): [[4, 4], [1, 1], [4, 4]],
+                    (0, 3): [[4, 1, 1], [1, 2, 2], [4, 1, 1]], (1, 2): [[1, 1], [1, 1]],
+                    (1, 3): [[1, 2, 2], [1, 2, 2]], (2, 3): [[4, 1, 1], [4, 1, 1]]},
+     "jwp", "jwp violated at (1,1),(2,1),(3,1): c(1,2)=0 is below both c(1,3)=4 and c(2,3)=1"),
+    ((3, 3, 3, 3), {(0, 1): [[0, 1, 1], [1, 3, 3], [4, 1, 1]],
+                    (0, 2): [[1, 1, 2], [3, 3, 1], [1, 1, 1]],
+                    (0, 3): [[1, 1, 1], [3, 1, 3], [1, 4, 1]],
+                    (1, 2): [[1, 1, 1], [3, 3, 1], [3, 3, 1]],
+                    (1, 3): [[1, 4, 1], [3, 1, 3], [3, 1, 3]],
+                    (2, 3): [[3, 1, 3], [3, 1, 3], [1, 1, 1]]},
+     "jwp", "jwp violated at (1,1),(2,1),(3,3): c(1,2)=0 is below both c(1,3)=2 and c(2,3)=1"),
+]
+
+
+@pytest.mark.parametrize("domains, tables, check, reason", TIED_MUTANTS,
+                         ids=[f"mutant{k}" for k in range(len(TIED_MUTANTS))])
+def test_tied_mutants_pin_the_witness(domains, tables, check, reason, tmp_path, capsys):
+    inst = Instance(domains, [[0] * d for d in domains], tables)
+    path = tmp_path / "mutant.json"
+    path.write_text(dump_instance(inst))
+    assert main(["solve", "--json", str(path)]) == 2
+    assert capsys.readouterr().out == (
+        '{\n  "status": "rejected",\n'
+        f'  "check": "{check}",\n'
+        f'  "reason": "{reason}"\n}}\n')
+    assert _recheck(inst, check_bottleneck(inst)).value == check

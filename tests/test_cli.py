@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +194,34 @@ def test_check_exit_codes(instance_file, mutant_file):
     if zfree:
         want += f"zfree_reason: {zfree.message}\n"
     assert res.stdout == want
+
+
+def test_in_process_calls_match_subprocess_runs(instance_file, mutant_file, capsys):
+    # main builds its parser once; a usage error between two calls must not
+    # change what the next call prints.
+    from zfree.cli import main
+
+    path, _ = mutant_file
+    calls = [("solve", "--json", str(path)), ("solve", "--bogus"),
+             ("check", str(instance_file))]
+    codes = []
+    for args in calls:
+        want = run_cli(*args)
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, capsys.readouterr().out) == (want.returncode, want.stdout)
+        codes.append(code)
+    assert codes == [2, 1, 0]
+
+
+def test_numpy_is_the_only_dependency():
+    probe = ("import sys, zfree, zfree.cli\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.returncode == 0 and res.stdout == "[]\n", res.stderr
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]

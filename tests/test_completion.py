@@ -7,6 +7,7 @@ from zfree import (GenConfig, PartialMatrix, ViolationKind,
                    check_anti_ultrametric, complete, completable_oracle,
                    dump_matrix, generate_instance, induced_partial_matrix,
                    parse_partial_matrix, validate_partial)
+from zfree.cli import main
 from zfree.errors import BudgetExceededError, NotCompletableError, ParseError
 from zfree.values import INF, ZERO
 
@@ -267,3 +268,33 @@ class TestMatrixJson:
         with pytest.raises(ParseError) as exc:
             parse_partial_matrix(text)
         assert str(exc.value) == "entries[1].value: negative value '-1'"
+
+
+# Refused matrices with mostly tied entries.  Ties in the spanning forest
+# decide which cycle closes the first violating pair, so these bytes pin
+# the forest's tie rule.
+TIED_REFUSALS = [
+    (5, {(0, 2): 2, (0, 4): 2, (1, 2): 1, (1, 3): 2, (1, 4): 2, (2, 3): 2},
+     "defined triple (2,3,4) has entries 1, 2, 2 with a unique minimum"),
+    (6, {(0, 5): 1, (1, 2): 1, (1, 3): 2, (1, 4): 2, (2, 3): 2, (2, 4): 2, (4, 5): 2},
+     "defined triple (2,3,5) has entries 1, 2, 2 with a unique minimum"),
+    (5, {(0, 4): 2, (1, 2): 2, (1, 3): 2, (1, 4): 2, (2, 3): 1, (2, 4): 2, (3, 4): 2},
+     "defined triple (3,4,5) has entries 1, 2, 2 with a unique minimum"),
+    (5, {(0, 1): 2, (0, 3): 1, (1, 2): 1, (1, 4): 2, (2, 3): 2, (2, 4): 2, (3, 4): 2},
+     "chordless defined cycle (1,2,5,4) has entries 2, 2, 2, 1 with a unique minimum"),
+]
+
+
+@pytest.mark.parametrize("n, entries, reason", TIED_REFUSALS,
+                         ids=[f"matrix{k}" for k in range(len(TIED_REFUSALS))])
+def test_tied_refusals_pin_the_cycle(n, entries, reason, tmp_path, capsys):
+    h = PartialMatrix(n, entries)
+    path = tmp_path / "matrix.json"
+    path.write_text(dump_matrix(h))
+    assert main(["complete", "--json", str(path)]) == 3
+    assert capsys.readouterr().out == (
+        '{\n  "status": "not-completable",\n'
+        f'  "reason": "not completable: {reason}"\n}}\n')
+    with pytest.raises(NotCompletableError) as err:
+        complete(h)
+    assert_chordless_refutation(h, err.value)
