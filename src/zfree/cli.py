@@ -40,9 +40,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not text: {exc}") from None
 
 
 def _emit(payload: dict, as_json: bool) -> None:

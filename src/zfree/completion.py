@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, NotCompletableError, ParseError
 from .properties import Violation, ViolationKind
-from .values import ZERO, ExtValue, _decode_value, format_value
+from .values import ZERO, ExtValue, _decode_value, _ranked, format_value
 
 __all__ = [
     "PartialMatrix",
@@ -136,13 +136,6 @@ class CompletedMatrix:
 
     def __repr__(self):
         return f"CompletedMatrix(n={self.n})"
-
-
-def _ranked(raws):
-    """The distinct raw values ascending as ExtValues (the pool) and the map
-    from each raw value to its rank, 1 for the smallest."""
-    ordered = sorted(set(raws))
-    return [ExtValue.of(v) for v in ordered], {v: k + 1 for k, v in enumerate(ordered)}
 
 
 def _spanning_forest(ranks):
@@ -450,6 +443,8 @@ def parse_partial_matrix(text: str) -> PartialMatrix:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("matrix document must be a JSON object")
     unknown = set(doc) - {"n", "entries"}

@@ -13,15 +13,39 @@ One-hot encoding flattens the disjoint union of the domains into positions
 0..n-1, n = sum d_i, ordering pairs (variable, value) lexicographically.
 0/1 vectors over the flat positions are represented as Python int bitmasks:
 bit u set means position u is selected.
+
+An Instance stores its pair costs as two arrays, not as cells: ranks, the
+symmetric n x n int32 matrix giving every cross-variable pair of flat
+positions the rank of its cost (0 within a variable), and pool, the
+ascending tuple of distinct costs (pool[rank - 1] is the cost; 0 is in it
+when some table is omitted).  ranks is read-only, and it is the matrix the
+solver's spanning forest is built on (pipeline._build_forest), so a solve
+creates no per-cell objects.  table() and binary_pairs() build ExtValue
+tables from the two on first use and cache them, for the exhaustive
+oracles, the JSON writer and other callers.
+
+parse_instance fills ranks and pool straight from the decoded JSON: an
+all-int table becomes one int64 array after an exact type check, any other
+table has each distinct cell decoded once.  A table with any defect is read
+again row by row and cell by cell, which raises the ParseError for its
+first defect, so the messages do not depend on the fast path.
+
+MAX_RANK_BYTES caps the 4 n^2 bytes of ranks.  A larger instance is refused
+before anything is allocated: parse_instance raises ParseError as soon as
+"domains" is read, the constructor ValueError.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
+from itertools import chain
+from operator import countOf
+
+import numpy as np
 
 from .errors import NotOneHotError, ParseError
-from .values import INF, ZERO, ExtValue, _decode_value, format_value
+from .values import INF, ZERO, ExtValue, _decode_value, _ranked, format_value
 
 __all__ = [
     "OneHotLayout",
@@ -71,13 +95,116 @@ class OneHotLayout:
                 yield i, a
 
 
-def _ext_row(row) -> tuple:
-    """row as a tuple of ExtValues; cells that already are ExtValues (as
-    instance_from_dict decodes them) are kept, not interned again."""
-    row = tuple(row)
-    if set(map(type, row)) == {ExtValue}:
-        return row
-    return tuple(map(ExtValue.of, row))
+# The cap on the 4 n^2 bytes of Instance.ranks (n = 16384 positions).
+MAX_RANK_BYTES = 1 << 30
+
+
+def _check_size(n: int) -> None:
+    """Refuse an instance whose rank matrix would pass MAX_RANK_BYTES."""
+    if 4 * n * n > MAX_RANK_BYTES:
+        raise ValueError(f"{n} one-hot positions need a {4 * n * n}-byte rank "
+                         f"matrix, more than the {MAX_RANK_BYTES}-byte limit")
+
+
+def _int_array(table, cols: int):
+    """table as an int64 array when every cell is exactly an int (a bool is
+    not) that fits in int64; None otherwise.  Its rows must already have
+    cols cells each.  The type check comes first because numpy would turn
+    True into 1 and 1.5 into 1."""
+    flat = list(chain.from_iterable(table))
+    if countOf(map(type, flat), int) != len(flat):
+        return None
+    try:
+        return np.fromiter(flat, dtype=np.int64, count=len(flat)).reshape(-1, cols)
+    except OverflowError:   # past int64: ranked from the Python ints
+        return None
+
+
+# Int tables whose values all lie below this are ranked through one lookup
+# table of this many entries at most; any other table is indexed on its own.
+# The lookup costs a bool and an int32 per entry, 5 MB at most, less than
+# the rank matrix of 1200 positions.  A per-table np.unique would cost
+# more: its call overhead dominates on many small tables.
+_LOOKUP_SIZE = 1 << 20
+
+
+class _RankBuilder:
+    """The symmetric int32 rank matrix and ascending value pool of an
+    instance's pair tables, collected one table at a time.
+
+    An int table with values below _LOOKUP_SIZE is written into its block
+    above the diagonal as value + 1, leaving 0 for "no value yet"; any
+    other table is kept as its distinct raw values and an index array into
+    them.  finish() ranks every value against the pool of all of them (0
+    included when a table is omitted), one band of rows per variable, and
+    mirrors each band below the diagonal.
+    """
+
+    def __init__(self, layout: "OneHotLayout"):
+        self.layout = layout
+        self.ranks = np.zeros((layout.n, layout.n), dtype=np.int32)
+        self.top = -1            # the largest value written into a block
+        self.written = set()     # pairs whose block holds value + 1
+        self.indexed = {}        # pair -> (distinct raw values, index array)
+
+    def block(self, i: int, j: int):
+        off = self.layout.offsets
+        return self.ranks[off[i]:off[i + 1], off[j]:off[j + 1]]
+
+    def add_ints(self, i: int, j: int, table) -> None:
+        """A table of nonnegative ints as an int64 array."""
+        top = int(table.max())
+        if top >= _LOOKUP_SIZE:
+            self.add_cells(i, j, table.ravel().tolist(), table.shape, int)
+            return
+        np.add(table, 1, out=self.block(i, j), casting="unsafe")
+        self.written.add((i, j))
+        self.top = max(self.top, top)
+
+    def add_cells(self, i: int, j: int, cells, shape, raw_of) -> None:
+        """A table as its flat hashable cells, raw_of(cell) giving each
+        distinct cell's raw value once."""
+        distinct = list(set(cells))
+        at = {c: k for k, c in enumerate(distinct)}
+        index = np.fromiter(map(at.__getitem__, cells), dtype=np.intp,
+                            count=len(cells)).reshape(shape)
+        self.indexed[(i, j)] = ([raw_of(c) for c in distinct], index)
+
+    def finish(self):
+        """(ranks, pool); ranks is read-only from here on."""
+        off = self.layout.offsets
+        r = len(self.layout.domains)
+        ranks = self.ranks
+        # Each variable's rows right of its diagonal block: the cross pairs
+        # above the diagonal, so far value + 1 in written blocks, else 0.
+        bands = [ranks[off[i]:off[i + 1], off[i + 1]:] for i in range(r - 1)]
+        seen = np.zeros(self.top + 2, dtype=bool)
+        for band in bands:
+            seen[band] = True
+        keys = np.flatnonzero(seen[1:])
+        raws = set(keys.tolist())
+        for values, _ in self.indexed.values():
+            raws.update(values)
+        present = self.written | self.indexed.keys()
+        if len(present) < r * (r - 1) // 2:
+            raws.add(0)
+        pool, rank_of = _ranked(raws)
+
+        lookup = np.zeros(self.top + 2, dtype=np.int32)
+        lookup[keys + 1] = [rank_of[v] for v in keys.tolist()]
+        for band in bands:
+            band[...] = lookup[band]
+        for pair, (values, index) in self.indexed.items():
+            self.block(*pair)[...] = np.array([rank_of[v] for v in values],
+                                              dtype=np.int32)[index]
+        for i in range(r):
+            for j in range(i + 1, r):
+                if (i, j) not in present:
+                    self.block(i, j)[...] = rank_of[0]
+        for i, band in enumerate(bands):
+            ranks[off[i + 1]:, off[i]:off[i + 1]] = band.T
+        ranks.flags.writeable = False
+        return ranks, pool
 
 
 class Instance:
@@ -94,11 +221,16 @@ class Instance:
         nonnegative ExtValue costs (infinity allowed).  Pairs may be omitted;
         an omitted pair costs zero everywhere.
 
-    Construction validates shapes and signs and normalizes all cells to
-    ExtValue.  Treat instances as immutable after construction.
+    Construction validates shapes and signs.  The pair costs are stored as
+    ranks, the symmetric n x n int32 matrix giving each cross-variable pair
+    of flat positions the rank of its cost in pool (1 for the smallest,
+    pool[rank - 1] the value; 0 within a variable), and pool, the ascending
+    tuple of distinct costs, 0 included when a table is omitted.  ranks is
+    read-only.  table() and binary_pairs() build ExtValue tables from them
+    on first use.  Treat instances as immutable after construction.
     """
 
-    __slots__ = ("domains", "r", "unary", "_binary", "layout")
+    __slots__ = ("domains", "r", "unary", "ranks", "pool", "_tables", "layout")
 
     def __init__(self, domains, unary, binary=None):
         domains = tuple(int(d) for d in domains)
@@ -106,14 +238,14 @@ class Instance:
             raise ValueError("instance needs at least one variable")
         if any(d < 1 for d in domains):
             raise ValueError("domain sizes must be >= 1")
-        self.domains = domains
-        self.r = len(domains)
+        _check_size(sum(domains))
+        r = len(domains)
 
-        if len(unary) != self.r:
-            raise ValueError(f"expected {self.r} unary rows, got {len(unary)}")
+        if len(unary) != r:
+            raise ValueError(f"expected {r} unary rows, got {len(unary)}")
         rows = []
         for i, row in enumerate(unary):
-            row = _ext_row(row)
+            row = tuple(map(ExtValue.of, row))
             if len(row) != domains[i]:
                 raise ValueError(f"unary row {i} has {len(row)} entries, expected {domains[i]}")
             for a, v in enumerate(row):
@@ -122,23 +254,41 @@ class Instance:
                 if v < ZERO:
                     raise ValueError(f"unary cost ({i},{a}) is negative")
             rows.append(row)
-        self.unary = tuple(rows)
 
-        tables: dict[tuple[int, int], tuple[tuple[ExtValue, ...], ...]] = {}
+        layout = OneHotLayout(domains)
+        builder = _RankBuilder(layout)
+        pairs = set()
         for (i, j), table in (binary or {}).items():
-            if not (0 <= i < j < self.r):
+            if not (0 <= i < j < r):
                 raise ValueError(f"binary pair ({i},{j}) must satisfy 0 <= i < j < r")
-            if (i, j) in tables:
+            if (i, j) in pairs:
                 raise ValueError(f"duplicate binary pair ({i},{j})")
-            t = tuple(map(_ext_row, table))
-            if len(t) != domains[i] or any(len(row) != domains[j] for row in t):
+            pairs.add((i, j))
+            if len(table) != domains[i] or any(len(row) != domains[j] for row in table):
                 raise ValueError(f"binary table ({i},{j}) is not {domains[i]}x{domains[j]}")
-            if any(v.raw < 0 for row in t for v in row):
+            ints = _int_array(table, domains[j])
+            if ints is None:
+                raws = [ExtValue.of(v).raw for row in table for v in row]
+                low = min(raws)
+            else:
+                low = ints.min()
+            if low < 0:
                 raise ValueError(f"binary table ({i},{j}) has a negative entry")
-            tables[(i, j)] = t
-        self._binary = tables
+            if ints is None:
+                builder.add_cells(i, j, raws, (domains[i], domains[j]), lambda v: v)
+            else:
+                builder.add_ints(i, j, ints)
+        self._init(domains, tuple(rows), pairs, layout, *builder.finish())
+
+    def _init(self, domains, unary, pairs, layout, ranks, pool):
+        self.domains = domains
+        self.r = len(domains)
+        self.unary = unary
+        self.ranks = ranks
+        self.pool = pool
+        self._tables = dict.fromkeys(sorted(pairs))   # ExtValue tables, built lazily
         # Assigned last: its presence is what freezes the object (__setattr__).
-        self.layout = OneHotLayout(domains)
+        self.layout = layout
 
     @property
     def n(self) -> int:
@@ -148,24 +298,35 @@ class Instance:
     def has_table(self, i: int, j: int) -> bool:
         if i > j:
             i, j = j, i
-        return (i, j) in self._binary
+        return (i, j) in self._tables
 
     def table(self, i: int, j: int):
-        """The stored table for pair (i, j) with i < j, or None if absent."""
-        return self._binary.get((i, j))
+        """The stored table for pair (i, j) with i < j, or None if absent;
+        built from ranks and pool on the first call."""
+        if (i, j) not in self._tables:
+            return None
+        t = self._tables[(i, j)]
+        if t is None:
+            off = self.layout.offsets
+            by_rank = (None, *self.pool)
+            blk = self.ranks[off[i]:off[i + 1], off[j]:off[j + 1]]
+            t = tuple(tuple(map(by_rank.__getitem__, row)) for row in blk.tolist())
+            self._tables[(i, j)] = t
+        return t
 
     def binary_pairs(self):
         """Stored (pair, table) items, ascending by pair."""
-        return sorted(self._binary.items())
+        return [(pair, self.table(*pair)) for pair in self._tables]
 
     def binary_value(self, i: int, a: int, j: int, b: int) -> ExtValue:
         """c_ij(a, b), symmetric in the two (variable, value) arguments."""
         if i == j:
             raise ValueError("no binary cost within a single variable")
-        if i > j:
-            i, j, a, b = j, i, b, a
-        t = self._binary.get((i, j))
-        return t[a][b] if t is not None else ZERO
+        dom = self.domains
+        if not (0 <= i < self.r and 0 <= j < self.r and 0 <= a < dom[i] and 0 <= b < dom[j]):
+            raise IndexError(f"no value pair ({i},{a}), ({j},{b}) in domains {dom}")
+        lay = self.layout
+        return self.pool[self.ranks[lay.flat(i, a), lay.flat(j, b)] - 1]
 
     def __setattr__(self, name, value):
         if name in self.__slots__ and not hasattr(self, "layout"):
@@ -174,7 +335,7 @@ class Instance:
             raise AttributeError("Instance is immutable")
 
     def __repr__(self):
-        return f"Instance(r={self.r}, domains={self.domains}, tables={len(self._binary)})"
+        return f"Instance(r={self.r}, domains={self.domains}, tables={len(self._tables)})"
 
 
 def _check_assignment(inst: Instance, x) -> tuple[int, ...]:
@@ -221,11 +382,13 @@ def evaluate_instance(inst: Instance, x) -> ExtValue:
     total = ZERO
     for i, a in enumerate(x):
         total = total + inst.unary[i][a]
-    for (i, j), t in inst._binary.items():
-        v = t[x[i]][x[j]]
-        if not v.is_finite:
-            return INF
-        total = total + v
+    at = [inst.layout.flat(i, a) for i, a in enumerate(x)]
+    for i, row in enumerate(inst.ranks[at][:, at].tolist()):
+        for k in row[i + 1:]:
+            v = inst.pool[k - 1]
+            if not v.is_finite:
+                return INF
+            total = total + v
     return total
 
 
@@ -246,8 +409,8 @@ def evaluate_instance(inst: Instance, x) -> ExtValue:
 # ---------------------------------------------------------------------------
 
 
-# Cell types that can share a dict without two of them comparing equal (a
-# bool would collide with 0 and 1).
+# Cell types whose distinct values can share a dict without two of them
+# comparing equal (a bool would collide with 0 and 1, a float with an int).
 _KEYABLE = {int, str}
 
 
@@ -271,7 +434,37 @@ def _parse_cells(row, where) -> list:
     return out
 
 
+def _read_table(builder, i, j, table, di, dj) -> bool:
+    """Add a well-formed table to builder; False, with nothing added, when
+    the table has any defect.  Int tables are read as one int64 array;
+    any other table decodes each distinct cell once."""
+    if (not isinstance(table, list) or len(table) != di
+            or set(map(type, table)) != {list} or set(map(len, table)) != {dj}):
+        return False
+    ints = _int_array(table, dj)
+    if ints is not None:
+        if ints.min() < 0:
+            return False
+        builder.add_ints(i, j, ints)
+        return True
+    cells = list(chain.from_iterable(table))
+    if not set(map(type, cells)) <= _KEYABLE:
+        return False
+    try:
+        builder.add_cells(i, j, cells, (di, dj), lambda v: _decode_value(v).raw)
+    except ValueError:
+        return False
+    return True
+
+
 def instance_from_dict(doc) -> Instance:
+    """Build an instance from a decoded JSON document.  Raises ParseError on
+    any defect.
+
+    Well-formed tables go straight into the instance's rank matrix (see
+    _read_table).  A table with a defect is read again row by row and cell
+    by cell, which raises the ParseError for its first defect in document
+    order."""
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     unknown = set(doc) - {"r", "domains", "unary", "binary"}
@@ -288,6 +481,10 @@ def instance_from_dict(doc) -> Instance:
     if (not isinstance(domains, list) or len(domains) != r
             or any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in domains)):
         raise ParseError(f"'domains' must list {r} positive integers")
+    try:
+        _check_size(sum(domains))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
     unary_doc = doc["unary"]
     if not isinstance(unary_doc, list) or len(unary_doc) != r:
@@ -300,12 +497,14 @@ def instance_from_dict(doc) -> Instance:
         for a, v in enumerate(vals):
             if not v.is_finite:
                 raise ParseError(f"unary[{i + 1}][{a + 1}]: unary costs must be finite")
-        unary.append(vals)
+        unary.append(tuple(vals))
 
-    binary: dict[tuple[int, int], list] = {}
     binary_doc = doc.get("binary", [])
     if not isinstance(binary_doc, list):
         raise ParseError("'binary' must be a list of pair entries")
+    layout = OneHotLayout(domains)
+    builder = _RankBuilder(layout)
+    pairs = set()
     for k, entry in enumerate(binary_doc):
         if not isinstance(entry, dict):
             raise ParseError(f"binary[{k}] must be an object")
@@ -321,23 +520,23 @@ def instance_from_dict(doc) -> Instance:
                 raise ParseError(f"binary[{k}].{name} must be an integer")
         if not 1 <= i < j <= r:
             raise ParseError(f"binary[{k}]: pair ({i},{j}) must satisfy 1 <= i < j <= r")
-        if (i - 1, j - 1) in binary:
+        if (i - 1, j - 1) in pairs:
             raise ParseError(f"binary[{k}]: duplicate pair ({i},{j})")
         di, dj = domains[i - 1], domains[j - 1]
-        if not isinstance(table, list) or len(table) != di:
-            raise ParseError(f"binary[{k}]: table must have {di} rows")
-        rows = []
-        for a, row in enumerate(table):
-            if not isinstance(row, list) or len(row) != dj:
-                raise ParseError(f"binary[{k}]: row {a + 1} must have {dj} values")
-            rows.append(_parse_cells(
-                row, lambda b: f"binary[{k}].table[{a + 1}][{b + 1}]"))
-        binary[(i - 1, j - 1)] = rows
+        if not _read_table(builder, i - 1, j - 1, table, di, dj):
+            if not isinstance(table, list) or len(table) != di:
+                raise ParseError(f"binary[{k}]: table must have {di} rows")
+            cells = []
+            for a, row in enumerate(table):
+                if not isinstance(row, list) or len(row) != dj:
+                    raise ParseError(f"binary[{k}]: row {a + 1} must have {dj} values")
+                cells += _parse_cells(row, lambda b: f"binary[{k}].table[{a + 1}][{b + 1}]")
+            builder.add_cells(i - 1, j - 1, [v.raw for v in cells], (di, dj), lambda v: v)
+        pairs.add((i - 1, j - 1))
 
-    try:
-        return Instance(domains, unary, binary)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    inst = object.__new__(Instance)
+    inst._init(tuple(domains), tuple(unary), pairs, layout, *builder.finish())
+    return inst
 
 
 def parse_instance(text: str) -> Instance:
@@ -346,6 +545,8 @@ def parse_instance(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     return instance_from_dict(doc)
 
 

@@ -7,13 +7,12 @@ relaxation, then the shortest-path loop that lands the minimizer on a
 one-hot point.
 
 The shared forest (_build_forest) is completion._Forest over the
-cross-variable pairs: a dense n x n int32 matrix of value ranks (0 within a
-variable, where the induced partial matrix is undefined) and the int32
-matrix of tree-path minima (floor) that Prim's algorithm fills as it grows
-the tree from position 0, 8 n^2 bytes in all (32 MB at n = 2000).  Ties go
-to the lowest position, and a position hangs off the earliest tree position
-that offered its rank.  The two matrices answer both questions the solve
-asks:
+instance's own rank matrix (Instance.ranks: int32 value ranks of the cross
+pairs into Instance.pool, 0 within a variable, built with the instance) plus the
+int32 matrix of tree-path minima (floor) that Prim's algorithm fills as it
+grows the tree from position 0.  Ties go to the lowest position, and a
+position hangs off the earliest tree position that offered its rank.  The
+two matrices answer both questions the solve asks:
 
 - validity: the instance satisfies the join condition and is Z-free exactly
   when its induced partial matrix is completable, which holds exactly when
@@ -30,8 +29,8 @@ all-integer input, 2 for the generator's half-integer unary costs).  The
 greedy layer minimum and the shortest-path loop run on it; ExtValue comes
 back only for the final check and the report.
 
-This module keeps the instance's rank matrix and the mapping of the
-forest's chordless cycles to JWP and ZFREE witnesses.
+This module keeps the mapping of the forest's chordless cycles to JWP and
+ZFREE witnesses, read off the instance's ranks and pool.
 
 All arithmetic stays exact (integers and fractions); no float enters the
 solver, the forest included.
@@ -46,7 +45,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvariantError
-from .completion import _Forest, _ranked, completable_oracle
+from .completion import _Forest, completable_oracle
 # perfbench/tracing.py traces the forest routine under this name.
 from .completion import _spanning_forest as minimum_spanning_tree
 from .instance import Instance, one_hot_decode, evaluate_instance
@@ -102,38 +101,9 @@ class SolveReport:
 def _build_forest(inst: Instance) -> _Forest | None:
     """The shared spanning forest of inst; None for a single variable, which
     has no cross pairs."""
-    lay = inst.layout
-    n = lay.n
-    r = inst.r
-    if r == 1:
+    if inst.r == 1:
         return None
-
-    cells = {}
-    raws = set()
-    for (i, j), t in inst.binary_pairs():
-        flat = [v.raw for row in t for v in row]
-        raws.update(flat)
-        cells[(i, j)] = flat
-    if len(cells) < r * (r - 1) // 2:
-        raws.add(0)
-    pool, rank_of = _ranked(raws)
-    rank = rank_of.__getitem__
-
-    ranks = np.zeros((n, n), dtype=np.int32)
-    for i in range(r):
-        oi, di = lay.offsets[i], inst.domains[i]
-        for j in range(i + 1, r):
-            oj, dj = lay.offsets[j], inst.domains[j]
-            flat = cells.get((i, j))
-            if flat is None:
-                blk = np.full((di, dj), rank_of[0], dtype=np.int32)
-            else:
-                blk = np.fromiter(map(rank, flat), dtype=np.int32,
-                                  count=di * dj).reshape(di, dj)
-            ranks[oi:oi + di, oj:oj + dj] = blk
-            ranks[oj:oj + dj, oi:oi + di] = blk.T
-
-    forest = _Forest(ranks, pool)
+    forest = _Forest(inst.ranks, inst.pool)
     if forest.root.any():
         raise InvariantError("cross pairs left the position graph disconnected")
     return forest

@@ -26,11 +26,11 @@ import math
 
 import numpy as np
 
-from .completion import CompletedMatrix, PartialMatrix, _ranked
+from .completion import CompletedMatrix, PartialMatrix
 from .errors import InvariantError
 from .instance import Instance
 from .properties import check_mnatural_quadratic
-from .values import INF, ZERO, ExtValue
+from .values import INF, ZERO, ExtValue, _ranked
 
 __all__ = [
     "RankPairs",

@@ -263,6 +263,14 @@ def _decode_value(obj) -> ExtValue:
     raise ValueError(f"expected int, 'p/q', or 'inf', got {type(obj).__name__}")
 
 
+def _ranked(raws):
+    """The distinct raw values ascending as ExtValues (the pool, a tuple)
+    and the map from each raw value to its rank, 1 for the smallest."""
+    ordered = sorted(set(raws))
+    return (tuple(ExtValue.of(v) for v in ordered),
+            {v: k + 1 for k, v in enumerate(ordered)})
+
+
 def format_value(v: ExtValue):
     """Encode an ExtValue as its JSON form: int, "p/q", or "inf"."""
     raw = v.raw
