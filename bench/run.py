@@ -14,6 +14,10 @@ Every run then times, on that JSON text:
   SolveReport.timings reports (forest, check, complete, greedy, ssp);
 - end_to_end: parse_instance plus solve, JSON text to report.
 
+The solve's SolveReport.counters (pool size, rounds, arcs by kind, search
+pops, kernel dtype) are recorded once per shape; they are the same in every
+run.
+
 Runs are untraced; each stage reports the median, min and max over the
 runs.  The tracemalloc peak of parse_instance (and of the forest on the
 parsed instance) is taken in a separate pass, because tracemalloc slows
@@ -108,6 +112,7 @@ def bench_shape(r: int, domains, inf_share: float) -> dict:
         "json_bytes": len(text),
         "status": report.status.value,
         "iterations": len(report.iterations),
+        "counters": report.counters,
         "seconds": {stage: _summary(v) for stage, v in stages.items()},
         "parse_peak_mb": _peak_mb(parse_instance, text),
         "forest_peak_mb": _peak_mb(_build_forest, inst),

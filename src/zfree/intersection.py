@@ -12,12 +12,39 @@ vertex potential that starts at zero and absorbs the distances found in each
 round, capped at the sink's distance.  Nonnegativity of every reduced length
 is checked, not assumed.
 
+The exchange graph is implicit.  Only the r positions of supp(x), the hubs,
+have more than one outgoing arc: an exchange arc to every position outside x
+whose swap keeps f finite.  Every other position has at most one, a reassign
+arc to y's pick in its block, or the sink arc if it is a pick outside x.  So
+a round keeps one r x n array of exchange lengths with its feasibility mask,
+y's pick in every block, and the source and sink lists; the arc lists exist
+only once something reads them (the --dump-aux writer, tests, the reference
+search).
+
+The search is Dijkstra on the contracted graph over s, supp(x),
+supp(y) \\ supp(x) and t: at most 2r + 2 vertices.  A hub reaches the pick
+of a block by an exchange arc straight to it, by its own reassign arc, or
+through one other position of the block (an exchange arc, then that
+position's reassign arc: two hops).  One r x n array of reduced lengths,
+reduced per block with np.minimum.reduceat, prices all of those at once.
+Labels are (distance, hops) pairs compared lexicographically; the distance
+of every other position is one more r x n reduction over the hubs.  The
+path is rebuilt backwards from t with the tie rule of a heap Dijkstra over
+the materialised graph: a vertex's parent arc leaves the tail that pops
+first among those that give its label, smallest (distance, vertex), then
+the first such arc in arc order.  That heap search stays as the reference:
+it runs on graphs built arc by arc (ExchangeGraph.from_arcs), and on the
+--dump-aux path ssp_intersect runs it next to the contracted search and
+raises InvariantError if their paths or capped distances differ.
+
 All arithmetic is on exact integers: f's kernel (QuadFn.kernel) scales every
 finite value by D, so arc lengths, distances and potentials are ints in
-units of 1/D (ExchangeGraph.scale).  Exchange-arc lengths come from one
-r x n array operation per round, in int64 when the sums fit and in Python
-ints otherwise.  Infinite pair terms are counted, never added, so arc
-lengths are always finite.  IterationStats reports in the original units.
+units of 1/D (ExchangeGraph.scale).  Exchange lengths come from one r x n
+array operation per round, in int64 when the sums fit and in Python ints
+otherwise; the search picks int64 again only when a bound on every sum it
+forms stays below 2**63 (see _search_dtype).  Infinite pair terms are
+counted, never added, so arc lengths are always finite.  IterationStats
+reports in the original units.
 """
 
 from __future__ import annotations
@@ -41,6 +68,7 @@ __all__ = [
     "ExchangeGraph",
     "build_exchange_graph",
     "PathSearch",
+    "ContractedSearch",
     "shortest_path_min_hops",
     "IterationStats",
     "SspResult",
@@ -71,7 +99,7 @@ class _ArcView(Sequence):
         self._graph = graph
 
     def __len__(self):
-        return len(self._graph.head)
+        return self._graph.arc_count()
 
     def __getitem__(self, idx):
         if isinstance(idx, slice):
@@ -79,45 +107,126 @@ class _ArcView(Sequence):
         g = self._graph
         return Arc(g.tail[idx], g.head[idx], g.length[idx], g.kind[idx])
 
+    def __iter__(self):
+        g = self._graph
+        return map(Arc, g.tail, g.head, g.length, g.kind)
+
 
 class ExchangeGraph:
     """Directed multigraph on flat positions plus source s and sink t.
 
     Arc idx runs from tail[idx] to head[idx] with integer length[idx], in
     units of 1/scale, and kind[idx]; adj[v] lists the arcs leaving v in arc
-    order.  arcs views them as Arc tuples.
+    order, and arcs views them as Arc tuples.  Arcs come in a fixed order:
+    exchange, reassign, source, sink, each class by tail and then head.
+
+    A graph from build_exchange_graph is implicit.  hubs (supp(x),
+    ascending), lengths (the r x n exchange lengths, meaningful where
+    feasible), target (y's pick in each position's block), starts (each
+    block's first position), picks (y's pick per block), sources and sinks
+    define every arc; the four arc columns and adj are built on first
+    access.  A graph from from_arcs has only the columns, and hubs None.
     """
 
-    __slots__ = ("n", "s", "t", "scale", "tail", "head", "length", "kind", "adj")
+    __slots__ = ("n", "s", "t", "scale", "hubs", "lengths", "feasible", "target",
+                 "starts", "picks", "sources", "sinks", "_counts", "_size", "_columns", "_adj",
+                 "_offsets")
 
-    def __init__(self, n: int, tail: list, head: list, length: list, kind: list,
-                 scale: int = 1):
+    def __init__(self, n: int, scale: int = 1):
         self.n = n
         self.s = n
         self.t = n + 1
         self.scale = scale
-        self.tail = tail
-        self.head = head
-        self.length = length
-        self.kind = kind
-        tails = np.array(tail, dtype=np.intp)
-        order = np.argsort(tails, kind="stable")
-        bounds = np.searchsorted(tails[order], np.arange(n + 3)).tolist()
-        order = order.tolist()
-        self.adj = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+        self.hubs = None
+        self._counts = None
+        self._columns = None
+        self._adj = None
+        self._offsets = None
 
     @classmethod
     def from_arcs(cls, n: int, arcs, scale: int = 1) -> "ExchangeGraph":
         """A graph from (tail, head, length, kind) arcs, in that order."""
-        columns = [list(c) for c in zip(*arcs)] or [[], [], [], []]
-        return cls(n, *columns, scale=scale)
+        g = cls(n, scale)
+        g._columns = [list(c) for c in zip(*arcs)] or [[], [], [], []]
+        return g
+
+    @property
+    def tail(self) -> list:
+        return self._arc_columns()[0]
+
+    @property
+    def head(self) -> list:
+        return self._arc_columns()[1]
+
+    @property
+    def length(self) -> list:
+        return self._arc_columns()[2]
+
+    @property
+    def kind(self) -> list:
+        return self._arc_columns()[3]
+
+    @property
+    def adj(self) -> list:
+        if self._adj is None:
+            tails = np.array(self.tail, dtype=np.intp)
+            order = np.argsort(tails, kind="stable")
+            bounds = np.searchsorted(tails[order], np.arange(self.n + 3)).tolist()
+            order = order.tolist()
+            self._adj = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+        return self._adj
 
     @property
     def arcs(self) -> Sequence:
         return _ArcView(self)
 
     def count(self, kind: ArcKind) -> int:
-        return self.kind.count(kind)
+        if self.hubs is None:
+            return self.kind.count(kind)
+        return self._counts[kind]
+
+    def arc_count(self) -> int:
+        if self.hubs is None:
+            return len(self.head)
+        return self._size
+
+    def _exchange_offsets(self) -> list:
+        """Index of each hub's first exchange arc, then the exchange count."""
+        if self._offsets is None:
+            counts = np.count_nonzero(self.feasible, axis=1)
+            self._offsets = [0, *np.cumsum(counts).tolist()]
+        return self._offsets
+
+    def _exchange_index(self, a: int, w: int) -> int:
+        return self._exchange_offsets()[a] + int(np.count_nonzero(self.feasible[a, :w]))
+
+    def _reassign_index(self, w: int) -> int:
+        picks_before = int(np.searchsorted(self.picks, w))
+        return self._exchange_offsets()[-1] + w - picks_before
+
+    def _source_index(self, u: int) -> int:
+        return self.arc_count() - len(self.sinks) - len(self.sources) + self.sources.index(u)
+
+    def _sink_index(self, w: int) -> int:
+        return self.arc_count() - len(self.sinks) + self.sinks.index(w)
+
+    def _arc_columns(self) -> list:
+        if self._columns is None:
+            rows, heads = np.nonzero(self.feasible)
+            tail = self.hubs[rows].tolist()
+            head = heads.tolist()
+            length = self.lengths[rows, heads].tolist()
+            kind = [ArcKind.EXCHANGE] * len(head)
+            moved = np.flatnonzero(self.target != np.arange(self.n))   # all but the picks
+            tail += moved.tolist()
+            head += self.target[moved].tolist()
+            tail += [self.s] * len(self.sources) + self.sinks
+            head += self.sources + [self.t] * len(self.sinks)
+            length += [0] * (len(head) - len(length))
+            kind += ([ArcKind.REASSIGN] * len(moved) + [ArcKind.SOURCE] * len(self.sources)
+                     + [ArcKind.SINK] * len(self.sinks))
+            self._columns = [tail, head, length, kind]
+        return self._columns
 
 
 def _support(mask: int) -> list[int]:
@@ -137,6 +246,11 @@ def _check_one_hot(layout: OneHotLayout, mask: int) -> None:
             raise NotOneHotError(f"variable {i + 1} does not pick exactly one value")
 
 
+def _kernel_arrays(f: QuadFn, r: int):
+    # Exchange lengths are differences of two sums of r + 1 values each.
+    return f.kernel().arrays(2 * r + 2)
+
+
 def build_exchange_graph(f: QuadFn, x_mask: int, y_mask: int,
                          layout: OneHotLayout) -> ExchangeGraph:
     """Exchange graph for the current pair (x, y), on f's integer kernel.
@@ -147,67 +261,62 @@ def build_exchange_graph(f: QuadFn, x_mask: int, y_mask: int,
     Reassign arcs point from every unpicked position of a block to the one y
     picks there; they and the source/sink arcs have length zero.
 
-    Arcs are emitted in a fixed order (exchange, reassign, source, sink; each
-    class in ascending position order) so downstream tie-breaking is stable.
+    The graph is implicit (see ExchangeGraph): one r x n length array and
+    its feasibility mask, in the kernel's int64 or object dtype.
     """
     n = f.n
     if layout.n != n:
         raise ValueError("layout does not match the function")
-    supp_x = np.array(_support(x_mask), dtype=np.intp)
+    hubs = np.array(_support(x_mask), dtype=np.intp)
     _check_one_hot(layout, y_mask)
     k = f.kernel()
-    r = len(supp_x)
-    # Lengths below are differences of two sums of r + 1 values each.
-    linear, by_rank = k.arrays(2 * r + 2)
+    linear, by_rank = _kernel_arrays(f, len(hubs))
 
-    # Row a: the pair terms of supp_x[a] with every position (the rank
-    # matrix is symmetric), 0 where infinite; the diagonal contributes 0.
-    ranks = k.ranks[supp_x]
+    # Row a: the pair terms of hubs[a] with every position (the rank matrix
+    # is symmetric), 0 where infinite; the diagonal contributes 0.
+    ranks = k.ranks[hubs]
     inf = ranks == k.inf_rank
     pair = by_rank[ranks]
-    if k.linear_inf[supp_x].any() or inf[:, supp_x].any():
+    if k.linear_inf[hubs].any() or inf[:, hubs].any():
         raise ValueError("x lies outside the finite domain of f")
 
-    # out_cost[a]: linear plus pair terms inside x of supp_x[a], so
+    # out_cost[a]: linear plus pair terms inside x of hubs[a], so
     # f(x - u) = f(x) - out_cost.  For w outside x the terms to all of x
     # split into a finite sum and a count of infinite terms, so removing
     # one u needs no infinity subtraction:
     # f(x - u + w) - f(x) = in_fin[w] - pair[a, w] - out_cost[a].
-    out_cost = linear[supp_x] + pair[:, supp_x].sum(axis=1)
+    out_cost = linear[hubs] + pair[:, hubs].sum(axis=1)
     in_fin = linear + pair.sum(axis=0)
     in_infs = inf.sum(axis=0) + k.linear_inf
     outside = np.ones(n, dtype=bool)
-    outside[supp_x] = False
-    rows, heads = np.nonzero(outside & (in_infs == inf))
-    lengths = (in_fin[heads] - pair[rows, heads]) - out_cost[rows]
-    tail = supp_x[rows].tolist()
-    head = heads.tolist()
-    length = lengths.tolist()
-    kind = [ArcKind.EXCHANGE] * len(head)
+    outside[hubs] = False
 
-    supp_y = _support(y_mask)
-    target = np.repeat(supp_y, layout.domains)
-    moved = np.flatnonzero(target != np.arange(n))
-    tail += moved.tolist()
-    head += target[moved].tolist()
+    g = ExchangeGraph(n, k.scale)
+    g.hubs = hubs
+    g.lengths = (in_fin - pair) - out_cost[:, None]
+    g.feasible = outside & (in_infs == inf)
+    g.starts = np.array(layout.offsets[:-1], dtype=np.intp)
+    g.picks = np.array(_support(y_mask), dtype=np.intp)   # one per block, in order
+    g.target = np.repeat(g.picks, layout.domains)
+    in_x, in_y = set(hubs.tolist()), set(g.picks.tolist())
+    g.sources = [u for u in hubs.tolist() if u not in in_y]
+    g.sinks = [w for w in g.picks.tolist() if w not in in_x]
+    g._counts = {ArcKind.EXCHANGE: int(np.count_nonzero(g.feasible)),
+                 ArcKind.REASSIGN: n - len(g.picks),   # every position but the picks
+                 ArcKind.SOURCE: len(g.sources), ArcKind.SINK: len(g.sinks)}
+    g._size = sum(g._counts.values())
+    return g
 
-    s, t = n, n + 1
-    in_y = set(supp_y)
-    sources = [u for u in supp_x.tolist() if u not in in_y]
-    in_x = set(supp_x.tolist())
-    sinks = [w for w in supp_y if w not in in_x]
-    tail += [s] * len(sources) + sinks
-    head += sources + [t] * len(sinks)
-    length += [0] * (len(head) - len(length))
-    kind += ([ArcKind.REASSIGN] * len(moved) + [ArcKind.SOURCE] * len(sources)
-             + [ArcKind.SINK] * len(sinks))
-    return ExchangeGraph(n, tail, head, length, kind, k.scale)
+
+def _negative(value, scale: int, tail: int, head: int) -> InvariantError:
+    return InvariantError(f"negative reduced length {Fraction(int(value), scale)} "
+                          f"on arc {tail}->{head}")
 
 
 @dataclass
 class PathSearch:
-    """Dijkstra output on graph: reduced distances, hop counts, and parent
-    arcs.
+    """Heap Dijkstra output on graph: reduced distances, hop counts, and
+    parent arcs.
 
     dist entries are None for unreachable vertices.
     """
@@ -216,6 +325,7 @@ class PathSearch:
     dist: list
     hops: list
     parent: list      # arc index into graph's arcs, or None
+    pops: int = 0
 
     def reached(self, v: int) -> bool:
         return self.dist[v] is not None
@@ -231,25 +341,83 @@ class PathSearch:
         out.reverse()
         return out
 
+    @property
+    def path(self) -> list[int] | None:
+        """Arc indices from s to t, or None when t is unreached."""
+        return self.path_to(self.graph.t) if self.reached(self.graph.t) else None
 
-def shortest_path_min_hops(graph: ExchangeGraph, potential: list) -> PathSearch:
-    """Shortest s-to-everywhere distances under reduced lengths, breaking
-    distance ties by fewest arcs, then by smallest head, then by arc order.
+    @property
+    def arcs(self) -> list | None:
+        """The path's arcs as Arc tuples, or None when t is unreached."""
+        path = self.path
+        return None if path is None else [self.graph.arcs[idx] for idx in path]
+
+    @property
+    def capped(self) -> list | None:
+        """Every vertex's distance capped at t's (unreached ones at t's too),
+        or None when t is unreached."""
+        d_t = self.dist[self.graph.t]
+        if d_t is None:
+            return None
+        return [d_t if d is None or d > d_t else d for d in self.dist]
+
+
+@dataclass
+class ContractedSearch:
+    """Contracted-search output on graph.  The search stops once t is final,
+    so it knows the s-t path and every vertex's distance capped at t's, not
+    the distances past t.
+
+    path holds arc indices into graph's arcs, arcs the same arcs as Arc
+    tuples and capped an array of n + 2 distances in the search's dtype;
+    all three are None when t is unreached.  pops counts the contracted
+    vertices the search made final.
+    """
+
+    graph: ExchangeGraph
+    path: list | None
+    arcs: list | None
+    capped: np.ndarray | None
+    pops: int
+
+    def reached(self, v: int) -> bool:
+        if v != self.graph.t:
+            raise ValueError("the contracted search only knows whether t is reached")
+        return self.path is not None
+
+
+def shortest_path_min_hops(graph: ExchangeGraph, potential):
+    """Shortest s-t path under reduced lengths, breaking distance ties by
+    fewest arcs, then by the tail that a heap Dijkstra over the arcs would
+    pop first (smallest distance, then vertex), then by arc order.
 
     potential holds an int per vertex (n positions, then s, then t), in the
-    graph's units.  Every reduced length must come out nonnegative; a
-    negative one means the potentials are stale and raises InvariantError.
+    graph's units, as a sequence or an array.  Every reduced length must
+    come out nonnegative; a negative one means the potentials are stale and
+    raises InvariantError naming the first such arc in arc order.
+
+    An implicit graph (build_exchange_graph) gets the contracted search and
+    a ContractedSearch; a graph from from_arcs gets the heap search over its
+    arcs and a PathSearch.
     """
-    m = graph.n + 2
-    if len(potential) != m:
+    if len(potential) != graph.n + 2:
         raise ValueError("potential length does not match the graph")
+    if graph.hubs is None:
+        return _heap_search(graph, potential)
+    return _contracted_search(graph, potential)
+
+
+def _heap_search(graph: ExchangeGraph, potential) -> PathSearch:
+    """Dijkstra over every arc of graph, ordered by (distance, hops, vertex);
+    a vertex keeps the first arc, in pop and arc order, that gives its label."""
+    if isinstance(potential, np.ndarray):
+        potential = potential.tolist()   # Python ints: the heap keys grow past int64
+    m = graph.n + 2
     reduced = [lp + potential[a] - potential[b]
                for a, b, lp in zip(graph.tail, graph.head, graph.length)]
     if reduced and min(reduced) < 0:
         idx = next(i for i, lp in enumerate(reduced) if lp < 0)
-        raise InvariantError(
-            f"negative reduced length {Fraction(reduced[idx], graph.scale)} "
-            f"on arc {graph.tail[idx]}->{graph.head[idx]}")
+        raise _negative(reduced[idx], graph.scale, graph.tail[idx], graph.head[idx])
 
     head, adj = graph.head, graph.adj
     dist = [None] * m
@@ -263,12 +431,14 @@ def shortest_path_min_hops(graph: ExchangeGraph, potential: list) -> PathSearch:
     # distance and hops, so only the vertex is decoded.
     mm = m * m
     heap = [s]
+    pops = 0
     heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
         v = heappop(heap) % m
         if done[v]:
             continue
         done[v] = True
+        pops += 1
         d = dist[v]
         nh = hops[v] + 1
         key_hops = nh * m
@@ -282,7 +452,201 @@ def shortest_path_min_hops(graph: ExchangeGraph, potential: list) -> PathSearch:
                 dist[w], hops[w], parent[w] = nd, nh, idx
                 heappush(heap, nd * mm + key_hops + w)
 
-    return PathSearch(graph, dist, hops, parent)
+    return PathSearch(graph, dist, hops, parent, pops)
+
+
+def _search_dtype(graph: ExchangeGraph, potential):
+    """(dtype, big) for the contracted search's arrays.  big exceeds every
+    reduced length, distance and sum of the two that the search forms, and
+    stands in for "no arc"; the dtype is int64 when 8 * big < 2**63, so that
+    sums with big in them cannot overflow either, and Python ints in object
+    arrays otherwise.
+
+    With L the largest exchange length and P the largest potential, both in
+    absolute value, a reduced length is at most L + 2P, a reassign one at
+    most 2P, and a distance at most rL + 2P, since a shortest path leaves
+    each of the r hubs at most once.
+    """
+    lam = int(np.abs(graph.lengths).max()) if graph.lengths.size else 0
+    pmax = int(np.abs(potential).max())
+    big = (len(graph.hubs) + 1) * lam + 6 * pmax + 1
+    return (np.int64 if 8 * big < 2**63 else object), big
+
+
+def _contracted_search(g: ExchangeGraph, potential) -> ContractedSearch:
+    n, s, t = g.n, g.s, g.t
+    hubs, picks, target = g.hubs, g.picks, g.target
+    blocks = len(picks)
+    p = potential if isinstance(potential, np.ndarray) else np.array(potential, dtype=object)
+    dtype, big = _search_dtype(g, p)
+    p = p.astype(dtype, copy=False)
+
+    # Reduced lengths of the exchange arcs, big where there is none, and of
+    # the reassign arcs, 0 at the picks, which have none.
+    red = np.where(g.feasible, g.lengths.astype(dtype, copy=False)
+                   + p[hubs][:, None] - p[:n], big)
+    rr = p[:n] - p[target]
+    pl = p.tolist()
+    _check_nonnegative(g, red, rr, pl)
+
+    # Hub a to the pick of block b, as 2 * length + hops - 1 minimized over
+    # the block: through another position of b (its exchange arc, then its
+    # reassign arc: two hops), straight to the pick (one hop), or, in a's
+    # own block, by a's reassign arc (one hop).
+    key = 2 * (red + rr) + 1
+    key[:, picks] -= 1
+    own = np.flatnonzero(target[hubs] != hubs)
+    key[own, hubs[own]] = 2 * rr[hubs[own]]
+    best = np.minimum.reduceat(key, g.starts, axis=1)
+    weight, weight_hops = (best // 2).tolist(), (best % 2 + 1).tolist()
+
+    # Dijkstra over the blocks' picks and t (index blocks) on (distance,
+    # hops) labels, the heap ordered by (distance, hops, vertex).  A hub
+    # relaxes every block once its label is final: a source hub at
+    # (p[s] - p[u], 1) right away, a hub that is a pick when its block pops.
+    hubs_l, picks_l = hubs.tolist(), picks.tolist()
+    row_of = {u: a for a, u in enumerate(hubs_l)}
+    pick_hub = [row_of.get(q, -1) for q in picks_l]
+    hub_lab = [None] * len(hubs_l)
+    lab = [None] * (blocks + 1)
+    done = [False] * (blocks + 1)
+    heap = []
+
+    def relax(d, h, heads, rows):
+        for c, w, wh in zip(heads, *rows):
+            if w < big:   # no need to skip final vertices: none can improve
+                nd = (d + w, h + wh)
+                if lab[c] is None or nd < lab[c]:
+                    lab[c] = nd
+                    heapq.heappush(heap, (*nd, picks_l[c] if c < blocks else t, c))
+
+    for u in g.sources:
+        a = row_of[u]
+        hub_lab[a] = (pl[s] - pl[u], 1)
+        relax(*hub_lab[a], range(blocks), (weight[a], weight_hops[a]))
+    pops = 1 + len(g.sources)
+    while heap:
+        d, h, _, b = heapq.heappop(heap)
+        if done[b]:
+            continue
+        done[b] = True
+        pops += 1
+        if b == blocks:
+            break
+        a = pick_hub[b]
+        if a < 0:   # a pick outside x: its one arc is the sink arc
+            relax(d, h, (blocks,), ((pl[picks_l[b]] - pl[t],), (1,)))
+        else:
+            hub_lab[a] = (d, h)
+            relax(d, h, range(blocks), (weight[a], weight_hops[a]))
+    if not done[blocks]:
+        return ContractedSearch(g, None, None, None, pops)
+
+    d_t = lab[blocks][0]
+    hub_d = np.array([big if hl is None else hl[0] for hl in hub_lab], dtype=dtype)
+    path, arcs = zip(*_rebuild(g, lab, done, hub_lab, hub_d, red, rr.tolist(), pl,
+                               pick_hub, big))
+
+    # Every position's distance through its cheapest hub, then the picks
+    # and hubs from their labels; a label that is not final is past t.
+    hub_cap = np.minimum(hub_d, d_t)
+    capped = np.empty(n + 2, dtype=dtype)
+    capped[:n] = np.minimum((hub_cap[:, None] + red).min(axis=0), d_t)
+    capped[picks] = [d_t if lb is None else min(lb[0], d_t) for lb in lab[:blocks]]
+    capped[hubs] = hub_cap
+    capped[s] = 0
+    capped[t] = d_t
+    return ContractedSearch(g, list(path), list(arcs), capped, pops)
+
+
+def _check_nonnegative(g: ExchangeGraph, red, rr, pl) -> None:
+    """Raise for the first arc, in arc order, with a negative reduced length."""
+    n, s, t = g.n, g.s, g.t
+    if red.size and red.min() < 0:   # big is positive: only real arcs count
+        a, w = divmod(int(np.argmax(red < 0)), n)
+        raise _negative(red[a, w], g.scale, int(g.hubs[a]), w)
+    if rr.min() < 0:
+        w = int(np.argmax(rr < 0))
+        raise _negative(rr[w], g.scale, w, int(g.target[w]))
+    for u in g.sources:
+        if pl[s] - pl[u] < 0:
+            raise _negative(pl[s] - pl[u], g.scale, s, u)
+    for w in g.sinks:
+        if pl[w] - pl[t] < 0:
+            raise _negative(pl[w] - pl[t], g.scale, w, t)
+
+
+def _rebuild(g, lab, done, hub_lab, hub_d, red, rr, pl, pick_hub, big) -> list:
+    """(arc index, Arc) of each arc on the s-t path, walked back from t.  At
+    each vertex the candidates are the arcs that give its final label; the
+    one kept leaves the smallest (distance, vertex) tail, then comes first
+    in arc order."""
+    hubs_l, picks_l = g.hubs.tolist(), g.picks.tolist()
+    blocks = len(picks_l)
+    bounds = [*g.starts.tolist(), g.n]
+
+    def feeds(w, want):
+        """(distance, hub, row) of every hub whose exchange arc into w
+        gives the label want."""
+        return [(hl[0], hubs_l[a], a) for a, (hl, r_aw)
+                in enumerate(zip(hub_lab, red[:, w].tolist()))
+                if hl is not None and (hl[0] + r_aw, hl[1] + 1) == want]
+
+    def exchange(a, w):
+        return g._exchange_index(a, w), Arc(hubs_l[a], w, int(g.lengths[a, w]),
+                                            ArcKind.EXCHANGE)
+
+    def reassign(w, q):
+        return g._reassign_index(w), Arc(w, q, 0, ArcKind.REASSIGN)
+
+    def lost():
+        return InvariantError("the contracted search lost the path it found")
+
+    sinks = [(lab[b][0], q, b) for b, q in enumerate(picks_l)
+             if done[b] and pick_hub[b] < 0
+             and (lab[b][0] + pl[q] - pl[g.t], lab[b][1] + 1) == lab[blocks]]
+    if not sinks:
+        raise lost()
+    _, q, b = min(sinks)
+    out = [(g._sink_index(q), Arc(q, g.t, 0, ArcKind.SINK))]
+    while True:
+        want = lab[b]
+        lo, hi = bounds[b], bounds[b + 1]
+        # (tail distance, tail, (arc index, Arc), the tail's hub row or None)
+        cands = []
+        if pick_hub[b] < 0:   # exchange arcs straight into a pick outside x
+            cands += [(d, u, exchange(a, q), a) for d, u, a in feeds(q, want)]
+        for a, u in enumerate(hubs_l):   # reassign arcs of the block's other hubs
+            hl = hub_lab[a]
+            if lo <= u < hi and u != q and hl is not None and (hl[0] + rr[u], hl[1] + 1) == want:
+                cands.append((hl[0], u, reassign(u, q), a))
+        # reassign arcs of the block's other positions, at their labels
+        # through the hubs (hubs and unreached positions stay at big)
+        leaf_d = (hub_d[:, None] + red[:, lo:hi]).min(axis=0).tolist()
+        for w, wd in enumerate(leaf_d, lo):
+            if w != q and wd < big and wd + rr[w] == want[0]:
+                wh = min(hl[1] for hl, r_aw in zip(hub_lab, red[:, w].tolist())
+                         if hl is not None and hl[0] + r_aw == wd) + 1
+                if wh + 1 == want[1]:
+                    cands.append((wd, w, reassign(w, q), None))
+        if not cands:
+            raise lost()
+        _, tail, arc, a = min(cands, key=lambda c: (c[0], c[1], c[2][0]))
+        out.append(arc)
+        if a is None:   # the leaf's own parent: an exchange arc from a hub
+            fed = feeds(tail, (want[0] - rr[tail], want[1] - 1))
+            if not fed:
+                raise lost()
+            a = min(fed)[2]
+            out.append(exchange(a, tail))
+        u = hubs_l[a]
+        if u in g.sources:
+            out.append((g._source_index(u), Arc(g.s, u, 0, ArcKind.SOURCE)))
+            break
+        q = u
+        b = int(np.searchsorted(g.starts, u, side="right")) - 1
+    out.reverse()
+    return out
 
 
 @dataclass
@@ -297,13 +661,23 @@ class IterationStats:
     arcs_reassign: int
     arcs_source: int
     arcs_sink: int
-    min_reduced: object      # smallest reduced length on the path: int or Fraction
+    # Smallest reduced length on the path: int or Fraction.  It is 0 in
+    # every round: each path starts with a length-0 source arc out of s,
+    # whose potential stays 0, and the reduced length of that arc is the
+    # negated potential of a hub, which the search's nonnegativity check
+    # (over every arc, before each search) forces to 0.  That check is the
+    # live one.
+    min_reduced: object
 
 
 @dataclass
 class SspResult:
     mask: int | None                      # common point, or None if infeasible
     iterations: list[IterationStats] = field(default_factory=list)
+    # rounds: exchange graphs built (one more than iterations when the last
+    # finds no path); arcs: their arcs by kind; search_pops: vertices the
+    # searches made final; kernel_dtype: the exchange lengths' dtype.
+    counters: dict = field(default_factory=dict)
 
 
 def _unscaled(v: int, scale: int):
@@ -321,37 +695,50 @@ def ssp_intersect(f: QuadFn, layout: OneHotLayout, x0_mask: int, y0_mask: int,
     that no one-hot point has finite value.
 
     dump_hook, when given, is called once per round with
-    (index, graph, potential, search) before x and y change; potential is in
-    the graph's units (graph.scale).
+    (index, graph, potential, search) before x and y change; potential is a
+    list in the graph's units (graph.scale) and search the reference heap
+    search's PathSearch, which must agree with the contracted search on the
+    path and on every capped distance.
     """
     n = f.n
     if x0_mask.bit_count() != y0_mask.bit_count():
         raise ValueError("x and y must have the same number of ones")
     r = x0_mask.bit_count()
     x, y = x0_mask, y0_mask
-    potential = [0] * (n + 2)
+    potential = np.zeros(n + 2, dtype=np.int64)
     stats: list[IterationStats] = []
+    arcs = dict.fromkeys((kind.value for kind in ArcKind), 0)
+    counters = {"rounds": 0, "arcs": arcs, "search_pops": 0,
+                "kernel_dtype": _kernel_arrays(f, r)[0].dtype.name}
     index = 0
     while x != y:
         index += 1
         if index > r:
             raise InvariantError("round limit exceeded; gap is not shrinking")
         graph = build_exchange_graph(f, x, y, layout)
+        counters["rounds"] += 1
+        for kind in ArcKind:
+            arcs[kind.value] += graph.count(kind)
         search = shortest_path_min_hops(graph, potential)
+        counters["search_pops"] += search.pops
         if dump_hook is not None:
-            dump_hook(index, graph, potential, search)
+            listed = potential.tolist()
+            reference = _heap_search(graph, listed)
+            capped = None if search.capped is None else search.capped.tolist()
+            if reference.path != search.path or reference.capped != capped:
+                raise InvariantError(f"round {index}: the contracted search and the "
+                                     f"heap search disagree")
+            dump_hook(index, graph, listed, reference)
         gap_before = (x ^ y).bit_count()
-        if not search.reached(graph.t):
-            return SspResult(None, stats)
+        path = search.arcs
+        if path is None:
+            return SspResult(None, stats, counters)
 
-        path = search.path_to(graph.t)
         min_reduced = None
-        for idx in path:
-            tail, head = graph.tail[idx], graph.head[idx]
-            lp = graph.length[idx] + potential[tail] - potential[head]
+        for tail, head, length, kind in path:
+            lp = length + int(potential[tail]) - int(potential[head])
             if min_reduced is None or lp < min_reduced:
                 min_reduced = lp
-            kind = graph.kind[idx]
             if kind is ArcKind.EXCHANGE:
                 x = (x ^ (1 << tail)) | (1 << head)
             elif kind is ArcKind.REASSIGN:
@@ -368,12 +755,7 @@ def ssp_intersect(f: QuadFn, layout: OneHotLayout, x0_mask: int, y0_mask: int,
 
         # Distances are capped at t's: vertices past the sink (or unreached)
         # would otherwise outgrow it and send later arcs into them negative.
-        d_t = search.dist[graph.t]
-        for v in range(n + 2):
-            d_v = search.dist[v]
-            if d_v is None or d_v > d_t:
-                d_v = d_t
-            potential[v] = potential[v] + d_v
+        potential = potential + search.capped
 
         stats.append(IterationStats(
             index=index,
@@ -386,4 +768,4 @@ def ssp_intersect(f: QuadFn, layout: OneHotLayout, x0_mask: int, y0_mask: int,
             arcs_sink=graph.count(ArcKind.SINK),
             min_reduced=None if min_reduced is None else _unscaled(min_reduced, graph.scale),
         ))
-    return SspResult(x, stats)
+    return SspResult(x, stats, counters)

@@ -83,9 +83,13 @@ class SolveReport:
     violation: Violation | None = None
     iterations: list[IterationStats] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
+    # pool_size: distinct pair costs of the instance; once the shortest-path
+    # loop ran, also its SspResult.counters (rounds, arcs by kind,
+    # search_pops, kernel_dtype).
+    counters: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """JSON-ready summary; 1-based assignment, no timings."""
+        """JSON-ready summary; 1-based assignment, no timings or counters."""
         out: dict = {"status": self.status.value}
         if self.status is SolveStatus.REJECTED:
             out["check"] = self.violation.kind.value
@@ -227,6 +231,7 @@ def minimize_zfree(inst: Instance, *, check_properties: bool = True,
     dump_hook is passed through to the shortest-path loop.
     """
     timings: dict = {}
+    counters = {"pool_size": len(inst.pool)}
     t0 = time.perf_counter()
     forest = _build_forest(inst)
     timings["forest"] = time.perf_counter() - t0
@@ -236,7 +241,8 @@ def minimize_zfree(inst: Instance, *, check_properties: bool = True,
         bad = _bottleneck_violation(inst, forest)
         if bad is not None:
             timings["check"] = time.perf_counter() - t0
-            return SolveReport(SolveStatus.REJECTED, violation=bad, timings=timings)
+            return SolveReport(SolveStatus.REJECTED, violation=bad, timings=timings,
+                               counters=counters)
     timings["check"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -253,14 +259,17 @@ def minimize_zfree(inst: Instance, *, check_properties: bool = True,
     x0 = greedy_min_layer(f, inst.r)
     timings["greedy"] = time.perf_counter() - t0
     if x0 is None:
-        return SolveReport(SolveStatus.INFINITE_MINIMUM, value=INF, timings=timings)
+        return SolveReport(SolveStatus.INFINITE_MINIMUM, value=INF, timings=timings,
+                           counters=counters)
 
     t0 = time.perf_counter()
     result = ssp_intersect(f, inst.layout, x0, _warm_start(inst), dump_hook)
     timings["ssp"] = time.perf_counter() - t0
+    counters.update(result.counters)
     if result.mask is None:
         return SolveReport(SolveStatus.INFINITE_MINIMUM, value=INF,
-                           iterations=result.iterations, timings=timings)
+                           iterations=result.iterations, timings=timings,
+                           counters=counters)
 
     assignment = one_hot_decode(inst, result.mask)
     value = evaluate_instance(inst, assignment)
@@ -269,7 +278,7 @@ def minimize_zfree(inst: Instance, *, check_properties: bool = True,
         raise InvariantError(
             f"relaxation value {relaxed} disagrees with the instance value {value}")
     return SolveReport(SolveStatus.OPTIMAL, assignment=assignment, value=value,
-                       iterations=result.iterations, timings=timings)
+                       iterations=result.iterations, timings=timings, counters=counters)
 
 
 @dataclass

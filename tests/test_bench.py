@@ -31,3 +31,7 @@ def test_bench_writes_every_stage(tmp_path, monkeypatch):
         s = stages[stage]
         assert len(s["runs"]) == 2 and s["min"] <= s["median"] <= s["max"]
     assert shape["parse_peak_mb"] > 0
+    counters = shape["counters"]
+    assert set(counters) == {"pool_size", "rounds", "arcs", "search_pops", "kernel_dtype"}
+    assert set(counters["arcs"]) == {"exchange", "reassign", "source", "sink"}
+    assert counters["rounds"] >= shape["iterations"] and counters["kernel_dtype"] == "int64"

@@ -1,0 +1,111 @@
+"""The contracted shortest-path search against the heap search over the
+materialised exchange graph, round by round.
+
+The inputs are the valid instances of test_ssp_identity.py (generated ones
+for r=2..12 with and without infinite costs, wide ones, half-integer,
+coprime-denominator and past-2**63 costs, pair tables over {0, 1} with many
+equal-distance ties, d=1 variables and omitted tables) and 100 more tied
+ones up to r=14.  On every round of every solve both searches run on the
+same graph and potential and must agree on the path's arc indices and hops
+and on every vertex's distance capped at t's, hence on the next potential.  A second run of the loop with
+the heap search in place of the contracted one must give the same
+IterationStats, potentials and result.  A stale potential must raise the
+same InvariantError text from both: the nonnegativity check is the only
+live one, since IterationStats.min_reduced is always 0.
+"""
+
+import random
+
+import pytest
+
+from test_ssp_identity import CASES, _tied
+from zfree import (ExchangeGraph, GenConfig, InvariantError, build_relaxation,
+                   check_bottleneck, generate_instance, greedy_min_layer, intersection,
+                   minimize_zfree)
+from zfree.intersection import ContractedSearch, PathSearch, ssp_intersect
+from zfree.pipeline import _warm_start
+
+
+def _more_ties():
+    """100 more {0, 1} instances, up to r=14."""
+    rng = random.Random(11)
+    for seed in range(100):
+        inst = generate_instance(GenConfig(r=rng.randint(3, 14), dmax=5, seed=1000 + seed,
+                                           levels=2))
+        yield f"tied+ seed={seed}", _tied(inst, rng)
+
+
+VALID = [(name, inst) for name, inst in [*CASES, *_more_ties()]
+         if check_bottleneck(inst) is None]
+SEARCH = intersection.shortest_path_min_hops
+
+
+def materialised(graph):
+    return ExchangeGraph.from_arcs(graph.n, list(graph.arcs), graph.scale)
+
+
+def stale(potential, arc, rng):
+    """potential with arc's head raised past it: its reduced length, and
+    perhaps an earlier arc's, turns negative."""
+    out = list(potential)
+    out[arc.head] = arc.length + out[arc.tail] + rng.randint(1, 3)
+    return out
+
+
+def run(f, inst, search):
+    """ssp_intersect with search in place of shortest_path_min_hops:
+    (result, the potential of every round)."""
+    seen = []
+
+    def traced(graph, potential):
+        seen.append(potential.tolist())
+        return search(graph, potential)
+
+    saved = intersection.shortest_path_min_hops
+    intersection.shortest_path_min_hops = traced
+    try:
+        result = ssp_intersect(f, inst.layout, greedy_min_layer(f, inst.r), _warm_start(inst))
+    finally:
+        intersection.shortest_path_min_hops = saved
+    return result, seen
+
+
+def test_the_corpus_is_large_and_tie_heavy():
+    solved = [name for name, inst in VALID if minimize_zfree(inst).iterations]
+    assert len(solved) >= 300
+    assert sum(name.startswith("tied") for name in solved) >= 100
+
+
+@pytest.mark.parametrize("name, inst", VALID, ids=[name for name, _ in VALID])
+def test_contracted_search_matches_the_heap_search(name, inst):
+    f = build_relaxation(inst)
+    if greedy_min_layer(f, inst.r) is None:
+        return
+    rng = random.Random(name)
+
+    def compared(graph, potential):
+        search = SEARCH(graph, potential)
+        listed = potential.tolist()
+        ref = materialised(graph)
+        heap = SEARCH(ref, listed)
+        assert isinstance(search, ContractedSearch) and isinstance(heap, PathSearch)
+        assert search.path == heap.path and search.arcs == heap.arcs
+        if heap.path is not None:
+            assert len(search.path) == heap.hops[graph.t]
+            assert search.capped.tolist() == heap.capped
+            assert ((potential + search.capped).tolist()
+                    == [p + d for p, d in zip(listed, heap.capped)])
+        for arc in rng.sample(list(ref.arcs), min(3, len(ref.arcs))):
+            bad = stale(listed, arc, rng)
+            with pytest.raises(InvariantError) as got:
+                SEARCH(graph, bad)
+            with pytest.raises(InvariantError) as want:
+                SEARCH(ref, bad)
+            assert str(got.value) == str(want.value)
+        return search
+
+    result, potentials = run(f, inst, compared)
+    reference, ref_potentials = run(f, inst, lambda g, p: SEARCH(materialised(g), p.tolist()))
+    assert result.mask == reference.mask
+    assert result.iterations == reference.iterations
+    assert potentials == ref_potentials
