@@ -1,6 +1,6 @@
 """Layer timings of the solver on fixed-seed shapes, written as BENCH_<n>.json.
 
-    PYTHONPATH=src python3 bench/run.py --out BENCH_6.json
+    PYTHONPATH=src python3 bench/run.py --out BENCH_8.json
 
 Each shape is one generated instance (generator seed 7), serialized once.
 Every run then times, on that JSON text:
@@ -13,6 +13,17 @@ Every run then times, on that JSON text:
 - solve: minimize_zfree with every check on, and the per-stage split its
   SolveReport.timings reports (forest, check, complete, greedy, ssp);
 - end_to_end: parse_instance plus solve, JSON text to report.
+
+Shapes with at most MATRIX_MAX_N positions also time `zfree complete`'s
+path on the instance's induced partial matrix, serialized once the way
+perfbench writes it (dump_matrix without indent):
+
+- matrix.json_loads: json.loads alone;
+- matrix.parse_partial_matrix: the text to a PartialMatrix;
+- matrix.complete: complete() on it;
+- matrix.dump_matrix: dump_matrix(indent=2) of the completion, the text
+  the CLI prints;
+- matrix.end_to_end: the three above together, JSON text to output text.
 
 The solve's SolveReport.counters (pool size, rounds, arcs by kind, search
 pops, kernel dtype) are recorded once per shape; they are the same in every
@@ -40,8 +51,9 @@ from pathlib import Path
 
 import numpy as np
 
-from zfree import GenConfig, dump_instance, generate_instance, minimize_zfree
-from zfree import parse_instance
+from zfree import (GenConfig, complete, dump_instance, dump_matrix, generate_instance,
+                   induced_partial_matrix, minimize_zfree, parse_instance,
+                   parse_partial_matrix)
 from zfree.pipeline import _build_forest
 
 SEED = 7
@@ -58,6 +70,10 @@ SHAPES = {
     "r100_d20": (100, (20,) * 100, 0.0),
     "r26_d2-3_inf0.5": (26, (2, 3) * 13, 0.5),
 }
+
+# The n = 2000 shapes are left out of the matrix stages: their induced
+# matrices hold 2M entries, and complete's output text is about 150 MB.
+MATRIX_MAX_N = 1000
 
 
 def _summary(values) -> dict:
@@ -83,10 +99,26 @@ def _peak_mb(func, *args) -> float:
     return peak / 2**20
 
 
+def matrix_stages(text: str) -> dict:
+    """Seconds of each stage of `zfree complete` on one matrix document."""
+    row = {}
+    _, row["matrix.json_loads"] = _timed(json.loads, text)
+    H, row["matrix.parse_partial_matrix"] = _timed(parse_partial_matrix, text)
+    done, row["matrix.complete"] = _timed(complete, H)
+    _, row["matrix.dump_matrix"] = _timed(dump_matrix, done, indent=2)
+    row["matrix.end_to_end"] = (row["matrix.parse_partial_matrix"]
+                                + row["matrix.complete"] + row["matrix.dump_matrix"])
+    return row
+
+
 def bench_shape(r: int, domains, inf_share: float) -> dict:
     """Time one shape over RUNS untraced runs, then measure its memory."""
     cfg = GenConfig(r=r, domains=tuple(domains), seed=SEED, inf_share=inf_share)
-    text = dump_instance(generate_instance(cfg))
+    source = generate_instance(cfg)
+    text = dump_instance(source)
+    matrix = (dump_matrix(induced_partial_matrix(source))
+              if sum(domains) <= MATRIX_MAX_N else None)
+    del source
     stages: dict[str, list] = {}
     report = None
     for _ in range(RUNS):
@@ -100,6 +132,8 @@ def bench_shape(r: int, domains, inf_share: float) -> dict:
         row["end_to_end"] = row["parse_instance"] + row["solve"]
         for stage, seconds in report.timings.items():
             row[f"solve.{stage}"] = seconds
+        if matrix is not None:
+            row.update(matrix_stages(matrix))
         for stage, seconds in row.items():
             stages.setdefault(stage, []).append(seconds)
         del inst
@@ -110,6 +144,7 @@ def bench_shape(r: int, domains, inf_share: float) -> dict:
         "domains": sorted(set(domains)),
         "inf_share": inf_share,
         "json_bytes": len(text),
+        "matrix_json_bytes": None if matrix is None else len(matrix),
         "status": report.status.value,
         "iterations": len(report.iterations),
         "counters": report.counters,

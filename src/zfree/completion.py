@@ -6,21 +6,37 @@ complete() either fills in the undefined pairs so the full matrix is
 anti-ultrametric (every triple attains its pairwise minimum twice) or
 raises NotCompletableError with a refutation.
 
-Checking and filling both read one structure, _Forest: a dense n x n int32
-matrix of value ranks (0 marks an undefined pair) and floor, the n x n int32
-matrix of tree-path minima that Prim's algorithm fills while it grows the
-maximum spanning forest of the defined pairs; the two take 8 n^2 bytes.
-Ties are broken one way everywhere: the highest offered rank goes next, the
-lowest vertex on a tie, each component is rooted at its smallest vertex and
-every other vertex hangs off the earliest tree vertex that offered its
-rank.  The matrix is completable exactly when every defined pair equals its
+PartialMatrix and CompletedMatrix store no per-pair objects: ranks, the
+read-only symmetric n x n int32 matrix of value ranks (0 marks an undefined
+pair and the diagonal), and pool, the ascending tuple of distinct values
+(pool[rank - 1] is a pair's value).  value(), pairs() and defined() read
+them, and the entries constructors build them.  MAX_RANK_BYTES caps their
+4 n^2 bytes as it does an instance's: a larger n is a ParseError as soon
+as "n" is read, a ValueError in the constructors.
+
+Checking and filling both read one structure, _Forest: the matrix's ranks
+and floor, the n x n int32 matrix of tree-path minima that Prim's
+algorithm fills while it grows the maximum spanning forest of the defined
+pairs; the two take 8 n^2 bytes.  Ties are broken one way everywhere: the
+highest offered rank goes next, the lowest vertex on a tie, each component
+is rooted at its smallest vertex and every other vertex hangs off the
+earliest tree vertex that offered its rank.  The matrix is completable exactly when every defined pair equals its
 floor value; otherwise the first pair (flat order) that ranks below it,
 closed by its tree path and shrunk along defined chords, is a chordless
 cycle whose minimum is unique.  A completion gives each undefined connected
 pair its floor value and pairs in different components the globally
-smallest defined value (zero when nothing is defined).  pipeline builds the
-same structure over the cross-variable pairs of an instance to check and
-complete it.
+smallest defined value (zero when nothing is defined): one np.where over
+ranks and floor, the completion sharing the partial matrix's pool.
+pipeline builds the same structure over the cross-variable pairs of an
+instance to check and complete it.
+
+parse_partial_matrix checks a well-formed entries list in bulk (exact int
+indices as int64 arrays, repeated pairs by flat index, each distinct value
+decoded once) and writes ranks and pool directly.  A list with any defect is
+read again entry by entry, which raises the ParseError for its first defect,
+so the messages do not depend on the fast path.  dump_matrix writes the same
+bytes as json.dumps, with or without indent, from one template per entry
+over (i, j) and its value's JSON text, formatted once per pool value.
 
 Values stay exact: the forest works on integer ranks only, and the tests
 check completability against completable_oracle, an independent exhaustive
@@ -31,10 +47,13 @@ forest against a brute force maximin closure.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from operator import countOf
 
 import numpy as np
 
 from .errors import BudgetExceededError, NotCompletableError, ParseError
+from .instance import _check_size
 from .properties import Violation, ViolationKind
 from .values import ZERO, ExtValue, _decode_value, _ranked, format_value
 
@@ -55,20 +74,81 @@ def _norm_pair(i: int, j: int, n: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-class PartialMatrix:
+class _RankMatrix:
+    """A symmetric matrix over vertices 0..n-1 stored as two arrays: ranks,
+    the read-only n x n int32 matrix giving each defined pair the rank of
+    its value in pool (1 for the smallest; 0 on the diagonal and for an
+    undefined pair), and pool, the ascending tuple of distinct ExtValues,
+    every one of them the value of some pair."""
+
+    __slots__ = ("n", "ranks", "pool")
+
+    def _init(self, n: int, ranks, pool) -> None:
+        ranks.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pool", pool)
+        object.__setattr__(self, "ranks", ranks)
+
+    @classmethod
+    def _of(cls, n: int, ranks, pool):
+        """The matrix over ranks and pool as given: no check, no copy."""
+        matrix = object.__new__(cls)
+        matrix._init(n, ranks, pool)
+        return matrix
+
+    def _fill(self, n: int, store: dict) -> None:
+        """Build the arrays from a {(i, j): ExtValue} store, i < j."""
+        pool, rank_of = _ranked(v.raw for v in store.values())
+        ranks = np.zeros((n, n), dtype=np.int32)
+        if store:
+            rows, cols = np.array(list(store), dtype=np.intp).T
+            vals = np.array([rank_of[v.raw] for v in store.values()], dtype=np.int32)
+            ranks[rows, cols] = vals
+            ranks[cols, rows] = vals
+        self._init(n, ranks, pool)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def value(self, i: int, j: int):
+        """The entry for pair (i, j), or None when undefined."""
+        i, j = _norm_pair(i, j, self.n)
+        k = self.ranks.item(i, j)
+        return self.pool[k - 1] if k else None
+
+    def pairs(self):
+        """Defined ((i, j), value) items, ascending by pair."""
+        upper = np.triu(self.ranks, 1)
+        rows, cols = np.nonzero(upper)
+        by_rank = (None, *self.pool)
+        return list(zip(zip(rows.tolist(), cols.tolist()),
+                        map(by_rank.__getitem__, upper[rows, cols].tolist())))
+
+    @property
+    def _entries(self) -> dict:
+        """The defined pairs as a {(i, j): value} dict, i < j."""
+        return dict(self.pairs())
+
+
+def _check_vertices(n: int) -> None:
+    if n < 1:
+        raise ValueError("matrix needs at least one vertex")
+    _check_size(n, "vertices")
+
+
+class PartialMatrix(_RankMatrix):
     """A symmetric matrix with some entries undefined.
 
     entries maps (i, j) pairs (any orientation, normalized internally) to
     ExtValue-convertible values.  Values may be infinite; validate_partial
-    reports negative ones.  Immutable after construction.
+    reports negative ones.  Immutable after construction.  An n whose rank
+    matrix would pass instance.MAX_RANK_BYTES raises ValueError.
     """
 
-    __slots__ = ("n", "_entries")
+    __slots__ = ()
 
     def __init__(self, n: int, entries=None):
-        if n < 1:
-            raise ValueError("matrix needs at least one vertex")
-        object.__setattr__(self, "n", n)
+        _check_vertices(n)
         store: dict[tuple[int, int], ExtValue] = {}
         items = entries.items() if hasattr(entries, "items") else (entries or [])
         for (i, j), v in items:
@@ -76,63 +156,43 @@ class PartialMatrix:
             if key in store:
                 raise ValueError(f"duplicate entry for pair {key}")
             store[key] = ExtValue.of(v)
-        object.__setattr__(self, "_entries", store)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PartialMatrix is immutable")
+        self._fill(n, store)
 
     def defined(self, i: int, j: int) -> bool:
-        return _norm_pair(i, j, self.n) in self._entries
-
-    def value(self, i: int, j: int):
-        """The entry for pair (i, j), or None when undefined."""
-        return self._entries.get(_norm_pair(i, j, self.n))
-
-    def pairs(self):
-        """Defined ((i, j), value) items, ascending by pair."""
-        return sorted(self._entries.items())
+        return self.ranks.item(*_norm_pair(i, j, self.n)) > 0
 
     @property
     def defined_count(self) -> int:
-        return len(self._entries)
+        return int(np.count_nonzero(self.ranks)) // 2
 
     def __repr__(self):
-        return f"PartialMatrix(n={self.n}, defined={len(self._entries)})"
+        return f"PartialMatrix(n={self.n}, defined={self.defined_count})"
 
 
-class CompletedMatrix:
+class CompletedMatrix(_RankMatrix):
     """A fully defined symmetric matrix over 0..n-1 (diagonal excluded)."""
 
-    __slots__ = ("n", "_entries")
+    __slots__ = ()
 
     def __init__(self, n: int, entries):
-        if n < 1:
-            raise ValueError("matrix needs at least one vertex")
-        object.__setattr__(self, "n", n)
+        _check_vertices(n)
         store: dict[tuple[int, int], ExtValue] = {}
         items = entries.items() if hasattr(entries, "items") else entries
         for (i, j), v in items:
             store[_norm_pair(i, j, n)] = ExtValue.of(v)
         if len(store) != n * (n - 1) // 2:
             raise ValueError(f"expected {n * (n - 1) // 2} entries, got {len(store)}")
-        object.__setattr__(self, "_entries", store)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CompletedMatrix is immutable")
-
-    def value(self, i: int, j: int) -> ExtValue:
-        return self._entries[_norm_pair(i, j, self.n)]
-
-    def pairs(self):
-        return sorted(self._entries.items())
+        self._fill(n, store)
 
     def __eq__(self, other):
         if not isinstance(other, CompletedMatrix):
             return NotImplemented
-        return self.n == other.n and self._entries == other._entries
+        # Pools hold only values in use, so equal matrices have equal arrays.
+        return (self.n == other.n and self.pool == other.pool
+                and np.array_equal(self.ranks, other.ranks))
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self._entries.items()))))
+        return hash((self.n, self.pool, self.ranks.tobytes()))
 
     def __repr__(self):
         return f"CompletedMatrix(n={self.n})"
@@ -268,18 +328,6 @@ class _Forest:
                 cycle = cycle[p:q + 1]
 
 
-def _partial_forest(H: PartialMatrix) -> _Forest:
-    """The maximum spanning forest of the defined pairs of H."""
-    n = H.n
-    pool, rank_of = _ranked(v.raw for v in H._entries.values())
-    ranks = np.zeros((n, n), dtype=np.int32)
-    rows, cols = np.array(list(H._entries), dtype=np.intp).T
-    vals = np.array([rank_of[v.raw] for v in H._entries.values()], dtype=np.int32)
-    ranks[rows, cols] = vals
-    ranks[cols, rows] = vals
-    return _Forest(ranks, pool)
-
-
 def _cycle_refutation(H: PartialMatrix, cycle: list[int]) -> Violation:
     """The Violation for a chordless cycle of defined entries with a unique
     minimum; a triangle is reported as its sorted triple."""
@@ -308,17 +356,22 @@ def _check(H: PartialMatrix):
     """(violation, cycle, forest): the first refutation of H, the chordless
     cycle behind it (None for a negative entry), and the forest it was read
     from (None when nothing is defined or an entry is negative)."""
-    for (i, j), v in H.pairs():
-        if v.is_finite and v < ZERO:
-            return Violation(
-                ViolationKind.NEGATIVE,
-                (i, j),
-                (v,),
-                f"entry ({i + 1},{j + 1}) = {v} is negative",
-            ), None, None
-    if H.defined_count == 0:
+    pool = H.pool
+    # Ranks 1..k hold the k negative values; the first such pair in flat
+    # order has i < j, since ranks is symmetric.
+    k = bisect_left(pool, ZERO)
+    if k:
+        i, j = divmod(int(np.argmax((H.ranks > 0) & (H.ranks <= k))), H.n)
+        v = H.value(i, j)
+        return Violation(
+            ViolationKind.NEGATIVE,
+            (i, j),
+            (v,),
+            f"entry ({i + 1},{j + 1}) = {v} is negative",
+        ), None, None
+    if not pool:
         return None, None, None
-    forest = _partial_forest(H)
+    forest = _Forest(H.ranks, pool)
     cycle = forest.violation()
     if cycle is None:
         return None, None, forest
@@ -358,17 +411,13 @@ def complete(H: PartialMatrix) -> CompletedMatrix:
 
     n = H.n
     if forest is None:
-        return CompletedMatrix(n, {(i, j): ZERO for i in range(n) for j in range(i + 1, n)})
-    rows, cols = np.triu_indices(n, 1)
-    undefined = forest.ranks[rows, cols] == 0
-    rows, cols = rows[undefined], cols[undefined]
-    # Rank 1, the smallest defined value, across components (floor 0).
-    fill = np.maximum(forest.floor[rows, cols], 1)
-    pool = forest.pool
-    entries = dict(H._entries)
-    entries.update(zip(zip(rows.tolist(), cols.tolist()),
-                       [pool[k - 1] for k in fill.tolist()]))
-    return CompletedMatrix(n, entries)
+        ranks, pool = np.ones((n, n), dtype=np.int32), ((ZERO,) if n > 1 else ())
+    else:
+        # Rank 1, the smallest defined value, across components (floor 0).
+        ranks = np.where(forest.ranks > 0, forest.ranks, np.maximum(forest.floor, 1))
+        pool = forest.pool
+    np.fill_diagonal(ranks, 0)
+    return CompletedMatrix._of(n, ranks, pool)
 
 
 def completable_oracle(H: PartialMatrix, *, max_n: int = 30):
@@ -438,7 +487,13 @@ def completable_oracle(H: PartialMatrix, *, max_n: int = 30):
 
 
 def parse_partial_matrix(text: str) -> PartialMatrix:
-    """Parse the JSON partial matrix format.  Raises ParseError on defects."""
+    """Parse the JSON partial matrix format.  Raises ParseError on defects.
+
+    A well-formed entries list is written straight into the rank matrix
+    (_read_entries); one with any defect is read again entry by entry
+    (_parse_entries), which raises the ParseError for its first defect.
+    An n whose rank matrix would pass instance.MAX_RANK_BYTES is refused
+    before any entry is read."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -453,9 +508,62 @@ def parse_partial_matrix(text: str) -> PartialMatrix:
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError("'n' must be a positive integer")
+    try:
+        _check_size(n, "vertices")
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     entries_doc = doc.get("entries", [])
     if not isinstance(entries_doc, list):
         raise ParseError("'entries' must be a list")
+    matrix = _read_entries(n, entries_doc)
+    return _parse_entries(n, entries_doc) if matrix is None else matrix
+
+
+def _read_entries(n: int, entries_doc: list):
+    """The PartialMatrix of a well-formed entries list, or None when any
+    entry has a defect.  Indices are checked as int64 arrays after an
+    exact type check (a bool is not an int), pairs are written into the
+    rank matrix by flat index, and each distinct value is decoded once."""
+    m = len(entries_doc)
+    # Three keys per entry, and each has "i", "j" and "value": no other key.
+    if not set(map(type, entries_doc)) <= {dict} or countOf(map(len, entries_doc), 3) != m:
+        return None
+    try:
+        columns = [[e[key] for e in entries_doc] for key in ("i", "j", "value")]
+    except KeyError:
+        return None
+    index = []
+    for column in columns[:2]:
+        if countOf(map(type, column), int) != m:
+            return None
+        try:
+            index.append(np.fromiter(column, dtype=np.int64, count=m) - 1)
+        except OverflowError:
+            return None
+    i, j = index
+    if m and not ((i >= 0).all() and (i < j).all() and (j < n).all()):
+        return None
+    values = columns[2]
+    if not set(map(type, values)) <= {int, str}:
+        return None
+    try:
+        raw_of = {v: _decode_value(v).raw for v in set(values)}
+    except ValueError:
+        return None
+    pool, rank_of = _ranked(raw_of.values())
+    rank = {v: rank_of[raw] for v, raw in raw_of.items()}
+    vals = np.fromiter(map(rank.__getitem__, values), dtype=np.int32, count=m)
+    ranks = np.zeros((n, n), dtype=np.int32)
+    ranks.flat[i * n + j] = vals
+    if np.count_nonzero(ranks) != m:        # a pair repeats
+        return None
+    ranks.flat[j * n + i] = vals
+    return PartialMatrix._of(n, ranks, pool)
+
+
+def _parse_entries(n: int, entries_doc: list) -> PartialMatrix:
+    """The entries list read entry by entry; raises the ParseError for its
+    first defect in document order."""
     entries = []
     seen = set()
     for k, e in enumerate(entries_doc):
@@ -485,12 +593,28 @@ def parse_partial_matrix(text: str) -> PartialMatrix:
 
 
 def dump_matrix(matrix, *, indent: int | None = None) -> str:
-    """Serialize a PartialMatrix or CompletedMatrix (deterministic bytes)."""
-    doc = {
-        "n": matrix.n,
-        "entries": [
-            {"i": i + 1, "j": j + 1, "value": format_value(v)}
-            for (i, j), v in matrix.pairs()
-        ],
-    }
-    return json.dumps(doc, indent=indent)
+    """Serialize a PartialMatrix or CompletedMatrix (deterministic bytes).
+
+    The text is byte for byte json.dumps(doc, indent=indent) of the document
+    {"n": n, "entries": [{"i": i, "j": j, "value": v}, ...]}, pairs
+    ascending, but written from the arrays: one template per entry over
+    (i, j) and the JSON text of its value, each pool value formatted once.
+    """
+    n = matrix.n
+    upper = np.triu(matrix.ranks, 1)
+    rows, cols = np.nonzero(upper)
+    if indent is None:
+        head, sep, tail = f'{{"n": {n}, "entries": [', ", ", "]}"
+        a, b, c, d = '{"i": ', ', "j": ', ', "value": ', "}"
+    else:
+        p1, p2, p3 = ("\n" + " " * (indent * k) for k in (1, 2, 3))
+        if not len(rows):
+            return f'{{{p1}"n": {n},{p1}"entries": []\n}}'
+        head, sep, tail = f'{{{p1}"n": {n},{p1}"entries": [{p2}', f",{p2}", f"{p1}]\n}}"
+        a, b, c, d = f'{{{p3}"i": ', f',{p3}"j": ', f',{p3}"value": ', f"{p2}}}"
+    # An entry is left[i] + nums[j] + right[rank].
+    nums = [str(k) for k in range(1, n + 1)]
+    left = [a + k + b for k in nums]
+    right = [None, *(c + json.dumps(format_value(v)) + d for v in matrix.pool)]
+    return head + sep.join([left[i] + nums[j] + right[k] for i, j, k in zip(
+        rows.tolist(), cols.tolist(), upper[rows, cols].tolist())]) + tail

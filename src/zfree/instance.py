@@ -95,14 +95,16 @@ class OneHotLayout:
                 yield i, a
 
 
-# The cap on the 4 n^2 bytes of Instance.ranks (n = 16384 positions).
+# The cap on the 4 n^2 bytes of an n x n int32 rank matrix (n = 16384), for
+# Instance.ranks and the matrices of the completion module alike.
 MAX_RANK_BYTES = 1 << 30
 
 
-def _check_size(n: int) -> None:
-    """Refuse an instance whose rank matrix would pass MAX_RANK_BYTES."""
+def _check_size(n: int, what: str = "one-hot positions") -> None:
+    """Refuse n positions (or vertices, as what names them) whose rank
+    matrix would pass MAX_RANK_BYTES."""
     if 4 * n * n > MAX_RANK_BYTES:
-        raise ValueError(f"{n} one-hot positions need a {4 * n * n}-byte rank "
+        raise ValueError(f"{n} {what} need a {4 * n * n}-byte rank "
                          f"matrix, more than the {MAX_RANK_BYTES}-byte limit")
 
 

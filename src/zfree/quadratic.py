@@ -201,18 +201,9 @@ def eval_quad(f: QuadFn, mask: int) -> ExtValue:
 def induced_partial_matrix(inst: Instance) -> PartialMatrix:
     """The coefficient matrix an instance pins down: cross-variable pairs
     carry the binary costs (zero for omitted tables), within-variable pairs
-    are undefined."""
-    lay = inst.layout
-    entries = []
-    for i in range(inst.r):
-        for j in range(i + 1, inst.r):
-            t = inst.table(i, j)
-            for a in range(inst.domains[i]):
-                ua = lay.flat(i, a)
-                for b in range(inst.domains[j]):
-                    v = t[a][b] if t is not None else ZERO
-                    entries.append(((ua, lay.flat(j, b)), v))
-    return PartialMatrix(lay.n, entries)
+    are undefined.  That is the instance's own ranks and pool (0 within a
+    variable), so the matrix is a view of them: no table is built."""
+    return PartialMatrix._of(inst.n, inst.ranks, inst.pool)
 
 
 def onehot_relaxation(inst: Instance, matrix: CompletedMatrix) -> QuadFn:
