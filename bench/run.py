@@ -1,6 +1,6 @@
 """Layer timings of the solver on fixed-seed shapes, written as BENCH_<n>.json.
 
-    PYTHONPATH=src python3 bench/run.py --out BENCH_8.json
+    PYTHONPATH=src python3 bench/run.py --out BENCH_9.json
 
 Each shape is one generated instance (generator seed 7), serialized once.
 Every run then times, on that JSON text:
@@ -30,10 +30,12 @@ pops, kernel dtype) are recorded once per shape; they are the same in every
 run.
 
 Runs are untraced; each stage reports the median, min and max over the
-runs.  The tracemalloc peak of parse_instance (and of the forest on the
-parsed instance) is taken in a separate pass, because tracemalloc slows
-the code it watches.  The file also records the core count and the numpy
-and Python versions, so two files are comparable only when those agree.
+runs.  The tracemalloc peaks of parse_instance, of the forest and of
+minimize_zfree (solve_alloc_peak_mb: forest, check, relaxation and the
+shortest-path loop together) on the parsed instance are taken in a
+separate pass, because tracemalloc slows the code it watches.  The file
+also records the core count and the numpy and Python versions, so two
+files are comparable only when those agree.
 """
 
 from __future__ import annotations
@@ -151,6 +153,7 @@ def bench_shape(r: int, domains, inf_share: float) -> dict:
         "seconds": {stage: _summary(v) for stage, v in stages.items()},
         "parse_peak_mb": _peak_mb(parse_instance, text),
         "forest_peak_mb": _peak_mb(_build_forest, inst),
+        "solve_alloc_peak_mb": _peak_mb(minimize_zfree, inst),
     }
 
 

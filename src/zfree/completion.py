@@ -74,6 +74,20 @@ def _norm_pair(i: int, j: int, n: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+def _rank_arrays(n: int, store: dict):
+    """(ranks, pool) of a {(i, j): ExtValue} store, i < j: the symmetric
+    n x n int32 rank matrix, 0 for a pair not in store, and the ascending
+    pool of the stored values."""
+    pool, rank_of = _ranked(v.raw for v in store.values())
+    ranks = np.zeros((n, n), dtype=np.int32)
+    if store:
+        rows, cols = np.array(list(store), dtype=np.intp).T
+        vals = np.array([rank_of[v.raw] for v in store.values()], dtype=np.int32)
+        ranks[rows, cols] = vals
+        ranks[cols, rows] = vals
+    return ranks, pool
+
+
 class _RankMatrix:
     """A symmetric matrix over vertices 0..n-1 stored as two arrays: ranks,
     the read-only n x n int32 matrix giving each defined pair the rank of
@@ -95,17 +109,6 @@ class _RankMatrix:
         matrix = object.__new__(cls)
         matrix._init(n, ranks, pool)
         return matrix
-
-    def _fill(self, n: int, store: dict) -> None:
-        """Build the arrays from a {(i, j): ExtValue} store, i < j."""
-        pool, rank_of = _ranked(v.raw for v in store.values())
-        ranks = np.zeros((n, n), dtype=np.int32)
-        if store:
-            rows, cols = np.array(list(store), dtype=np.intp).T
-            vals = np.array([rank_of[v.raw] for v in store.values()], dtype=np.int32)
-            ranks[rows, cols] = vals
-            ranks[cols, rows] = vals
-        self._init(n, ranks, pool)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -156,7 +159,7 @@ class PartialMatrix(_RankMatrix):
             if key in store:
                 raise ValueError(f"duplicate entry for pair {key}")
             store[key] = ExtValue.of(v)
-        self._fill(n, store)
+        self._init(n, *_rank_arrays(n, store))
 
     def defined(self, i: int, j: int) -> bool:
         return self.ranks.item(*_norm_pair(i, j, self.n)) > 0
@@ -182,7 +185,7 @@ class CompletedMatrix(_RankMatrix):
             store[_norm_pair(i, j, n)] = ExtValue.of(v)
         if len(store) != n * (n - 1) // 2:
             raise ValueError(f"expected {n * (n - 1) // 2} entries, got {len(store)}")
-        self._fill(n, store)
+        self._init(n, *_rank_arrays(n, store))
 
     def __eq__(self, other):
         if not isinstance(other, CompletedMatrix):

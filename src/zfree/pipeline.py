@@ -18,10 +18,10 @@ two matrices answer both questions the solve asks:
   when its induced partial matrix is completable, which holds exactly when
   no cross pair ranks below its floor value (see check_bottleneck);
 - completion: a within-variable pair gets its floor value.  The
-  relaxation's pair source (quadratic.RankPairs) is the rank matrix with
-  the within-variable blocks taken from floor, over the forest's value
-  pool; it agrees entry for entry with completion.complete on the induced
-  partial matrix, which reads the same kind of forest.
+  relaxation's ranks are floor itself with the cross ranks written over
+  it, over the forest's value pool; they agree entry for entry with
+  completion.complete on the induced partial matrix, which reads the same
+  kind of forest.
 
 build_relaxation also builds the relaxation's integer kernel once: every
 finite unary and pool value times D, the LCM of their denominators (1 for
@@ -52,9 +52,8 @@ from .instance import Instance, one_hot_decode, evaluate_instance
 from .intersection import IterationStats, ssp_intersect
 from .properties import (Violation, _jwp_violation, _zfree_violation, check_jwp,
                          check_mnatural_quadratic, check_zfree)
-from .quadratic import (QuadFn, RankPairs, eval_quad, greedy_min_layer,
-                        induced_partial_matrix)
-from .values import INF, ZERO, ExtValue, format_value
+from .quadratic import QuadFn, eval_quad, greedy_min_layer, induced_partial_matrix
+from .values import INF, ExtValue, format_value
 
 __all__ = [
     "SolveStatus",
@@ -173,27 +172,24 @@ def build_relaxation(inst: Instance, forest: _Forest | None = None) -> QuadFn:
     Requires a valid instance (join condition plus the subtable condition);
     on anything else the output is meaningless and may trip downstream
     invariant checks.  forest is the instance's shared spanning forest,
-    built here when not given; it is not modified.
+    built here when not given.  The call takes ownership of forest.floor:
+    the forest's cross ranks are written into it, over the within-variable
+    tree-path minima it already holds, and that read-only matrix is the
+    relaxation's ranks over the forest's pool; the only n x n allocation
+    is the bool mask of the cross pairs.  A single variable has no cross pairs and no forest: its
+    relaxation is inst.ranks (all 0, zero coefficients) over inst.pool.
 
-    The pairs are a RankPairs over a new rank matrix (4 n^2 bytes): the
-    forest's cross ranks, with the within-variable blocks read from its
-    floor of tree-path minima.  The integer kernel (each finite value
-    scaled by the LCM D of the denominators) is built here, once.
+    The integer kernel (each finite value scaled by the LCM D of the
+    denominators) is built here, once.
     """
-    lay = inst.layout
-    n = lay.n
-    linear = [inst.unary[i][a] for i, a in lay.pairs()]
-
+    linear = [inst.unary[i][a] for i, a in inst.layout.pairs()]
     if inst.r == 1:
-        ranks = np.ones((n, n), dtype=np.int32)
-        np.fill_diagonal(ranks, 0)
-        pairs = RankPairs(ranks, [ZERO])
+        f = QuadFn(linear, inst.ranks, inst.pool)
     else:
         if forest is None:
             forest = _build_forest(inst)
-        ranks = forest.ranks
-        pairs = RankPairs(np.where(ranks > 0, ranks, forest.floor), forest.pool)
-    f = QuadFn(linear, pairs)
+        np.copyto(forest.floor, forest.ranks, where=forest.ranks > 0)
+        f = QuadFn(linear, forest.floor, forest.pool)
     f.kernel()   # scale once, here
     return f
 

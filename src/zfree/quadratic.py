@@ -1,16 +1,20 @@
 """Quadratic set functions over flat one-hot positions.
 
 A QuadFn is f(x) = sum_u linear[u] x_u + sum_{u<w} pair(u, w) x_u x_w for
-x in {0,1}^n, with each unordered pair counted once.  The solver works with
-the relaxation of an instance: linear part from the unary costs, pair part
-from the completed coefficient matrix (cross-variable pairs keep the binary
-costs, within-variable pairs come from completion).
+x in {0,1}^n, with each unordered pair counted once.  Its pair coefficients
+are two arrays, as everywhere else in the package: ranks, the read-only
+symmetric n x n int32 matrix, and pool, the ascending tuple of distinct
+ExtValues.  Rank k >= 1 stands for pool[k - 1]; rank 0 is a zero
+coefficient (the diagonal, a pair from_coeffs is not given, every pair of
+a single-variable relaxation).  The solver works with the relaxation of
+an instance: linear part from the unary costs, pair part from the
+completed coefficient matrix (cross-variable pairs keep the binary costs,
+within-variable pairs come from completion).
 
 The solver does not compute with the ExtValue coefficients.  QuadFn.kernel()
-scales f once into exact integers: every finite linear and pair value times
-D, the LCM of their denominators (1 for all-integer input), pair values as
-an n x n int32 rank matrix into a pool of scaled values, and infinity as the
-pool's top rank, read as a boolean mask.  greedy_min_layer and the
+scales f once into exact integers: every finite linear and pool value times
+D, the LCM of their denominators (1 for all-integer input), with infinity
+as the pool's top rank, read as a boolean mask.  greedy_min_layer and the
 shortest-path loop in intersection run on that kernel; ExtValue stays at
 the API (pair, eval_quad, the property checks).
 
@@ -26,14 +30,13 @@ import math
 
 import numpy as np
 
-from .completion import CompletedMatrix, PartialMatrix
+from .completion import CompletedMatrix, PartialMatrix, _rank_arrays
 from .errors import InvariantError
 from .instance import Instance
 from .properties import check_mnatural_quadratic
-from .values import INF, ZERO, ExtValue, _ranked
+from .values import INF, ZERO, ExtValue
 
 __all__ = [
-    "RankPairs",
     "QuadFn",
     "eval_quad",
     "induced_partial_matrix",
@@ -44,78 +47,28 @@ __all__ = [
 _GREEDY_CHECK_LIMIT = 48  # the precondition check is cubic; keep it cheap
 
 
-class _DictPairs:
-    """Pair coefficients from a mapping; absent pairs are zero."""
-
-    __slots__ = ("n", "_entries")
-
-    def __init__(self, n: int, entries):
-        self.n = n
-        store = {}
-        items = entries.items() if hasattr(entries, "items") else entries
-        for (u, w), v in items:
-            if u == w or not (0 <= u < n and 0 <= w < n):
-                raise ValueError(f"bad pair ({u},{w})")
-            store[(u, w) if u < w else (w, u)] = ExtValue.of(v)
-        self._entries = store
-
-    def value(self, u: int, w: int) -> ExtValue:
-        return self._entries.get((u, w) if u < w else (w, u), ZERO)
-
-
-class RankPairs:
-    """Pair coefficients read off a symmetric n x n int32 rank matrix:
-    rank k >= 1 stands for pool[k - 1], pool ascending.  The diagonal is 0
-    and never read as a pair."""
-
-    __slots__ = ("n", "ranks", "pool", "_by_rank")
-
-    def __init__(self, ranks, pool):
-        self.n = len(ranks)
-        self.ranks = ranks
-        self.pool = pool
-        self._by_rank = [ZERO, *pool]
-
-    def value(self, u: int, w: int) -> ExtValue:
-        return self._by_rank[self.ranks[u, w]]
-
-    @classmethod
-    def of(cls, pairs) -> "RankPairs":
-        """The rank matrix of any pair source, read pair by pair."""
-        if isinstance(pairs, cls):
-            return pairs
-        n = pairs.n
-        raws = [pairs.value(u, w).raw for u in range(n) for w in range(u + 1, n)]
-        pool, rank_of = _ranked(raws)
-        ranks = np.zeros((n, n), dtype=np.int32)
-        upper = np.triu_indices(n, 1)
-        ranks[upper] = [rank_of[v] for v in raws]
-        return cls(ranks + ranks.T, pool)
-
-
 class _Kernel:
     """A QuadFn in exact scaled integers; see the module docstring.
 
-    ranks is the pair rank matrix and inf_rank the rank of infinity
+    ranks is f's rank matrix and inf_rank the rank of infinity
     (len(pool) + 1, which never occurs, when no pair is infinite).
     arrays() gives the scaled linear values, 0 where linear_inf marks an
-    infinite one, and the scaled value of each rank, 0 for the diagonal's
-    rank 0 and for inf_rank.
+    infinite one, and the scaled value of each rank, 0 for rank 0 and for
+    inf_rank.
     """
 
     __slots__ = ("scale", "ranks", "inf_rank", "linear_inf", "_linear",
                  "_by_rank", "_max_abs", "_arrays")
 
-    def __init__(self, linear, pairs: RankPairs):
-        finite = [v for v in (*linear, *pairs.pool) if v.is_finite]
+    def __init__(self, linear, ranks, pool):
+        finite = [v for v in (*linear, *pool) if v.is_finite]
         scale = math.lcm(*(v.denominator for v in finite))
 
         def scaled(v):
             return v.numerator * (scale // v.denominator) if v.is_finite else 0
 
         self.scale = scale
-        self.ranks = pairs.ranks
-        pool = pairs.pool
+        self.ranks = ranks
         has_inf = bool(pool) and not pool[-1].is_finite
         self.inf_rank = len(pool) if has_inf else len(pool) + 1
         self.linear_inf = np.array([not v.is_finite for v in linear], dtype=bool)
@@ -137,46 +90,61 @@ class _Kernel:
 
 
 class QuadFn:
-    """Linear coefficients plus a source of symmetric pair coefficients.
+    """Linear coefficients plus pair coefficients as (ranks, pool).
 
-    pairs can be a CompletedMatrix, a RankPairs, or any object with n and
-    value(u, w).  The linear part is expected finite for solving; sign and
-    finiteness are deliberately not enforced here, the property checks own
-    that.
+    ranks is a symmetric n x n int32 matrix of ranks into pool, an ascending
+    sequence of ExtValues; rank 0 is a zero coefficient.  ranks is kept, not
+    copied, and made read-only.  The linear part is expected finite for
+    solving; sign and finiteness are deliberately not enforced here, the
+    property checks own that.
     """
 
-    __slots__ = ("n", "linear", "pairs", "_kernel")
+    __slots__ = ("n", "linear", "ranks", "pool", "_kernel")
 
-    def __init__(self, linear, pairs):
+    def __init__(self, linear, ranks, pool):
         self.linear = tuple(ExtValue.of(v) for v in linear)
         self.n = len(self.linear)
-        if pairs.n != self.n:
-            raise ValueError(f"pair source covers {pairs.n} positions, linear has {self.n}")
-        self.pairs = pairs
+        if ranks.shape != (self.n, self.n):
+            raise ValueError(f"rank matrix is {ranks.shape}, linear has {self.n}")
+        ranks.flags.writeable = False
+        self.ranks = ranks
+        self.pool = tuple(pool)
         self._kernel = None
 
     def kernel(self) -> _Kernel:
         """f scaled to exact integers, built on the first call."""
         if self._kernel is None:
-            self._kernel = _Kernel(self.linear, RankPairs.of(self.pairs))
+            self._kernel = _Kernel(self.linear, self.ranks, self.pool)
         return self._kernel
 
     @classmethod
     def from_coeffs(cls, linear, pair_entries) -> "QuadFn":
-        """Build from explicit coefficients; unlisted pairs are zero."""
+        """Build from explicit coefficients: pair_entries maps (u, w), in
+        either orientation, to a value, a later key overriding an earlier
+        one for the same pair; unlisted pairs are zero."""
         linear = tuple(ExtValue.of(v) for v in linear)
-        return cls(linear, _DictPairs(len(linear), pair_entries))
+        n = len(linear)
+        store = {}
+        items = pair_entries.items() if hasattr(pair_entries, "items") else pair_entries
+        for (u, w), v in items:
+            if u == w or not (0 <= u < n and 0 <= w < n):
+                raise ValueError(f"bad pair ({u},{w})")
+            store[(u, w) if u < w else (w, u)] = ExtValue.of(v)
+        return cls(linear, *_rank_arrays(n, store))
 
     def pair(self, u: int, w: int) -> ExtValue:
         """Coefficient of the unordered pair {u, w}, u != w."""
-        return self.pairs.value(u, w)
+        k = self.ranks.item(u, w)
+        return self.pool[k - 1] if k else ZERO
 
     def __repr__(self):
         return f"QuadFn(n={self.n})"
 
 
 def eval_quad(f: QuadFn, mask: int) -> ExtValue:
-    """f at the 0/1 point given as a bitmask."""
+    """f at the 0/1 point given as a bitmask: the exact sum of its linear
+    terms and of each pool value times the number of support pairs of its
+    rank."""
     if mask < 0 or mask >> f.n:
         raise ValueError("mask has bits outside the flat range")
     supp = []
@@ -190,9 +158,12 @@ def eval_quad(f: QuadFn, mask: int) -> ExtValue:
         total += f.linear[u].raw
     if total == math.inf:
         return INF
-    for idx, u in enumerate(supp):
-        for w in supp[idx + 1:]:
-            total += f.pairs.value(u, w).raw
+    # The submatrix holds each pair twice and rank 0 on its diagonal.  Top
+    # rank first: an infinite pair ends the sum at once.
+    ranks, counts = np.unique(f.ranks[np.ix_(supp, supp)], return_counts=True)
+    for k, count in zip(ranks[::-1].tolist(), counts[::-1].tolist()):
+        if k:
+            total += count // 2 * f.pool[k - 1].raw
             if total == math.inf:
                 return INF
     return ExtValue.of(total)
@@ -208,27 +179,29 @@ def induced_partial_matrix(inst: Instance) -> PartialMatrix:
 
 def onehot_relaxation(inst: Instance, matrix: CompletedMatrix) -> QuadFn:
     """The quadratic relaxation of an instance given a completed coefficient
-    matrix.
+    matrix: the instance's unary costs over matrix.ranks and matrix.pool.
 
     The matrix must agree with the instance on every cross-variable pair
-    (it completes the induced partial matrix); a mismatch raises ValueError.
-    On one-hot points the result evaluates to the instance cost.
+    (it completes the induced partial matrix); the first mismatch in
+    (i < j, a, b) order raises ValueError.  On one-hot points the result
+    evaluates to the instance cost.
     """
     lay = inst.layout
     if matrix.n != lay.n:
         raise ValueError(f"matrix has n={matrix.n}, instance needs n={lay.n}")
-    for i in range(inst.r):
-        for j in range(i + 1, inst.r):
-            t = inst.table(i, j)
-            for a in range(inst.domains[i]):
-                ua = lay.flat(i, a)
-                for b in range(inst.domains[j]):
-                    want = t[a][b] if t is not None else ZERO
-                    if matrix.value(ua, lay.flat(j, b)) != want:
-                        raise ValueError(
-                            f"matrix disagrees with instance at (({i},{a}),({j},{b}))")
+    # The instance rank of each matrix rank, -1 for a value the instance lacks.
+    rank_of = {v: k for k, v in enumerate(inst.pool, 1)}
+    as_inst = np.array([0, *(rank_of.get(v, -1) for v in matrix.pool)], dtype=np.int32)
+    bad = np.triu(as_inst[matrix.ranks] != inst.ranks)
+    bad &= inst.ranks > 0
+    if bad.any():
+        u, w = np.nonzero(bad)
+        var = np.repeat(np.arange(inst.r), inst.domains)
+        first = np.lexsort((w, u, var[w], var[u]))[0]
+        (i, a), (j, b) = lay.pair(int(u[first])), lay.pair(int(w[first]))
+        raise ValueError(f"matrix disagrees with instance at (({i},{a}),({j},{b}))")
     linear = [inst.unary[i][a] for i, a in lay.pairs()]
-    return QuadFn(linear, matrix)
+    return QuadFn(linear, matrix.ranks, matrix.pool)
 
 
 def greedy_min_layer(f: QuadFn, size: int):

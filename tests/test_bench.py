@@ -31,6 +31,7 @@ def test_bench_writes_every_stage(tmp_path, monkeypatch):
         s = stages[stage]
         assert len(s["runs"]) == 2 and s["min"] <= s["median"] <= s["max"]
     assert shape["parse_peak_mb"] > 0
+    assert shape["solve_alloc_peak_mb"] > 0
     assert shape["matrix_json_bytes"] > 0
     for stage in ("json_loads", "parse_partial_matrix", "complete", "dump_matrix",
                   "end_to_end"):
