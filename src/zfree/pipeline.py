@@ -26,8 +26,9 @@ two matrices answer both questions the solve asks:
 build_relaxation also builds the relaxation's integer kernel once: every
 finite unary and pool value times D, the LCM of their denominators (1 for
 all-integer input, 2 for the generator's half-integer unary costs).  The
-greedy layer minimum and the shortest-path loop run on it; ExtValue comes
-back only for the final check and the report.
+greedy layer minimum, the warm start and the shortest-path loop run on it;
+the final check sums raw ints and Fractions, and ExtValue comes back only
+for the report.
 
 This module keeps the mapping of the forest's chordless cycles to JWP and
 ZFREE witnesses, read off the instance's ranks and pool.
@@ -41,6 +42,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -51,7 +53,7 @@ from .completion import _spanning_forest as minimum_spanning_tree
 from .instance import Instance, one_hot_decode, evaluate_instance
 from .intersection import IterationStats, ssp_intersect
 from .properties import (Violation, _jwp_violation, _zfree_violation, check_jwp,
-                         check_mnatural_quadratic, check_zfree)
+                         check_zfree)
 from .quadratic import QuadFn, eval_quad, greedy_min_layer, induced_partial_matrix
 from .values import INF, ExtValue, format_value
 
@@ -182,7 +184,7 @@ def build_relaxation(inst: Instance, forest: _Forest | None = None) -> QuadFn:
     The integer kernel (each finite value scaled by the LCM D of the
     denominators) is built here, once.
     """
-    linear = [inst.unary[i][a] for i, a in inst.layout.pairs()]
+    linear = list(chain.from_iterable(inst.unary))
     if inst.r == 1:
         f = QuadFn(linear, inst.ranks, inst.pool)
     else:
@@ -194,17 +196,19 @@ def build_relaxation(inst: Instance, forest: _Forest | None = None) -> QuadFn:
     return f
 
 
-def _warm_start(inst: Instance) -> int:
-    """One-hot mask picking each variable's cheapest value, ties low."""
-    lay = inst.layout
+def _warm_start(inst: Instance, f: QuadFn | None = None) -> int:
+    """One-hot mask picking each variable's cheapest value, ties low.  The
+    unary raws are compared, or, when f (the relaxation of inst) is given,
+    the scaled integers of its kernel, which order the same way."""
+    if f is None:
+        linear = [v.raw for v in chain.from_iterable(inst.unary)]
+    else:
+        linear = f.kernel()._linear
     mask = 0
     for i in range(inst.r):
-        row = inst.unary[i]
-        best = 0
-        for a in range(1, inst.domains[i]):
-            if row[a] < row[best]:
-                best = a
-        mask |= 1 << lay.flat(i, best)
+        block = inst.layout.block(i)
+        row = linear[block.start:block.stop]
+        mask |= 1 << (block.start + row.index(min(row)))
     return mask
 
 
@@ -246,7 +250,7 @@ def minimize_zfree(inst: Instance, *, check_properties: bool = True,
     if verify_completion is None:
         verify_completion = inst.layout.n <= _VERIFY_LIMIT
     if verify_completion:
-        bad = check_mnatural_quadratic(f)
+        bad = f.mnatural_violation()
         if bad is not None:
             raise InvariantError(f"completion produced a bad relaxation: {bad}")
     timings["complete"] = time.perf_counter() - t0
@@ -259,7 +263,7 @@ def minimize_zfree(inst: Instance, *, check_properties: bool = True,
                            counters=counters)
 
     t0 = time.perf_counter()
-    result = ssp_intersect(f, inst.layout, x0, _warm_start(inst), dump_hook)
+    result = ssp_intersect(f, inst.layout, x0, _warm_start(inst, f), dump_hook)
     timings["ssp"] = time.perf_counter() - t0
     counters.update(result.counters)
     if result.mask is None:

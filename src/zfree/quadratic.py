@@ -12,21 +12,26 @@ completed coefficient matrix (cross-variable pairs keep the binary costs,
 within-variable pairs come from completion).
 
 The solver does not compute with the ExtValue coefficients.  QuadFn.kernel()
-scales f once into exact integers: every finite linear and pool value times
-D, the LCM of their denominators (1 for all-integer input), with infinity
-as the pool's top rank, read as a boolean mask.  greedy_min_layer and the
-shortest-path loop in intersection run on that kernel; ExtValue stays at
-the API (pair, eval_quad, the property checks).
+scales f once into exact integers, reading each value's raw int or
+Fraction: every finite linear and pool value times D, the LCM of their
+denominators (1 for all-integer input), with infinity as the pool's top
+rank, read as a boolean mask.  greedy_min_layer and the shortest-path loop
+in intersection run on that kernel; ExtValue stays at the API (pair,
+eval_quad, the property checks).
 
 greedy_min_layer minimizes such a function over points with exactly `size`
 ones by repeatedly adding the cheapest position.  That is only valid for
 M-natural-convex functions, which is exactly what the completion step
 produces; an InvariantError check guards the precondition on small inputs.
+The check's verdict is kept on the QuadFn (mnatural_violation), so the
+solve's own rescan of the relaxation and greedy's scan are one scan.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -34,7 +39,7 @@ from .completion import CompletedMatrix, PartialMatrix, _rank_arrays
 from .errors import InvariantError
 from .instance import Instance
 from .properties import check_mnatural_quadratic
-from .values import INF, ZERO, ExtValue
+from .values import _INF_RAW, INF, ZERO, ExtValue
 
 __all__ = [
     "QuadFn",
@@ -45,6 +50,15 @@ __all__ = [
 ]
 
 _GREEDY_CHECK_LIMIT = 48  # the precondition check is cubic; keep it cheap
+_UNCHECKED = object()     # QuadFn._verdict before the first scan
+
+
+def _scaled(raws, scale: int) -> list:
+    """Each raw value times scale as an exact int, 0 for infinity; scale
+    must be a multiple of every denominator."""
+    return [v * scale if type(v) is int else
+            0 if v is _INF_RAW else v.numerator * (scale // v.denominator)
+            for v in raws]
 
 
 class _Kernel:
@@ -61,19 +75,19 @@ class _Kernel:
                  "_by_rank", "_max_abs", "_arrays")
 
     def __init__(self, linear, ranks, pool):
-        finite = [v for v in (*linear, *pool) if v.is_finite]
-        scale = math.lcm(*(v.denominator for v in finite))
-
-        def scaled(v):
-            return v.numerator * (scale // v.denominator) if v.is_finite else 0
+        # Read as raw ints, Fractions and the one infinity object.
+        linear = [v.raw for v in linear]
+        pool = [v.raw for v in pool]
+        scale = math.lcm(*[v.denominator for v in chain(linear, pool)
+                           if type(v) is Fraction])
 
         self.scale = scale
         self.ranks = ranks
-        has_inf = bool(pool) and not pool[-1].is_finite
+        has_inf = bool(pool) and pool[-1] is _INF_RAW
         self.inf_rank = len(pool) if has_inf else len(pool) + 1
-        self.linear_inf = np.array([not v.is_finite for v in linear], dtype=bool)
-        self._linear = [scaled(v) for v in linear]
-        self._by_rank = [0, *map(scaled, pool)]
+        self.linear_inf = np.array([v is _INF_RAW for v in linear], dtype=bool)
+        self._linear = _scaled(linear, scale)
+        self._by_rank = [0, *_scaled(pool, scale)]
         self._max_abs = max(map(abs, self._linear + self._by_rank))
         self._arrays = {}
 
@@ -99,10 +113,10 @@ class QuadFn:
     property checks own that.
     """
 
-    __slots__ = ("n", "linear", "ranks", "pool", "_kernel")
+    __slots__ = ("n", "linear", "ranks", "pool", "_kernel", "_verdict")
 
     def __init__(self, linear, ranks, pool):
-        self.linear = tuple(ExtValue.of(v) for v in linear)
+        self.linear = tuple(map(ExtValue.of, linear))
         self.n = len(self.linear)
         if ranks.shape != (self.n, self.n):
             raise ValueError(f"rank matrix is {ranks.shape}, linear has {self.n}")
@@ -110,12 +124,21 @@ class QuadFn:
         self.ranks = ranks
         self.pool = tuple(pool)
         self._kernel = None
+        self._verdict = _UNCHECKED
 
     def kernel(self) -> _Kernel:
         """f scaled to exact integers, built on the first call."""
         if self._kernel is None:
             self._kernel = _Kernel(self.linear, self.ranks, self.pool)
         return self._kernel
+
+    def mnatural_violation(self):
+        """check_mnatural_quadratic(f), scanned on the first call only: the
+        linear part is a tuple and ranks is read-only, so the verdict
+        cannot change."""
+        if self._verdict is _UNCHECKED:
+            self._verdict = check_mnatural_quadratic(self)
+        return self._verdict
 
     @classmethod
     def from_coeffs(cls, linear, pair_entries) -> "QuadFn":
@@ -155,17 +178,19 @@ def eval_quad(f: QuadFn, mask: int) -> ExtValue:
         supp.append(b.bit_length() - 1)
     total = 0
     for u in supp:
-        total += f.linear[u].raw
-    if total == math.inf:
-        return INF
+        raw = f.linear[u].raw
+        if raw is _INF_RAW:
+            return INF
+        total += raw
     # The submatrix holds each pair twice and rank 0 on its diagonal.  Top
     # rank first: an infinite pair ends the sum at once.
     ranks, counts = np.unique(f.ranks[np.ix_(supp, supp)], return_counts=True)
     for k, count in zip(ranks[::-1].tolist(), counts[::-1].tolist()):
         if k:
-            total += count // 2 * f.pool[k - 1].raw
-            if total == math.inf:
+            raw = f.pool[k - 1].raw
+            if raw is _INF_RAW:
                 return INF
+            total += count // 2 * raw
     return ExtValue.of(total)
 
 
@@ -217,12 +242,12 @@ def greedy_min_layer(f: QuadFn, size: int):
     n = f.n
     if not 0 <= size <= n:
         raise ValueError(f"layer size {size} out of range for n={n}")
-    if n <= _GREEDY_CHECK_LIMIT and all(v.is_finite for v in f.linear):
-        bad = check_mnatural_quadratic(f)
+    k = f.kernel()
+    if n <= _GREEDY_CHECK_LIMIT and not k.linear_inf.any():
+        bad = f.mnatural_violation()
         if bad is not None:
             raise InvariantError(f"greedy needs an M-natural-convex function: {bad}")
 
-    k = f.kernel()
     linear, by_rank = k.arrays(size + 1)
     marginal = linear.copy()
     infs = k.linear_inf.astype(np.int64)   # infinite terms per marginal

@@ -3,9 +3,12 @@
 Every cost and weight at the API and file boundary is an ExtValue; inside
 the solver, quadratic.QuadFn.kernel scales them to exact integers.  Finite
 values are exact rationals (stored as int when integral, fractions.Fraction
-otherwise); the single non-finite value is positive infinity.  No finite
-value is ever represented as a float, so equality and comparison are exact
-everywhere.
+otherwise); the single non-finite value is positive infinity, whose raw
+value is always the one object math.inf: every constructor and operation
+normalizes to it, so infinity is tested by identity (raw is math.inf), not
+by a comparison that would send a Fraction through its float equality.  No
+finite value is ever represented as a float, so equality and comparison
+are exact everywhere.
 
 Arithmetic follows the extended conventions:
 
@@ -108,19 +111,19 @@ class ExtValue:
 
     @property
     def is_finite(self) -> bool:
-        return self.raw != _INF_RAW
+        return self.raw is not _INF_RAW
 
     @property
     def numerator(self) -> int:
-        if self.raw == _INF_RAW:
+        if self.raw is _INF_RAW:
             raise ValueError("infinity has no numerator")
-        return self.raw if isinstance(self.raw, int) else self.raw.numerator
+        return self.raw.numerator
 
     @property
     def denominator(self) -> int:
-        if self.raw == _INF_RAW:
+        if self.raw is _INF_RAW:
             raise ValueError("infinity has no denominator")
-        return 1 if isinstance(self.raw, int) else self.raw.denominator
+        return self.raw.denominator
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtValue is immutable")
@@ -129,7 +132,7 @@ class ExtValue:
         if not isinstance(other, ExtValue):
             return NotImplemented
         a, b = self.raw, other.raw
-        if a == _INF_RAW or b == _INF_RAW:
+        if a is _INF_RAW or b is _INF_RAW:
             return INF
         return ExtValue._wrap(_normalize(a + b))
 
@@ -137,9 +140,9 @@ class ExtValue:
         if not isinstance(other, ExtValue):
             return NotImplemented
         a, b = self.raw, other.raw
-        if b == _INF_RAW:
+        if b is _INF_RAW:
             raise ValueError("cannot subtract infinity")
-        if a == _INF_RAW:
+        if a is _INF_RAW:
             return INF
         return ExtValue._wrap(_normalize(a - b))
 
@@ -148,7 +151,7 @@ class ExtValue:
             return NotImplemented
         if k < 0:
             raise ValueError("multiplier must be a nonnegative integer")
-        if self.raw == _INF_RAW:
+        if self.raw is _INF_RAW:
             return ZERO if k == 0 else INF
         return ExtValue._wrap(_normalize(self.raw * k))
 
@@ -192,7 +195,7 @@ class ExtValue:
 
     def __str__(self):
         raw = self.raw
-        if raw == _INF_RAW:
+        if raw is _INF_RAW:
             return "inf"
         if isinstance(raw, int):
             return str(raw)
@@ -257,9 +260,9 @@ def _decode_value(obj) -> ExtValue:
             raw = _parse_raw(obj)
         except ZeroDivisionError as exc:
             raise ValueError(str(exc)) from None
-        if raw != _INF_RAW and raw < 0:
+        if raw is not _INF_RAW and raw < 0:
             raise ValueError(f"negative value {obj!r}")
-        return ExtValue.of(raw) if raw != _INF_RAW else INF
+        return ExtValue.of(raw) if raw is not _INF_RAW else INF
     raise ValueError(f"expected int, 'p/q', or 'inf', got {type(obj).__name__}")
 
 
@@ -274,7 +277,7 @@ def _ranked(raws):
 def format_value(v: ExtValue):
     """Encode an ExtValue as its JSON form: int, "p/q", or "inf"."""
     raw = v.raw
-    if raw == _INF_RAW:
+    if raw is _INF_RAW:
         return "inf"
     if isinstance(raw, int):
         return raw

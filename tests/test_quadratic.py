@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
-from zfree import (Instance, QuadFn, complete, eval_quad, greedy_min_layer,
-                   induced_partial_matrix, laminar_pair_values,
-                   onehot_relaxation)
+from zfree import (GenConfig, Instance, QuadFn, SolveStatus, complete, eval_quad,
+                   generate_instance, greedy_min_layer, induced_partial_matrix,
+                   laminar_pair_values, minimize_zfree, onehot_relaxation, pipeline,
+                   quadratic)
+from zfree.errors import InvariantError
 from zfree.values import INF
 
 
@@ -71,6 +73,54 @@ class TestGreedy:
         res = subprocess.run([sys.executable, "-O", "-c", code],
                              capture_output=True, text=True)
         assert res.stdout == "InvariantError\n", res.stderr
+
+
+class TestVerdictMemo:
+    """QuadFn.mnatural_violation scans a function once: minimize_zfree and
+    greedy_min_layer both ask on small inputs, and each asks only once."""
+
+    @staticmethod
+    def _count_scans(monkeypatch):
+        calls = []
+        scan = quadratic.check_mnatural_quadratic
+
+        def counted(f):
+            calls.append(f)
+            return scan(f)
+
+        monkeypatch.setattr(quadratic, "check_mnatural_quadratic", counted)
+        return calls
+
+    def test_a_small_solve_scans_its_relaxation_once(self, monkeypatch):
+        calls = self._count_scans(monkeypatch)
+        inst = generate_instance(GenConfig(r=12, domains=(4,) * 12, seed=7))
+        assert inst.n == quadratic._GREEDY_CHECK_LIMIT
+        report = minimize_zfree(inst)
+        assert report.status is SolveStatus.OPTIMAL
+        assert len(calls) == 1
+        assert minimize_zfree(inst).value == report.value
+        assert len(calls) == 2        # a new relaxation is scanned anew
+
+    def test_greedy_keeps_its_error_and_scans_once(self, monkeypatch):
+        calls = self._count_scans(monkeypatch)
+        f = QuadFn.from_coeffs([0, 0, 0], {(0, 1): 1, (0, 2): 2, (1, 2): 2})
+        for _ in range(2):
+            with pytest.raises(InvariantError) as exc:
+                greedy_min_layer(f, 2)
+            assert str(exc.value) == (
+                "greedy needs an M-natural-convex function: pair coefficients "
+                "on (1,2,3) are 1, 2, 2: unique minimum breaks M-natural-convexity")
+        assert len(calls) == 1
+
+    def test_the_solve_keeps_its_error(self, monkeypatch):
+        bad = QuadFn.from_coeffs([0, 0, 0, 0], {(0, 1): 1, (0, 2): 2, (1, 2): 2})
+        monkeypatch.setattr(pipeline, "build_relaxation", lambda inst, forest: bad)
+        inst = Instance((2, 2), [[0, 1], [0, 2]], {(0, 1): [[5, 0], [0, 0]]})
+        with pytest.raises(InvariantError) as exc:
+            minimize_zfree(inst)
+        assert str(exc.value) == (
+            "completion produced a bad relaxation: pair coefficients on (1,2,3) "
+            "are 1, 2, 2: unique minimum breaks M-natural-convexity")
 
 
 def exhaustive_layer_min(f, size):

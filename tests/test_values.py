@@ -100,3 +100,42 @@ def test_parse_value_rejections():
     for bad in (1.5, -1, "-1", True, "3/0", "abc", "1/2/3", None, [1]):
         with pytest.raises(ValueError):
             parse_value(bad, where="cell")
+
+
+def test_every_infinity_is_the_one_math_inf_object():
+    # ExtValue tests infinity by identity, so no constructor or operation
+    # may hand back a different float object.
+    made = [
+        ExtValue(float("inf")),
+        ExtValue.of(1e309),
+        ExtValue.of(float("inf")),
+        ExtValue("inf"),
+        ExtValue(" inf "),
+        ExtValue(INF),
+        parse_value("inf"),
+        INF + ExtValue(3),
+        ExtValue("1/2") + INF,
+        INF - ExtValue(2),
+        INF * 3,
+    ]
+    for v in made:
+        assert v.raw is math.inf
+        assert not v.is_finite
+        assert v == INF
+    assert (INF * 0) is ZERO and (INF * 0).raw == 0
+
+
+def test_is_finite_numerator_and_denominator():
+    assert ExtValue(7).is_finite
+    assert (ExtValue(7).numerator, ExtValue(7).denominator) == (7, 1)
+    assert (ExtValue(0).numerator, ExtValue(0).denominator) == (0, 1)
+    half = ExtValue("3/4")
+    assert half.is_finite
+    assert (half.numerator, half.denominator) == (3, 4)
+    assert (ExtValue(-6, 4).numerator, ExtValue(-6, 4).denominator) == (-3, 2)
+    assert ExtValue(10**30 + 1).numerator == 10**30 + 1
+    for attr in ("numerator", "denominator"):
+        with pytest.raises(ValueError):
+            getattr(INF, attr)
+        with pytest.raises(ValueError):
+            getattr(ExtValue(float("inf")), attr)
