@@ -24,15 +24,12 @@ creates no per-cell objects.  table() and binary_pairs() build ExtValue
 tables from the two on first use and cache them, for the exhaustive
 oracles, the JSON writer and other callers.
 
-parse_instance fills ranks and pool straight from the decoded JSON.  A
-table goes to numpy as it is: when numpy infers an int64 array of the
-table's shape, that array is ranked; any other table has each distinct cell
-decoded once.  numpy would infer int64 for bools too, so each cell's type is
-checked as well, unless the text holds neither `true` nor `false`, which
-json.loads needs to make one.  The unary rows are decoded together, each
-distinct cell once.  Rows or a table with any defect are read again row by
-row and cell by cell, which raises the ParseError for the first defect, so
-the messages do not depend on the fast paths.
+parse_instance fills ranks and pool straight from the decoded JSON: an
+all-int table becomes one int64 array after an exact type check, any other
+table has each distinct cell decoded once, and the unary rows are decoded
+together, each distinct cell once.  Rows or a table with any defect are
+read again row by row and cell by cell, which raises the ParseError for the
+first defect, so the messages do not depend on the fast paths.
 
 MAX_RANK_BYTES caps the 4 n^2 bytes of ranks.  A larger instance is refused
 before anything is allocated: parse_instance raises ParseError as soon as
@@ -44,6 +41,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from itertools import chain
+from operator import countOf
 
 import numpy as np
 
@@ -112,26 +110,18 @@ def _check_size(n: int, what: str = "one-hot positions") -> None:
                          f"matrix, more than the {MAX_RANK_BYTES}-byte limit")
 
 
-def _int_table(table, di: int, dj: int, exact: bool = True):
-    """table as a (di, dj) int64 array when every cell is an int that fits
-    in int64; None otherwise.
-
-    numpy's own inference decides: a float cell makes the array float64, an
-    int past int64 float64, uint64 or object, a string <U, None or a dict
-    object, and a list cell a third dimension or a ValueError.  Only a bool
-    (and a numpy integer) would pass as int64, so when exact is true every
-    cell's type is checked once; parse_instance turns that off for a text
-    that holds neither `true` nor `false`, since json.loads makes neither
-    from anything else."""
+def _int_array(table, cols: int):
+    """table as an int64 array when every cell is exactly an int (a bool is
+    not) that fits in int64; None otherwise.  Its rows must already have
+    cols cells each.  The type check comes first because numpy would turn
+    True into 1 and 1.5 into 1."""
+    flat = list(chain.from_iterable(table))
+    if countOf(map(type, flat), int) != len(flat):
+        return None
     try:
-        ints = np.array(table)
-    except ValueError:
+        return np.fromiter(flat, dtype=np.int64, count=len(flat)).reshape(-1, cols)
+    except OverflowError:   # past int64: ranked from the Python ints
         return None
-    if ints.dtype != np.int64 or ints.shape != (di, dj):
-        return None
-    if exact and set(map(type, chain.from_iterable(table))) != {int}:
-        return None
-    return ints
 
 
 # Int tables whose values all lie below this are ranked through one lookup
@@ -280,7 +270,7 @@ class Instance:
             pairs.add((i, j))
             if len(table) != domains[i] or any(len(row) != domains[j] for row in table):
                 raise ValueError(f"binary table ({i},{j}) is not {domains[i]}x{domains[j]}")
-            ints = _int_table(table, domains[i], domains[j])
+            ints = _int_array(table, domains[j])
             if ints is None:
                 raws = [ExtValue.of(v).raw for row in table for v in row]
                 low = min(raws)
@@ -455,15 +445,14 @@ def _read_unary(rows, domains):
     return [tuple(map(decoded.__getitem__, row)) for row in rows]
 
 
-def _read_table(builder, i, j, table, di, dj, exact) -> bool:
+def _read_table(builder, i, j, table, di, dj) -> bool:
     """Add a well-formed table to builder; False, with nothing added, when
-    the table has any defect.  Int tables are read as one int64 array (see
-    _int_table for exact); any other table decodes each distinct cell
-    once."""
+    the table has any defect.  Int tables are read as one int64 array;
+    any other table decodes each distinct cell once."""
     if (not isinstance(table, list) or len(table) != di
             or set(map(type, table)) != {list} or set(map(len, table)) != {dj}):
         return False
-    ints = _int_table(table, di, dj, exact)
+    ints = _int_array(table, dj)
     if ints is not None:
         if ints.min() < 0:
             return False
@@ -487,14 +476,7 @@ def instance_from_dict(doc) -> Instance:
     straight into the instance's rank matrix (see _read_unary and
     _read_table).  Rows or a table with a defect are read again row by row
     and cell by cell, which raises the ParseError for the first defect in
-    document order.  Every int table cell has its type checked, since a
-    bool or a numpy integer would pass numpy's int64 inference."""
-    return _from_doc(doc, exact=True)
-
-
-def _from_doc(doc, exact: bool) -> Instance:
-    """instance_from_dict; exact=False skips the type check of int table
-    cells, for a document known to hold no bool (see _int_table)."""
+    document order."""
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     unknown = set(doc) - {"r", "domains", "unary", "binary"}
@@ -555,7 +537,7 @@ def _from_doc(doc, exact: bool) -> Instance:
         if (i - 1, j - 1) in pairs:
             raise ParseError(f"binary[{k}]: duplicate pair ({i},{j})")
         di, dj = domains[i - 1], domains[j - 1]
-        if not _read_table(builder, i - 1, j - 1, table, di, dj, exact):
+        if not _read_table(builder, i - 1, j - 1, table, di, dj):
             if not isinstance(table, list) or len(table) != di:
                 raise ParseError(f"binary[{k}]: table must have {di} rows")
             cells = []
@@ -579,10 +561,7 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
-    # json.loads makes a bool only from the words true and false.  Bytes,
-    # which it decodes itself (UTF-8, -16 or -32), keep the exact check.
-    exact = not isinstance(text, str) or "true" in text or "false" in text
-    return _from_doc(doc, exact=exact)
+    return instance_from_dict(doc)
 
 
 def instance_to_dict(inst: Instance) -> dict:

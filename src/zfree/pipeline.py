@@ -26,9 +26,9 @@ two matrices answer both questions the solve asks:
 build_relaxation also builds the relaxation's integer kernel once: every
 finite unary and pool value times D, the LCM of their denominators (1 for
 all-integer input, 2 for the generator's half-integer unary costs).  The
-greedy layer minimum, the warm start and the shortest-path loop run on it;
-the final check sums raw ints and Fractions, and ExtValue comes back only
-for the report.
+greedy layer minimum and the shortest-path loop run on it; the warm start
+and the final check read raw ints and Fractions, and ExtValue comes back
+only for the report.
 
 This module keeps the mapping of the forest's chordless cycles to JWP and
 ZFREE witnesses, read off the instance's ranks and pool.
@@ -196,14 +196,9 @@ def build_relaxation(inst: Instance, forest: _Forest | None = None) -> QuadFn:
     return f
 
 
-def _warm_start(inst: Instance, f: QuadFn | None = None) -> int:
-    """One-hot mask picking each variable's cheapest value, ties low.  The
-    unary raws are compared, or, when f (the relaxation of inst) is given,
-    the scaled integers of its kernel, which order the same way."""
-    if f is None:
-        linear = [v.raw for v in chain.from_iterable(inst.unary)]
-    else:
-        linear = f.kernel()._linear
+def _warm_start(inst: Instance) -> int:
+    """One-hot mask picking each variable's cheapest value, ties low."""
+    linear = [v.raw for v in chain.from_iterable(inst.unary)]
     mask = 0
     for i in range(inst.r):
         block = inst.layout.block(i)
@@ -263,7 +258,7 @@ def minimize_zfree(inst: Instance, *, check_properties: bool = True,
                            counters=counters)
 
     t0 = time.perf_counter()
-    result = ssp_intersect(f, inst.layout, x0, _warm_start(inst, f), dump_hook)
+    result = ssp_intersect(f, inst.layout, x0, _warm_start(inst), dump_hook)
     timings["ssp"] = time.perf_counter() - t0
     counters.update(result.counters)
     if result.mask is None:

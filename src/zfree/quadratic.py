@@ -30,7 +30,6 @@ solve's own rescan of the relaxation and greedy's scan are one scan.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -79,7 +78,7 @@ class _Kernel:
         linear = [v.raw for v in linear]
         pool = [v.raw for v in pool]
         scale = math.lcm(*[v.denominator for v in chain(linear, pool)
-                           if type(v) is Fraction])
+                           if v is not _INF_RAW])
 
         self.scale = scale
         self.ranks = ranks

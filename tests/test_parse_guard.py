@@ -1,17 +1,18 @@
 """The int64 fast path of parse_instance and what it must decline.
 
-A table takes numpy's int64 inference only when its text holds no `true`
-or `false`; every other cell kind (floats, ints past int64, strings, null,
-lists, objects) makes numpy infer another dtype or shape, and the table is
-read cell by cell as before.  Each document below changes one cell of an
-all-int instance; the expected exit codes and stderr lines are the ones
-the cell-by-cell parser printed before the fast path existed, and the text
-passed as UTF-16 bytes (which keep the type check) must raise the same
-errors.  Documents that parse are compared with the Instance constructor."""
+A table takes numpy's int64 inference only when every cell is exactly an
+int; every other cell kind (bools, floats, ints past int64, strings, null,
+lists, objects) sends the table down the cell-by-cell path as before.  Each
+document below changes one cell of an all-int instance; the expected exit
+codes and stderr lines are the ones the cell-by-cell parser printed before
+the fast path existed, and the same errors must come from
+instance_from_dict and from the text passed as UTF-16 bytes.  Documents
+that parse are compared with the Instance constructor."""
 
 import contextlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,8 +117,7 @@ def test_a_parsed_document_matches_the_constructor(tmp_path, label, text, cell):
     (np.int64(1), f"{_KIND}int64"),
 ])
 def test_the_api_checks_every_int_cell_type(cell, message):
-    # numpy infers int64 for both cells, so instance_from_dict must not
-    # trust the dtype the way parse_instance may for JSON text.
+    # numpy infers int64 for both cells, so the dtype alone is not trusted.
     doc = json.loads(json.dumps(BASE))
     doc["binary"][1]["table"][1][1] = cell
     with pytest.raises(ParseError, match=r"^binary\[1\]\.table\[2\]\[2\]: ") as exc:
@@ -128,3 +128,24 @@ def test_the_api_checks_every_int_cell_type(cell, message):
     with pytest.raises(ParseError, match=r"^unary\[3\]\[1\]: ") as exc:
         instance_from_dict(doc)
     assert str(exc.value).endswith(message)
+
+
+def test_a_long_string_cell_is_not_widened_across_its_table():
+    # One space-padded "inf" of 4000 characters in a 60 x 60 table of ints.
+    # Had the table gone to numpy before its cell types were read, numpy
+    # would have stored every cell as 4000-character text: 57 MB.
+    table = [[1] * 60 for _ in range(60)]
+    table[59][59] = " " * 3997 + "inf"
+    doc = {"r": 2, "domains": [60, 60], "unary": [[0] * 60, [0] * 60],
+           "binary": [{"i": 1, "j": 2, "table": table}]}
+    text = json.dumps(doc)
+    tracemalloc.start()
+    try:
+        inst = parse_instance(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert [format(v) for v in inst.pool] == ["1", "inf"]
+    built = Instance([60, 60], doc["unary"], {(0, 1): table})
+    assert np.array_equal(inst.ranks, built.ranks) and inst.pool == built.pool

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,7 @@ from zfree import (GenConfig, Instance, QuadFn, SolveStatus, complete, eval_quad
                    laminar_pair_values, minimize_zfree, onehot_relaxation, pipeline,
                    quadratic)
 from zfree.errors import InvariantError
-from zfree.values import INF
+from zfree.values import INF, ExtValue
 
 
 class TestEval:
@@ -133,6 +134,24 @@ def exhaustive_layer_min(f, size):
         if best is None or v < best:
             best = v
     return best
+
+
+def test_the_kernel_scales_a_fraction_subclass_exactly():
+    # ExtValue keeps a Fraction subclass as its raw value; its denominator
+    # must still count towards the kernel's scale.
+    class Third(Fraction):
+        pass
+
+    third = ExtValue(Third(1, 3))
+    assert type(third.raw) is Third
+    f = QuadFn.from_coeffs([third, 1, ExtValue(Third(2, 3))],
+                           {(0, 1): third, (0, 2): third, (1, 2): 1})
+    k = f.kernel()
+    assert k.scale == 3
+    assert k._linear == [1, 3, 2]
+    assert k._by_rank == [0, *(3 * v.raw for v in f.pool)]
+    for size in range(f.n + 1):
+        assert eval_quad(f, greedy_min_layer(f, size)) == exhaustive_layer_min(f, size)
 
 
 def test_greedy_matches_exhaustive_on_random_valid_quadratics():
