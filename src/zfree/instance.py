@@ -110,16 +110,16 @@ def _check_size(n: int, what: str = "one-hot positions") -> None:
                          f"matrix, more than the {MAX_RANK_BYTES}-byte limit")
 
 
-def _int_array(table, cols: int):
-    """table as an int64 array when every cell is exactly an int (a bool is
-    not) that fits in int64; None otherwise.  Its rows must already have
-    cols cells each.  The type check comes first because numpy would turn
-    True into 1 and 1.5 into 1."""
-    flat = list(chain.from_iterable(table))
-    if countOf(map(type, flat), int) != len(flat):
+def _int_array(table, rows: int, cols: int):
+    """table, rows lists of cols cells each, as an int64 array when every
+    cell is exactly an int (a bool is not) that fits in int64; None
+    otherwise.  The type check comes first because numpy would turn True
+    into 1 and 1.5 into 1.  Both passes read the rows in place."""
+    cells = rows * cols
+    if countOf(map(type, chain.from_iterable(table)), int) != cells:
         return None
     try:
-        return np.fromiter(flat, dtype=np.int64, count=len(flat)).reshape(-1, cols)
+        return np.fromiter(chain.from_iterable(table), np.int64, cells).reshape(rows, cols)
     except OverflowError:   # past int64: ranked from the Python ints
         return None
 
@@ -270,7 +270,7 @@ class Instance:
             pairs.add((i, j))
             if len(table) != domains[i] or any(len(row) != domains[j] for row in table):
                 raise ValueError(f"binary table ({i},{j}) is not {domains[i]}x{domains[j]}")
-            ints = _int_array(table, domains[j])
+            ints = _int_array(table, domains[i], domains[j])
             if ints is None:
                 raws = [ExtValue.of(v).raw for row in table for v in row]
                 low = min(raws)
@@ -452,7 +452,7 @@ def _read_table(builder, i, j, table, di, dj) -> bool:
     if (not isinstance(table, list) or len(table) != di
             or set(map(type, table)) != {list} or set(map(len, table)) != {dj}):
         return False
-    ints = _int_array(table, dj)
+    ints = _int_array(table, di, dj)
     if ints is not None:
         if ints.min() < 0:
             return False
