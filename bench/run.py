@@ -1,6 +1,7 @@
 """Layer timings of the solver on fixed-seed shapes, written as BENCH_<n>.json.
 
     PYTHONPATH=src python3 bench/run.py --out BENCH_9.json
+    PYTHONPATH=src python3 bench/run.py --out BENCH_11.json --parent ../parent
 
 Each shape is one generated instance (generator seed 7), serialized once.
 Every run then times, on that JSON text:
@@ -36,6 +37,18 @@ shortest-path loop together) on the parsed instance are taken in a
 separate pass, because tracemalloc slows the code it watches.  The file
 also records the core count and the numpy and Python versions, so two
 files are comparable only when those agree.
+
+--parent PATH compares this tree with another checkout at PATH (its src/
+is put on the path; only its zfree package is used, timed by this file).
+Host speed drifts between runs minutes apart, so the two sides are timed
+alternately, run by run: each run of each side is a fresh process (one
+small warm-up solve, then one timed pass of the stages above, the same
+text for both sides), the side that goes first alternates, and each side's
+peaks come from one more process.  The file then holds both sides per
+shape ("change" and "parent", each with its seconds, peaks and counters),
+"ratio", the median over runs of change / parent per stage, and each
+side's src_sha256, a digest of its zfree sources.  The worker processes
+are this file run with --stages or --peaks.
 """
 
 from __future__ import annotations
@@ -44,9 +57,12 @@ import argparse
 import gc
 import json
 import os
+import hashlib
 import platform
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -63,9 +79,11 @@ RUNS = 5
 
 # name: (r, domains, inf_share).  The four shapes of the baseline table in
 # ROADMAP.md (wide domains; the criterion-8 top size; many variables at
-# n = 2000) plus a many-variable shape with tiny domains and half its
-# instances carrying infinite costs.
+# n = 2000), the size of perfbench's instances (r=6, d=21, n=126) and a
+# many-variable shape with tiny domains and half its instances carrying
+# infinite costs.
 SHAPES = {
+    "r6_d21": (6, (21,) * 6, 0.0),
     "r6_d42": (6, (42,) * 6, 0.0),
     "r13_d154": (13, (154,) * 13, 0.0),
     "r40_d50": (40, (50,) * 40, 0.0),
@@ -113,48 +131,118 @@ def matrix_stages(text: str) -> dict:
     return row
 
 
-def bench_shape(r: int, domains, inf_share: float) -> dict:
-    """Time one shape over RUNS untraced runs, then measure its memory."""
-    cfg = GenConfig(r=r, domains=tuple(domains), seed=SEED, inf_share=inf_share)
-    source = generate_instance(cfg)
-    text = dump_instance(source)
-    matrix = (dump_matrix(induced_partial_matrix(source))
-              if sum(domains) <= MATRIX_MAX_N else None)
-    del source
-    stages: dict[str, list] = {}
-    report = None
-    for _ in range(RUNS):
-        gc.collect()
-        row = {}
-        _, row["json_loads"] = _timed(json.loads, text)
-        inst, row["parse_instance"] = _timed(parse_instance, text)
-        _, row["forest"] = _timed(_build_forest, inst)
-        row["parse_forest"] = row["parse_instance"] + row["forest"]
-        report, row["solve"] = _timed(minimize_zfree, inst)
-        row["end_to_end"] = row["parse_instance"] + row["solve"]
-        for stage, seconds in report.timings.items():
-            row[f"solve.{stage}"] = seconds
-        if matrix is not None:
-            row.update(matrix_stages(matrix))
-        for stage, seconds in row.items():
-            stages.setdefault(stage, []).append(seconds)
-        del inst
+def one_run(text: str, matrix: str | None):
+    """One timed pass of every stage on an instance text (and its matrix
+    text, if any): (seconds per stage, the solve's report)."""
+    gc.collect()
+    row = {}
+    _, row["json_loads"] = _timed(json.loads, text)
+    inst, row["parse_instance"] = _timed(parse_instance, text)
+    _, row["forest"] = _timed(_build_forest, inst)
+    row["parse_forest"] = row["parse_instance"] + row["forest"]
+    report, row["solve"] = _timed(minimize_zfree, inst)
+    row["end_to_end"] = row["parse_instance"] + row["solve"]
+    for stage, seconds in report.timings.items():
+        row[f"solve.{stage}"] = seconds
+    if matrix is not None:
+        row.update(matrix_stages(matrix))
+    return row, report
+
+
+def peaks(text: str) -> dict:
+    """The tracemalloc peaks of the parse, the forest and the solve."""
     inst = parse_instance(text)
     return {
-        "r": r,
-        "n": sum(domains),
-        "domains": sorted(set(domains)),
-        "inf_share": inf_share,
-        "json_bytes": len(text),
-        "matrix_json_bytes": None if matrix is None else len(matrix),
-        "status": report.status.value,
-        "iterations": len(report.iterations),
-        "counters": report.counters,
-        "seconds": {stage: _summary(v) for stage, v in stages.items()},
         "parse_peak_mb": _peak_mb(parse_instance, text),
         "forest_peak_mb": _peak_mb(_build_forest, inst),
         "solve_alloc_peak_mb": _peak_mb(minimize_zfree, inst),
     }
+
+
+def shape_texts(r: int, domains, inf_share: float):
+    """The shape's instance text and, up to MATRIX_MAX_N positions, the text
+    of its induced partial matrix (None above)."""
+    cfg = GenConfig(r=r, domains=tuple(domains), seed=SEED, inf_share=inf_share)
+    source = generate_instance(cfg)
+    matrix = (dump_matrix(induced_partial_matrix(source))
+              if sum(domains) <= MATRIX_MAX_N else None)
+    return dump_instance(source), matrix
+
+
+def _about(r, domains, inf_share, text, matrix) -> dict:
+    return {"r": r, "n": sum(domains), "domains": sorted(set(domains)),
+            "inf_share": inf_share, "json_bytes": len(text),
+            "matrix_json_bytes": None if matrix is None else len(matrix)}
+
+
+def _outcome(report) -> dict:
+    return {"status": report.status.value, "iterations": len(report.iterations),
+            "counters": report.counters}
+
+
+def bench_shape(r: int, domains, inf_share: float) -> dict:
+    """Time one shape over RUNS untraced runs, then measure its memory."""
+    text, matrix = shape_texts(r, domains, inf_share)
+    stages: dict[str, list] = {}
+    for _ in range(RUNS):
+        row, report = one_run(text, matrix)
+        for stage, seconds in row.items():
+            stages.setdefault(stage, []).append(seconds)
+    return {**_about(r, domains, inf_share, text, matrix), **_outcome(report),
+            "seconds": {stage: _summary(v) for stage, v in stages.items()},
+            **peaks(text)}
+
+
+def _src_digest(tree: Path) -> str:
+    """SHA-256 over the names and bytes of a tree's zfree sources."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src" / "zfree").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def _worker(tree: Path, *args) -> dict:
+    """Run this file in a fresh process on tree's zfree; its JSON reply."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    out = subprocess.run([sys.executable, str(Path(__file__).resolve()), *args],
+                         env=env, check=True, stdout=subprocess.PIPE, text=True).stdout
+    return json.loads(out)
+
+
+def compare_shape(trees: dict, r: int, domains, inf_share: float) -> dict:
+    """Time one shape on both trees, alternately, run by run."""
+    text, matrix = shape_texts(r, domains, inf_share)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "instance.json", Path(tmp) / "matrix.json"]
+        paths[0].write_text(text)
+        args = ["--stages", str(paths[0])]
+        if matrix is not None:
+            paths[1].write_text(matrix)
+            args += ["--matrix", str(paths[1])]
+        stages = {side: {} for side in trees}
+        replies = {}
+        for run in range(RUNS):
+            sides = list(trees) if run % 2 == 0 else list(trees)[::-1]
+            for side in sides:
+                replies[side] = _worker(trees[side], *args)
+                for stage, seconds in replies[side]["seconds"].items():
+                    stages[side].setdefault(stage, []).append(seconds)
+        out = _about(r, domains, inf_share, text, matrix)
+        for side, tree in trees.items():
+            out[side] = {**replies[side]["outcome"],
+                         "seconds": {k: _summary(v) for k, v in stages[side].items()},
+                         **_worker(tree, "--peaks", str(paths[0]))}
+    change, parent = stages["change"], stages["parent"]
+    out["ratio"] = {stage: statistics.median(c / p for c, p in zip(change[stage], parent[stage]))
+                    for stage in change if stage in parent}
+    return out
+
+
+def _warm_up() -> None:
+    """Load and run every stage once on a small instance, so that a fresh
+    process times the stages, not first calls."""
+    text, matrix = shape_texts(3, (3, 4, 3), 0.5)
+    one_run(text, matrix)
 
 
 def machine() -> dict:
@@ -164,12 +252,33 @@ def machine() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--parent", type=Path,
+                        help="another checkout to time alternately with this one")
+    parser.add_argument("--stages", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--matrix", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--peaks", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.stages is not None:
+        _warm_up()
+        matrix = None if args.matrix is None else args.matrix.read_text()
+        row, report = one_run(args.stages.read_text(), matrix)
+        print(json.dumps({"seconds": row, "outcome": _outcome(report)}))
+        return 0
+    if args.peaks is not None:
+        print(json.dumps(peaks(args.peaks.read_text())))
+        return 0
+    if args.out is None:
+        parser.error("--out is required")
     doc = {"seed": SEED, "runs": RUNS, "machine": machine(), "shapes": {}}
+    if args.parent is not None:
+        trees = {"change": Path(__file__).resolve().parents[1],
+                 "parent": args.parent.resolve()}
+        doc["src_sha256"] = {side: _src_digest(tree) for side, tree in trees.items()}
     for name, shape in SHAPES.items():
         print(f"{name} ...", file=sys.stderr, flush=True)
-        doc["shapes"][name] = bench_shape(*shape)
+        doc["shapes"][name] = (bench_shape(*shape) if args.parent is None
+                               else compare_shape(trees, *shape))
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

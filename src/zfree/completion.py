@@ -15,12 +15,18 @@ them, and the entries constructors build them.  MAX_RANK_BYTES caps their
 as "n" is read, a ValueError in the constructors.
 
 Checking and filling both read one structure, _Forest: the matrix's ranks
-and floor, the n x n int32 matrix of tree-path minima that Prim's
-algorithm fills while it grows the maximum spanning forest of the defined
-pairs; the two take 8 n^2 bytes.  Ties are broken one way everywhere: the
+and Prim's maximum spanning forest of the defined pairs, kept as its join
+order, the join key of each vertex (the rank it joined with) and floor, the
+n x n int32 matrix of bottleneck ranks (tree-path minima); ranks and floor
+take 8 n^2 bytes.  Prim's order keeps every bottleneck cluster contiguous,
+so a joining vertex's floor row is the row of the vertex that joined just
+before it, capped at its key.  Ties are broken one way everywhere: the
 highest offered rank goes next, the lowest vertex on a tie, each component
 is rooted at its smallest vertex and every other vertex hangs off the
-earliest tree vertex that offered its rank.  The matrix is completable exactly when every defined pair equals its
+earliest-joined vertex whose rank to it is its join key.  The tree itself
+is derived on demand: a refutation climbs the parents on its tree path
+only, and the whole tree (parent, depth, root) is derived only when
+read.  The matrix is completable exactly when every defined pair equals its
 floor value; otherwise the first pair (flat order) that ranks below it,
 closed by its tree path and shrunk along defined chords, is a chordless
 cycle whose minimum is unique.  A completion gives each undefined connected
@@ -201,47 +207,67 @@ class CompletedMatrix(_RankMatrix):
         return f"CompletedMatrix(n={self.n})"
 
 
+# Rows per band of the pass that mirrors floor: besides numpy's ufunc
+# buffers it allocates one band x band block, not an n x n temporary.
+_BAND = 64
+_OUTSIDE = np.iinfo(np.int32).max
+
+
 def _spanning_forest(ranks):
     """Prim's maximum spanning forest of the defined pairs of a rank matrix,
-    with the tie rule _Forest states.
+    with the tie rule _Forest states, kept as its join order.
 
-    Returns parent, depth and root per vertex (int32 arrays) and floor, the
-    n x n int32 matrix of tree-path minima: floor[u, w] is the smallest rank
-    on the forest path between u and w, 0 across components and on the
-    diagonal.  Each vertex v joins with key, the best rank the tree offers
-    it, so floor[v] = minimum(floor[parent], key) over the tree so far.
+    Returns order, the vertices in the order they joined (intp), keys, the
+    join key of each (int32, keys[t] for order[t]: the highest rank the tree
+    offered it, 0 for a component's first vertex), and floor, the n x n
+    int32 matrix of bottleneck ranks: floor[u, w] is the smallest rank on
+    the forest path between u and w, 0 across components and on the
+    diagonal.
+
+    Prim's order keeps every bottleneck cluster contiguous, so the floor of
+    two vertices is the smallest join key from just after the earlier one
+    up to the later one.  A joining vertex v therefore takes its row from
+    prev, the vertex that joined just before it: floor[v] = minimum(
+    floor[prev], key), then floor[v, prev] = key.  Entries for vertices that
+    join later stay 0, and every row descends from its component's first
+    row, which is all 0.  Per vertex that is four n-length numpy calls:
+    argmax picks v, maximum raises the offers by v's rank row, minimum
+    against cap keeps the tree's keys at -1, and the floor row.  The filled
+    half is mirrored at the end, band by band, with no n x n temporary.
     """
     n = len(ranks)
     floor = np.zeros((n, n), dtype=np.int32)
-    key = np.zeros(n, dtype=np.int32)       # -1 once in the tree
-    via = np.zeros(n, dtype=np.int32)       # tree vertex offering key
-    outside = np.ones(n, dtype=bool)
-    better = np.empty(n, dtype=bool)
-    parent = [0] * n
-    depth = [0] * n
-    root = [0] * n
-    for _ in range(n):
-        v = int(key.argmax())
-        k = key.item(v)
-        if k == 0:
-            parent[v] = root[v] = v
-        else:
-            p = parent[v] = via.item(v)
-            depth[v] = depth[p] + 1
-            root[v] = root[p]
-            row = floor[v]
-            np.minimum(floor[p], k, out=row)
-            row[p] = k
-            floor[:, v] = row
-        key[v] = -1
-        outside[v] = False
-        offer = ranks[v]
-        np.greater(offer, key, out=better)
-        better &= outside
-        np.copyto(key, offer, where=better)
-        via[better] = v
-    return (np.array(parent, dtype=np.int32), np.array(depth, dtype=np.int32),
-            np.array(root, dtype=np.int32), floor)
+    key = np.zeros(n, dtype=np.int32)
+    cap = np.full(n, _OUTSIDE, dtype=np.int32)    # -1 once in the tree
+    k0 = np.zeros((), dtype=np.int32)   # the key as an array: a faster operand
+    maximum, minimum = np.maximum, np.minimum
+    argmax, item = key.argmax, key.item
+    order = np.empty(n, dtype=np.intp)
+    prev, prev_row = 0, None
+    for t in range(n):
+        v = argmax()
+        k = item(v)
+        row = floor[v]
+        if k:
+            k0[()] = k
+            minimum(prev_row, k0, out=row)
+            row[prev] = k
+        order[t] = prev = v
+        prev_row = row
+        cap[v] = -1
+        maximum(key, ranks[v], out=key)
+        minimum(key, cap, out=key)
+    for a in range(0, n, _BAND):
+        b = a + _BAND
+        block = floor[a:b, a:b]
+        block += block.T        # numpy buffers the overlapping block
+        strip = floor[a:b, b:]
+        strip += floor[b:, a:b].T
+        floor[b:, a:b] = strip.T
+    # A vertex's join key is its floor to the vertex that joined before it.
+    keys = np.zeros(n, dtype=np.int32)
+    keys[1:] = floor[order[1:], order[:-1]]
+    return order, keys, floor
 
 
 class _Forest:
@@ -249,11 +275,18 @@ class _Forest:
 
     ranks is a symmetric n x n int32 matrix holding 0 where a pair is
     undefined and otherwise the rank of its value in pool (1 for the
-    smallest, pool[rank - 1] the value).  floor holds every pair's
-    tree-path minimum, which is its bottleneck (maximin) value over the
-    defined-pair graph.  parent, depth and root give each vertex's place in
-    the forest; every component is rooted at its smallest vertex, and a
-    root is its own parent.
+    smallest, pool[rank - 1] the value).  The forest is kept as Prim's join
+    order (order) and the join key of each vertex in it (keys), plus floor,
+    every pair's tree-path minimum, which is its bottleneck (maximin) value
+    over the defined-pair graph.  A join key of 0 starts a new component, so
+    the graph is connected exactly when no key after the first is 0.
+
+    The tree itself is derived on demand.  A vertex's parent is the
+    earliest-joined vertex whose rank to it equals its join key (a
+    component's first vertex is its own parent); tree_path climbs the
+    parents of its two ends only, and parent, depth and root, the whole
+    tree as int32 arrays, are derived on first read.  Every component is
+    rooted at its smallest vertex.
 
     Tie rule (Prim's algorithm, _spanning_forest): the outside vertex the
     tree offers the highest rank joins next, the lowest such vertex on a
@@ -263,28 +296,66 @@ class _Forest:
     a witness cycle depends on this rule, never a verdict or a floor value.
     """
 
-    __slots__ = ("ranks", "pool", "parent", "depth", "root", "floor")
+    __slots__ = ("ranks", "pool", "order", "keys", "floor", "_at", "_tree")
 
     def __init__(self, ranks, pool):
         self.ranks = ranks
         self.pool = pool
-        self.parent, self.depth, self.root, self.floor = _spanning_forest(ranks)
+        self.order, self.keys, self.floor = _spanning_forest(ranks)
+        self._at = self._tree = None
+
+    def _positions(self):
+        """Each vertex's place in the join order."""
+        if self._at is None:
+            self._at = np.empty(len(self.order), dtype=np.intp)
+            self._at[self.order] = np.arange(len(self.order))
+        return self._at
+
+    def _parent_of(self, v: int) -> int:
+        """v's parent: the earliest-joined vertex whose rank to v is v's join
+        key; v itself when it starts a component."""
+        t = self._positions().item(v)
+        k = self.keys.item(t)
+        if not k:
+            return v
+        before = self.order[:t]
+        return before.item(int(np.argmax(self.ranks[v][before] == k)))
+
+    def _derive(self):
+        """(parent, depth, root) of every vertex, read off the join order."""
+        n = len(self.order)
+        parent, depth, root = [0] * n, [0] * n, [0] * n
+        for v in self.order.tolist():
+            p = parent[v] = self._parent_of(v)
+            if p != v:
+                depth[v] = depth[p] + 1
+                root[v] = root[p]
+            else:
+                root[v] = v
+        return tuple(np.array(a, dtype=np.int32) for a in (parent, depth, root))
+
+    def _tree_arrays(self):
+        if self._tree is None:
+            self._tree = self._derive()
+        return self._tree
+
+    parent = property(lambda self: self._tree_arrays()[0])
+    depth = property(lambda self: self._tree_arrays()[1])
+    root = property(lambda self: self._tree_arrays()[2])
 
     def tree_path(self, u: int, w: int) -> list[int]:
-        """Vertices on the tree path from u to w, both ends included."""
-        parent = self.parent.tolist()
-        depth = self.depth.tolist()
+        """Vertices on the tree path from u to w, both ends included.  A
+        parent joined before its child, so the later-joined end climbs
+        until the two meet."""
+        at = self._positions()
         left, right = [u], [w]
-        while depth[u] > depth[w]:
-            u = parent[u]
-            left.append(u)
-        while depth[w] > depth[u]:
-            w = parent[w]
-            right.append(w)
         while u != w:
-            u, w = parent[u], parent[w]
-            left.append(u)
-            right.append(w)
+            if at[u] > at[w]:
+                u = self._parent_of(u)
+                left.append(u)
+            else:
+                w = self._parent_of(w)
+                right.append(w)
         right.pop()
         return left + right[::-1]
 

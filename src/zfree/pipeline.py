@@ -8,11 +8,15 @@ one-hot point.
 
 The shared forest (_build_forest) is completion._Forest over the
 instance's own rank matrix (Instance.ranks: int32 value ranks of the cross
-pairs into Instance.pool, 0 within a variable, built with the instance) plus the
-int32 matrix of tree-path minima (floor) that Prim's algorithm fills as it
-grows the tree from position 0.  Ties go to the lowest position, and a
-position hangs off the earliest tree position that offered its rank.  The
-two matrices answer both questions the solve asks:
+pairs into Instance.pool, 0 within a variable, built with the instance).
+Prim's algorithm grows it from position 0 and keeps only the join order,
+the join key of each position (the rank it joined with; the cross pairs
+connect every position, so no key after the first is 0) and the int32
+matrix of tree-path minima (floor).  Ties go to the lowest position, and a
+position hangs off the earliest-joined position whose rank to it is its
+join key; those parents are derived only to close a rejection's witness
+cycle, so a valid solve never builds the tree.  The two matrices answer
+both questions the solve asks:
 
 - validity: the instance satisfies the join condition and is Z-free exactly
   when its induced partial matrix is completable, which holds exactly when
@@ -105,11 +109,12 @@ class SolveReport:
 
 def _build_forest(inst: Instance) -> _Forest | None:
     """The shared spanning forest of inst; None for a single variable, which
-    has no cross pairs."""
+    has no cross pairs.  A join key of 0 after the first position would
+    start a second component."""
     if inst.r == 1:
         return None
     forest = _Forest(inst.ranks, inst.pool)
-    if forest.root.any():
+    if not forest.keys[1:].all():
         raise InvariantError("cross pairs left the position graph disconnected")
     return forest
 

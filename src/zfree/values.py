@@ -90,17 +90,17 @@ class ExtValue:
         """Like the constructor, but interns small and repeated values."""
         if isinstance(value, ExtValue):
             return value
-        if type(value) is int:
-            cached = cls._cache.get(value)
-            if cached is not None:
-                return cached
-        v = cls(value)
-        key = v.raw
-        cached = cls._cache.get(key)
-        if cached is not None:
-            return cached
-        if len(cls._cache) < 4096:
-            cls._cache[key] = v
+        return cls._interned(value if type(value) is int else cls(value).raw)
+
+    @classmethod
+    def _interned(cls, raw) -> "ExtValue":
+        """The shared ExtValue of a normalized raw value: one cache lookup,
+        and _wrap on a miss."""
+        v = cls._cache.get(raw)
+        if v is None:
+            v = cls._wrap(raw)
+            if len(cls._cache) < 4096:
+                cls._cache[raw] = v
         return v
 
     @classmethod
@@ -218,13 +218,13 @@ def _parse_raw(s: str):
     m = _RATIONAL_RE.match(s)
     if not m:
         raise ValueError(f"malformed value string {s!r}; expected 'p/q' or 'inf'")
-    num = int(m.group(1))
-    den = m.group(2)
+    num, den = m.groups()
     if den is None:
-        return num
-    if int(den) == 0:
+        return int(num)
+    den = int(den)
+    if den == 0:
         raise ZeroDivisionError("zero denominator")
-    return _normalize(Fraction(num, int(den)))
+    return _normalize(Fraction(int(num), den))
 
 
 INF = ExtValue(math.inf)
@@ -260,9 +260,11 @@ def _decode_value(obj) -> ExtValue:
             raw = _parse_raw(obj)
         except ZeroDivisionError as exc:
             raise ValueError(str(exc)) from None
-        if raw is not _INF_RAW and raw < 0:
+        if raw is _INF_RAW:
+            return INF
+        if raw < 0:
             raise ValueError(f"negative value {obj!r}")
-        return ExtValue.of(raw) if raw is not _INF_RAW else INF
+        return ExtValue._interned(raw)
     raise ValueError(f"expected int, 'p/q', or 'inf', got {type(obj).__name__}")
 
 

@@ -1,5 +1,6 @@
-"""Smoke test of bench/run.py on one r=3 shape; the full shapes take
-minutes and run only by hand."""
+"""Smoke test of bench/run.py on one r=3 shape, in process and against a
+parent tree (the repository itself); the full shapes take minutes and run
+only by hand."""
 
 import importlib.util
 import json
@@ -41,3 +42,28 @@ def test_bench_writes_every_stage(tmp_path, monkeypatch):
     assert set(counters) == {"pool_size", "rounds", "arcs", "search_pops", "kernel_dtype"}
     assert set(counters["arcs"]) == {"exchange", "reassign", "source", "sink"}
     assert counters["rounds"] >= shape["iterations"] and counters["kernel_dtype"] == "int64"
+
+
+def test_bench_times_a_parent_alternately(tmp_path, monkeypatch):
+    bench = _load()
+    monkeypatch.setattr(bench, "SHAPES", {"r3": (3, (2, 3, 2), 0.5)})
+    monkeypatch.setattr(bench, "RUNS", 2)
+    out = tmp_path / "BENCH.json"
+    root = BENCH.parents[1]
+    assert bench.main(["--out", str(out), "--parent", str(root)]) == 0
+    doc = json.loads(out.read_text())
+    digests = doc["src_sha256"]
+    assert set(digests) == {"change", "parent"} and digests["change"] == digests["parent"]
+    shape = doc["shapes"]["r3"]
+    assert (shape["r"], shape["n"]) == (3, 7) and shape["matrix_json_bytes"] > 0
+    for side in ("change", "parent"):
+        got = shape[side]
+        assert got["status"] == "optimal" and got["counters"]["kernel_dtype"] == "int64"
+        for stage in ("json_loads", "parse_instance", "forest", "solve", "end_to_end",
+                      "solve.forest", "solve.ssp", "matrix.complete", "matrix.end_to_end"):
+            s = got["seconds"][stage]
+            assert len(s["runs"]) == 2 and s["min"] <= s["median"] <= s["max"]
+        assert got["parse_peak_mb"] > 0 and got["solve_alloc_peak_mb"] > 0
+    assert shape["change"]["counters"] == shape["parent"]["counters"]
+    assert set(shape["ratio"]) == set(shape["change"]["seconds"])
+    assert all(ratio > 0 for ratio in shape["ratio"].values())

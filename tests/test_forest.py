@@ -1,12 +1,22 @@
 """The spanning forest that checking and completion read, against a brute
-force maximin closure computed independently of it."""
+force maximin closure computed independently of it and against the Prim
+pass it replaced (the reference for the tie rule); plus guards that a
+valid solve or completion never derives the tree and that building the
+forest allocates nothing n x n besides floor."""
 
+import gc
 import random
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from zfree import (GenConfig, PartialMatrix, SolveStatus, complete, generate_instance,
+                   induced_partial_matrix, minimize_zfree)
 from zfree.completion import _Forest
+from zfree.errors import InvariantError
+from zfree.pipeline import _build_forest
 
 
 def _closure(ranks):
@@ -94,3 +104,200 @@ def test_forest_matches_maximin_closure():
 def test_tie_rule(ranks, parent):
     f = _Forest(np.array(ranks, dtype=np.int32), pool=[1, 2, 3])
     assert f.parent.tolist() == parent
+
+
+# ---------------------------------------------------------------------------
+# The join-order forest against the Prim pass it replaced, kept here verbatim
+# as the reference for the tie rule: parent, depth, root, floor and the
+# violation cycle must come out the same on every matrix.
+# ---------------------------------------------------------------------------
+
+
+def _reference_forest(ranks):
+    """Prim's maximum spanning forest of the defined pairs of a rank matrix,
+    with the tie rule _Forest states.
+
+    Returns parent, depth and root per vertex (int32 arrays) and floor, the
+    n x n int32 matrix of tree-path minima: floor[u, w] is the smallest rank
+    on the forest path between u and w, 0 across components and on the
+    diagonal.  Each vertex v joins with key, the best rank the tree offers
+    it, so floor[v] = minimum(floor[parent], key) over the tree so far.
+    """
+    n = len(ranks)
+    floor = np.zeros((n, n), dtype=np.int32)
+    key = np.zeros(n, dtype=np.int32)       # -1 once in the tree
+    via = np.zeros(n, dtype=np.int32)       # tree vertex offering key
+    outside = np.ones(n, dtype=bool)
+    better = np.empty(n, dtype=bool)
+    parent = [0] * n
+    depth = [0] * n
+    root = [0] * n
+    for _ in range(n):
+        v = int(key.argmax())
+        k = key.item(v)
+        if k == 0:
+            parent[v] = root[v] = v
+        else:
+            p = parent[v] = via.item(v)
+            depth[v] = depth[p] + 1
+            root[v] = root[p]
+            row = floor[v]
+            np.minimum(floor[p], k, out=row)
+            row[p] = k
+            floor[:, v] = row
+        key[v] = -1
+        outside[v] = False
+        offer = ranks[v]
+        np.greater(offer, key, out=better)
+        better &= outside
+        np.copyto(key, offer, where=better)
+        via[better] = v
+    return (np.array(parent, dtype=np.int32), np.array(depth, dtype=np.int32),
+            np.array(root, dtype=np.int32), floor)
+
+
+def _reference_path(parent, depth, u, w):
+    """The tree path from u to w over the reference parent and depth."""
+    left, right = [u], [w]
+    while depth[u] > depth[w]:
+        u = parent[u]
+        left.append(u)
+    while depth[w] > depth[u]:
+        w = parent[w]
+        right.append(w)
+    while u != w:
+        u, w = parent[u], parent[w]
+        left.append(u)
+        right.append(w)
+    right.pop()
+    return left + right[::-1]
+
+
+def _seeded_matrix(rng):
+    """A random rank matrix with up to 12 ranks, some rows tied throughout,
+    some isolated vertices and its vertices split into components."""
+    n = rng.randint(1, 30)
+    top = rng.randint(1, 12)
+    density = rng.choice((0.1, 0.3, 0.6, 1.0))
+    label = [rng.randrange(rng.randint(1, 4)) for _ in range(n)]
+    isolated = set(rng.sample(range(n), rng.randint(0, n // 4)))
+    ranks = np.zeros((n, n), dtype=np.int32)
+    for u in range(n):
+        for w in range(u + 1, n):
+            if (label[u] == label[w] and u not in isolated and w not in isolated
+                    and rng.random() < density):
+                ranks[u, w] = ranks[w, u] = rng.randint(1, top)
+    for u in rng.sample(range(n), rng.randint(0, n // 3)):
+        tie = rng.randint(1, top)
+        ranks[u, ranks[u] > 0] = tie
+        ranks[ranks[:, u] > 0, u] = tie
+    return ranks
+
+
+def _generated_ranks():
+    """Rank matrices of r=6, d=21 generated instances (the benchmark's shape)
+    and of single-cell mutants of each: one cross pair moved to another
+    rank, up to one past the largest."""
+    rng = random.Random("forest/generated")
+    for seed in range(4):
+        ranks = generate_instance(GenConfig(r=6, domains=(21,) * 6, seed=seed)).ranks
+        yield ranks
+        top = int(ranks.max())
+        for _ in range(12):
+            mutant = ranks.copy()
+            u, w = rng.sample(range(126), 2)
+            while u // 21 == w // 21:
+                u, w = rng.sample(range(126), 2)
+            mutant[u, w] = mutant[w, u] = rng.randint(1, top + 1)
+            yield mutant
+
+
+def _oracle_matrices():
+    yield from _matrices()
+    rng = random.Random("forest/seeded")
+    for _ in range(1000):
+        yield _seeded_matrix(rng)
+    yield from _generated_ranks()
+
+
+def test_join_order_forest_matches_the_reference():
+    count = violated = 0
+    for ranks in _oracle_matrices():
+        parent, depth, root, floor = _reference_forest(ranks)
+        # The witness is read first, before anything derives the whole tree.
+        fresh = _Forest(ranks, ())
+        cycle = fresh.violation()
+        f = _Forest(ranks, ())
+        assert np.array_equal(f.floor, floor)
+        assert f.parent.tolist() == parent.tolist()
+        assert f.depth.tolist() == depth.tolist()
+        assert f.root.tolist() == root.tolist()
+        bad = np.argwhere((ranks < floor) & (ranks > 0))
+        if len(bad):
+            u, w = bad[0].tolist()
+            assert cycle == f._chordless(_reference_path(parent, depth, u, w))
+            violated += 1
+        else:
+            assert cycle is None
+        count += 1
+    assert count > 1500 and violated > 300 and count - violated > 300
+
+
+def test_forest_keeps_the_join_order():
+    ranks = np.array([[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                     dtype=np.int32)
+    f = _Forest(ranks, ())
+    assert f.order.tolist() == [0, 1, 2, 3]
+    assert f.keys.tolist() == [0, 2, 0, 1]
+
+
+def test_build_forest_needs_one_component():
+    # Two variables of two positions each; only the pair (0, 2) is defined.
+    ranks = np.zeros((4, 4), dtype=np.int32)
+    ranks[0, 2] = ranks[2, 0] = 1
+    with pytest.raises(InvariantError, match="disconnected"):
+        _build_forest(SimpleNamespace(r=2, ranks=ranks, pool=(1,)))
+    ranks[1, 3] = ranks[3, 1] = ranks[0, 3] = ranks[3, 0] = 1
+    ranks[1, 2] = ranks[2, 1] = 1
+    assert _build_forest(SimpleNamespace(r=2, ranks=ranks, pool=(1,))).keys[1:].all()
+
+
+def _never_derive(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("derived the tree")
+
+    monkeypatch.setattr(_Forest, "_parent_of", refuse)
+    monkeypatch.setattr(_Forest, "_derive", refuse)
+
+
+def test_valid_solves_never_derive_the_tree(monkeypatch):
+    insts = [generate_instance(GenConfig(r=r, domains=d, seed=s, inf_share=inf))
+             for r, d, s, inf in [(2, (3, 2), 1, 0.0), (4, (3, 1, 4, 2), 2, 0.5),
+                                  (6, (21,) * 6, 3, 0.0), (13, (5,) * 13, 4, 0.0)]]
+    matrices = [induced_partial_matrix(inst) for inst in insts]
+    bad = PartialMatrix(3, {(0, 1): 1, (0, 2): 2, (1, 2): 3})
+    _never_derive(monkeypatch)
+    for inst, matrix in zip(insts, matrices):
+        assert minimize_zfree(inst).status is not SolveStatus.REJECTED
+        complete(matrix)
+    # A refutation does climb the tree, so the patch is in effect.
+    with pytest.raises(AssertionError, match="derived the tree"):
+        complete(bad)
+
+
+def test_forest_peak_memory_is_its_floor():
+    n = 600
+    rng = np.random.default_rng(11)
+    ranks = np.triu(rng.integers(1, 13, (n, n), dtype=np.int32), 1)
+    ranks += ranks.T
+    gc.collect()
+    tracemalloc.start()
+    try:
+        forest = _Forest(ranks, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # floor's 4 n^2 bytes and O(n) besides: an n x n int32 temporary (as a
+    # plain floor += floor.T makes) would add another 4 n^2.
+    assert forest.floor.nbytes == 4 * n * n
+    assert peak <= 4 * n * n + 256 * n

@@ -102,6 +102,17 @@ def test_parse_value_rejections():
             parse_value(bad, where="cell")
 
 
+def test_parse_value_interns_decoded_strings():
+    half = parse_value("5/2")
+    assert half is parse_value(" 5/2 ") is ExtValue.of(Fraction(5, 2))
+    assert parse_value("4/2") is ExtValue.of(2) and type(parse_value("4/2").raw) is int
+    for bad, message in (("3/0", "zero denominator"), ("-1/2", "negative value '-1/2'"),
+                         (" x ", "malformed value string 'x'; expected 'p/q' or 'inf'")):
+        with pytest.raises(ValueError) as exc:
+            parse_value(bad, where="cell")
+        assert str(exc.value) == f"cell: {message}"
+
+
 def test_every_infinity_is_the_one_math_inf_object():
     # ExtValue tests infinity by identity, so no constructor or operation
     # may hand back a different float object.
