@@ -36,13 +36,15 @@ ranks and floor, the completion sharing the partial matrix's pool.
 pipeline builds the same structure over the cross-variable pairs of an
 instance to check and complete it.
 
-parse_partial_matrix checks a well-formed entries list in bulk (exact int
-indices as int64 arrays, repeated pairs by flat index, each distinct value
-decoded once) and writes ranks and pool directly.  A list with any defect is
-read again entry by entry, which raises the ParseError for its first defect,
-so the messages do not depend on the fast path.  dump_matrix writes the same
-bytes as json.dumps, with or without indent, from one template per entry
-over (i, j) and its value's JSON text, formatted once per pool value.
+parse_partial_matrix decodes its text as parse_instance does (orjson, with
+json.loads as the exact fallback), then checks a well-formed entries list
+in bulk (exact int indices as int64 arrays, repeated pairs by flat index,
+each distinct value decoded once) and writes ranks and pool directly.  A
+list with any defect is read again entry by entry, which raises the
+ParseError for its first defect, so the messages do not depend on the fast
+path.  dump_matrix writes the same bytes as json.dumps, with or without
+indent, from one template per entry over (i, j) and its value's JSON text,
+formatted once per pool value.
 
 Values stay exact: the forest works on integer ranks only, and the tests
 check completability against completable_oracle, an independent exhaustive
@@ -59,7 +61,7 @@ from operator import countOf
 import numpy as np
 
 from .errors import BudgetExceededError, NotCompletableError, ParseError
-from .instance import _check_size
+from .instance import _check_size, _parse_json
 from .properties import Violation, ViolationKind
 from .values import ZERO, ExtValue, _decode_value, _ranked, format_value
 
@@ -561,19 +563,22 @@ def completable_oracle(H: PartialMatrix, *, max_n: int = 30):
 
 
 def parse_partial_matrix(text: str) -> PartialMatrix:
-    """Parse the JSON partial matrix format.  Raises ParseError on defects.
+    """Parse the JSON partial matrix format from a str, bytes or bytearray.
+    Raises ParseError on defects.
 
-    A well-formed entries list is written straight into the rank matrix
-    (_read_entries); one with any defect is read again entry by entry
-    (_parse_entries), which raises the ParseError for its first defect.
-    An n whose rank matrix would pass instance.MAX_RANK_BYTES is refused
-    before any entry is read."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    except RecursionError:
-        raise ParseError("invalid JSON: nested too deeply") from None
+    The text is decoded the way parse_instance decodes an instance
+    (instance._parse_json: orjson, and json.loads for every error and for
+    what orjson reads differently), so the result and every message are
+    those of the json.loads document."""
+    return _parse_json(text, _matrix_from_dict)
+
+
+def _matrix_from_dict(doc) -> PartialMatrix:
+    """The PartialMatrix of a decoded document.  A well-formed entries list
+    is written straight into the rank matrix (_read_entries); one with any
+    defect is read again entry by entry (_parse_entries), which raises the
+    ParseError for its first defect.  An n whose rank matrix would pass
+    instance.MAX_RANK_BYTES is refused before any entry is read."""
     if not isinstance(doc, dict):
         raise ParseError("matrix document must be a JSON object")
     unknown = set(doc) - {"n", "entries"}

@@ -24,7 +24,8 @@ creates no per-cell objects.  table() and binary_pairs() build ExtValue
 tables from the two on first use and cache them, for the exhaustive
 oracles, the JSON writer and other callers.
 
-parse_instance fills ranks and pool straight from the decoded JSON: an
+parse_instance decodes the text with orjson and falls back to json.loads
+(see _parse_json), then fills ranks and pool straight from the document: an
 all-int table becomes one int64 array after an exact type check, any other
 table has each distinct cell decoded once, and the unary rows are decoded
 together, each distinct cell once.  Rows or a table with any defect are
@@ -44,6 +45,7 @@ from itertools import chain
 from operator import countOf
 
 import numpy as np
+import orjson
 
 from .errors import NotOneHotError, ParseError
 from .values import (_INF_RAW, INF, ZERO, ExtValue, _decode_value, _ranked,
@@ -553,15 +555,83 @@ def instance_from_dict(doc) -> Instance:
     return inst
 
 
-def parse_instance(text: str) -> Instance:
-    """Parse the JSON instance format.  Raises ParseError on any defect."""
+# The deepest nesting of a document either parser accepts: a table row,
+# {"binary": [{"table": [[...]]}]}.
+_MAX_DEPTH = 5
+# Every byte but the brackets, the quote and the backslash.
+_NOT_MARKS = bytes(range(256)).translate(None, b'[]{}"\\')
+
+
+def _fast_loads(text):
+    """The document orjson decodes from text, or None when text is left to
+    json.loads: text is not a str, bytes or bytearray (the types json.loads
+    takes; orjson would also read a memoryview), orjson refuses it, or its
+    nesting outside strings may pass _MAX_DEPTH.
+
+    The depth bound keeps orjson off deep documents: it has no depth limit
+    and overflows the C stack on a million nested lists, where json.loads
+    raises RecursionError.  A document within it holds no value json.loads
+    would refuse for its depth, not even one that a repeated key drops.
+    The depth is counted over the text's brackets once its strings are
+    removed.  A string without brackets or backslashes is two adjacent
+    quotes among the text's brackets, quotes and backslashes, and is removed
+    as such; any other string leaves a quote or a backslash behind, and the
+    text is then left to json.loads.
+    """
+    if type(text) is str:
+        data = text.encode("utf-8", "surrogatepass")   # orjson then refuses them
+    elif type(text) is bytes or type(text) is bytearray:
+        data = text
+    else:
+        return None
+    brackets = data.translate(None, _NOT_MARKS).replace(b'""', b"")
+    if b'"' in brackets or b"\\" in brackets:
+        return None
+    # '[' and '{' have bit 1 set, ']' and '}' clear: steps of +1 and -1.
+    steps = (np.frombuffer(brackets, np.int8) & 2) - 1
+    if steps.cumsum().max(initial=0) > _MAX_DEPTH:
+        return None
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        return None
+
+
+def _parse_json(text, build):
+    """build(doc) for the JSON document in text (str, bytes or bytearray),
+    the one decoding path of parse_instance and parse_partial_matrix.
+
+    The document comes from orjson when _fast_loads gives one and build
+    accepts it.  Otherwise json.loads decodes the text again and build runs
+    on that: so json.loads alone gives every error (invalid JSON, nesting
+    too deep, its TypeError for other input types) and decodes what orjson
+    does not read the same way (ints outside [-2**63, 2**64), which orjson
+    makes floats that every field refuses; lone surrogates; NaN, Infinity
+    and 1e400; a UTF-8 BOM in bytes), and every ParseError comes from
+    build on the json.loads document.  The two decoders agree on every
+    other document, repeated keys included (the last one wins).
+    """
+    doc = _fast_loads(text)
+    if doc is not None:
+        try:
+            return build(doc)
+        except ParseError:
+            pass
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
-    return instance_from_dict(doc)
+    return build(doc)
+
+
+def parse_instance(text: str) -> Instance:
+    """Parse the JSON instance format from a str, bytes or bytearray.
+    Raises ParseError on any defect, with the message and result
+    instance_from_dict(json.loads(text)) gives; orjson decodes the text
+    when it reads it the same way (see _parse_json)."""
+    return _parse_json(text, instance_from_dict)
 
 
 def instance_to_dict(inst: Instance) -> dict:

@@ -54,6 +54,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -197,18 +198,18 @@ class ExchangeGraph:
             self._offsets = [0, *np.cumsum(counts).tolist()]
         return self._offsets
 
-    def _exchange_index(self, a: int, w: int) -> int:
-        return self._exchange_offsets()[a] + int(np.count_nonzero(self.feasible[a, :w]))
-
-    def _reassign_index(self, w: int) -> int:
-        picks_before = int(np.searchsorted(self.picks, w))
-        return self._exchange_offsets()[-1] + w - picks_before
-
-    def _source_index(self, u: int) -> int:
-        return self.arc_count() - len(self.sinks) - len(self.sources) + self.sources.index(u)
-
-    def _sink_index(self, w: int) -> int:
-        return self.arc_count() - len(self.sinks) + self.sinks.index(w)
+    def _arc_index(self, arc: Arc) -> int:
+        """Index of an implicit graph's arc in arc order."""
+        tail, head, _, kind = arc
+        if kind is ArcKind.EXCHANGE:
+            a = int(np.searchsorted(self.hubs, tail))
+            return self._exchange_offsets()[a] + int(np.count_nonzero(self.feasible[a, :head]))
+        if kind is ArcKind.REASSIGN:
+            return self._exchange_offsets()[-1] + tail - int(np.searchsorted(self.picks, tail))
+        if kind is ArcKind.SOURCE:
+            return (self.arc_count() - len(self.sinks) - len(self.sources)
+                    + self.sources.index(head))
+        return self.arc_count() - len(self.sinks) + self.sinks.index(tail)
 
     def _arc_columns(self) -> list:
         if self._columns is None:
@@ -368,17 +369,21 @@ class ContractedSearch:
     so it knows the s-t path and every vertex's distance capped at t's, not
     the distances past t.
 
-    path holds arc indices into graph's arcs, arcs the same arcs as Arc
-    tuples and capped an array of n + 2 distances in the search's dtype;
-    all three are None when t is unreached.  pops counts the contracted
-    vertices the search made final.
+    arcs holds the s-t path's arcs as Arc tuples and capped an array of
+    n + 2 distances in the search's dtype; both are None when t is
+    unreached.  path, the same arcs as indices into graph's arcs, is derived
+    from arcs when first read: the loop reads only arcs.  pops counts the
+    contracted vertices the search made final.
     """
 
     graph: ExchangeGraph
-    path: list | None
     arcs: list | None
     capped: np.ndarray | None
     pops: int
+
+    @cached_property
+    def path(self) -> list | None:
+        return None if self.arcs is None else list(map(self.graph._arc_index, self.arcs))
 
     def reached(self, v: int) -> bool:
         if v != self.graph.t:
@@ -540,12 +545,11 @@ def _contracted_search(g: ExchangeGraph, potential) -> ContractedSearch:
             hub_lab[a] = (d, h)
             relax(d, h, range(blocks), (weight[a], weight_hops[a]))
     if not done[blocks]:
-        return ContractedSearch(g, None, None, None, pops)
+        return ContractedSearch(g, None, None, pops)
 
     d_t = lab[blocks][0]
     hub_d = np.array([big if hl is None else hl[0] for hl in hub_lab], dtype=dtype)
-    path, arcs = zip(*_rebuild(g, lab, done, hub_lab, hub_d, red, rr.tolist(), pl,
-                               pick_hub, big))
+    arcs = _rebuild(g, lab, done, hub_lab, hub_d, red, rr.tolist(), pl, pick_hub, big)
 
     # Every position's distance through its cheapest hub, then the picks
     # and hubs from their labels; a label that is not final is past t.
@@ -556,7 +560,7 @@ def _contracted_search(g: ExchangeGraph, potential) -> ContractedSearch:
     capped[hubs] = hub_cap
     capped[s] = 0
     capped[t] = d_t
-    return ContractedSearch(g, list(path), list(arcs), capped, pops)
+    return ContractedSearch(g, arcs, capped, pops)
 
 
 def _check_nonnegative(g: ExchangeGraph, red, rr, pl) -> None:
@@ -577,10 +581,11 @@ def _check_nonnegative(g: ExchangeGraph, red, rr, pl) -> None:
 
 
 def _rebuild(g, lab, done, hub_lab, hub_d, red, rr, pl, pick_hub, big) -> list:
-    """(arc index, Arc) of each arc on the s-t path, walked back from t.  At
-    each vertex the candidates are the arcs that give its final label; the
-    one kept leaves the smallest (distance, vertex) tail, then comes first
-    in arc order."""
+    """The Arc of each arc on the s-t path, walked back from t.  At each
+    vertex the candidates are the arcs that give its final label; the one
+    kept leaves the smallest (distance, vertex) tail, then comes first in
+    arc order.  All candidates enter the same vertex, so two with the same
+    tail differ in kind only, and an exchange arc precedes a reassign arc."""
     hubs_l, picks_l = g.hubs.tolist(), g.picks.tolist()
     blocks = len(picks_l)
     bounds = [*g.starts.tolist(), g.n]
@@ -593,11 +598,10 @@ def _rebuild(g, lab, done, hub_lab, hub_d, red, rr, pl, pick_hub, big) -> list:
                 if hl is not None and (hl[0] + r_aw, hl[1] + 1) == want]
 
     def exchange(a, w):
-        return g._exchange_index(a, w), Arc(hubs_l[a], w, int(g.lengths[a, w]),
-                                            ArcKind.EXCHANGE)
+        return Arc(hubs_l[a], w, int(g.lengths[a, w]), ArcKind.EXCHANGE)
 
     def reassign(w, q):
-        return g._reassign_index(w), Arc(w, q, 0, ArcKind.REASSIGN)
+        return Arc(w, q, 0, ArcKind.REASSIGN)
 
     def lost():
         return InvariantError("the contracted search lost the path it found")
@@ -608,11 +612,11 @@ def _rebuild(g, lab, done, hub_lab, hub_d, red, rr, pl, pick_hub, big) -> list:
     if not sinks:
         raise lost()
     _, q, b = min(sinks)
-    out = [(g._sink_index(q), Arc(q, g.t, 0, ArcKind.SINK))]
+    out = [Arc(q, g.t, 0, ArcKind.SINK)]
     while True:
         want = lab[b]
         lo, hi = bounds[b], bounds[b + 1]
-        # (tail distance, tail, (arc index, Arc), the tail's hub row or None)
+        # (tail distance, tail, Arc, the tail's hub row or None)
         cands = []
         if pick_hub[b] < 0:   # exchange arcs straight into a pick outside x
             cands += [(d, u, exchange(a, q), a) for d, u, a in feeds(q, want)]
@@ -631,7 +635,7 @@ def _rebuild(g, lab, done, hub_lab, hub_d, red, rr, pl, pick_hub, big) -> list:
                     cands.append((wd, w, reassign(w, q), None))
         if not cands:
             raise lost()
-        _, tail, arc, a = min(cands, key=lambda c: (c[0], c[1], c[2][0]))
+        _, tail, arc, a = min(cands, key=lambda c: (c[0], c[1], c[2].kind is ArcKind.REASSIGN))
         out.append(arc)
         if a is None:   # the leaf's own parent: an exchange arc from a hub
             fed = feeds(tail, (want[0] - rr[tail], want[1] - 1))
@@ -641,7 +645,7 @@ def _rebuild(g, lab, done, hub_lab, hub_d, red, rr, pl, pick_hub, big) -> list:
             out.append(exchange(a, tail))
         u = hubs_l[a]
         if u in g.sources:
-            out.append((g._source_index(u), Arc(g.s, u, 0, ArcKind.SOURCE)))
+            out.append(Arc(g.s, u, 0, ArcKind.SOURCE))
             break
         q = u
         b = int(np.searchsorted(g.starts, u, side="right")) - 1

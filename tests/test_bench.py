@@ -23,18 +23,19 @@ def test_bench_writes_every_stage(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "RUNS", 2)
     assert bench.main(["--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["runs"] == 2 and set(doc["machine"]) == {"cores", "numpy", "python"}
+    assert doc["runs"] == 2 and doc["passes"] == bench.PASSES
+    assert set(doc["machine"]) == {"cores", "numpy", "python"}
     shape = doc["shapes"]["r3"]
     assert (shape["r"], shape["n"], shape["status"]) == (3, 7, "optimal")
     stages = shape["seconds"]
-    for stage in ("json_loads", "parse_instance", "forest", "parse_forest", "solve",
+    for stage in ("json_loads", "decode", "parse_instance", "forest", "parse_forest", "solve",
                   "end_to_end", "solve.forest", "solve.check", "solve.ssp"):
         s = stages[stage]
         assert len(s["runs"]) == 2 and s["min"] <= s["median"] <= s["max"]
     assert shape["parse_peak_mb"] > 0
     assert shape["solve_alloc_peak_mb"] > 0
     assert shape["matrix_json_bytes"] > 0
-    for stage in ("json_loads", "parse_partial_matrix", "complete", "dump_matrix",
+    for stage in ("json_loads", "decode", "parse_partial_matrix", "complete", "dump_matrix",
                   "end_to_end"):
         s = stages[f"matrix.{stage}"]
         assert len(s["runs"]) == 2 and s["min"] <= s["median"] <= s["max"]
@@ -59,11 +60,20 @@ def test_bench_times_a_parent_alternately(tmp_path, monkeypatch):
     for side in ("change", "parent"):
         got = shape[side]
         assert got["status"] == "optimal" and got["counters"]["kernel_dtype"] == "int64"
-        for stage in ("json_loads", "parse_instance", "forest", "solve", "end_to_end",
-                      "solve.forest", "solve.ssp", "matrix.complete", "matrix.end_to_end"):
+        for stage in ("json_loads", "decode", "parse_instance", "forest", "solve", "end_to_end",
+                      "solve.forest", "solve.ssp", "matrix.decode", "matrix.complete",
+                      "matrix.end_to_end"):
             s = got["seconds"][stage]
             assert len(s["runs"]) == 2 and s["min"] <= s["median"] <= s["max"]
         assert got["parse_peak_mb"] > 0 and got["solve_alloc_peak_mb"] > 0
     assert shape["change"]["counters"] == shape["parent"]["counters"]
     assert set(shape["ratio"]) == set(shape["change"]["seconds"])
     assert all(ratio > 0 for ratio in shape["ratio"].values())
+
+
+def test_a_run_keeps_each_stages_best_pass(monkeypatch):
+    bench = _load()
+    rows = iter([{"a": 3.0, "b": 1.0}, {"a": 1.0, "b": 2.0}, {"a": 2.0, "b": 0.5}])
+    monkeypatch.setattr(bench, "one_pass", lambda text, matrix: (next(rows), "report"))
+    monkeypatch.setattr(bench, "PASSES", 3)
+    assert bench.one_run("text", None) == ({"a": 1.0, "b": 0.5}, "report")

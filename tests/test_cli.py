@@ -216,7 +216,7 @@ def test_in_process_calls_match_subprocess_runs(instance_file, mutant_file, caps
     assert codes == [2, 1, 0]
 
 
-def test_numpy_is_the_only_dependency():
+def test_numpy_and_orjson_are_the_only_dependencies():
     probe = ("import sys, zfree, zfree.cli\n"
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
@@ -224,4 +224,4 @@ def test_numpy_is_the_only_dependency():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text())["project"]
-    assert project["dependencies"] == ["numpy>=1.24"]
+    assert project["dependencies"] == ["numpy>=1.24", "orjson>=3.8"]
