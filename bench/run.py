@@ -36,8 +36,14 @@ run.
 Runs are untraced.  A run makes PASSES passes over the stages in one
 process and keeps each stage's best, since contention only ever adds time
 and a single pass does not resolve stages under about a millisecond; each
-stage then reports the median, min and max over the runs.  The tracemalloc
-peaks of parse_instance, of the forest and of minimize_zfree
+stage then reports the median, min and max over the runs.  json_loads
+and decode swap places from pass to pass, and so do matrix.json_loads and
+matrix.decode, so that with PASSES >= 2 each of them has a pass in which
+it runs first and its best does not depend on what the other left behind.
+No pass times a decoder right after another decode of the same text,
+which reads faster than any decode a parse makes (about 0.17 against
+0.3-0.4 ms for instance._fast_loads at r6_d21 on a 2-core shared host).
+The tracemalloc peaks of parse_instance, of the forest and of minimize_zfree
 (solve_alloc_peak_mb: forest, check, relaxation and the shortest-path loop
 together) on the parsed instance are taken in a separate pass, because
 tracemalloc slows the code it watches.  The file
@@ -131,12 +137,20 @@ def _peak_mb(func, *args) -> float:
     return peak / 2**20
 
 
-def matrix_stages(text: str) -> dict:
-    """Seconds of each stage of `zfree complete` on one matrix document."""
-    row = {}
-    _, row["matrix.json_loads"] = _timed(json.loads, text)
+def _decoders(text: str, prefix: str, decode_first: bool) -> dict:
+    """Seconds of json.loads and of the parsers' decoder on text, the
+    decoder first when decode_first is set."""
+    stages = [(f"{prefix}json_loads", json.loads)]
     if _fast_loads is not None:
-        _, row["matrix.decode"] = _timed(_fast_loads, text)
+        stages.append((f"{prefix}decode", _fast_loads))
+    if decode_first:
+        stages.reverse()
+    return {stage: _timed(func, text)[1] for stage, func in stages}
+
+
+def matrix_stages(text: str, decode_first: bool = False) -> dict:
+    """Seconds of each stage of `zfree complete` on one matrix document."""
+    row = _decoders(text, "matrix.", decode_first)
     H, row["matrix.parse_partial_matrix"] = _timed(parse_partial_matrix, text)
     done, row["matrix.complete"] = _timed(complete, H)
     _, row["matrix.dump_matrix"] = _timed(dump_matrix, done, indent=2)
@@ -145,14 +159,11 @@ def matrix_stages(text: str) -> dict:
     return row
 
 
-def one_pass(text: str, matrix: str | None):
+def one_pass(text: str, matrix: str | None, decode_first: bool = False):
     """One timed pass of every stage on an instance text (and its matrix
     text, if any): (seconds per stage, the solve's report)."""
     gc.collect()
-    row = {}
-    _, row["json_loads"] = _timed(json.loads, text)
-    if _fast_loads is not None:
-        _, row["decode"] = _timed(_fast_loads, text)
+    row = _decoders(text, "", decode_first)
     inst, row["parse_instance"] = _timed(parse_instance, text)
     _, row["forest"] = _timed(_build_forest, inst)
     row["parse_forest"] = row["parse_instance"] + row["forest"]
@@ -161,16 +172,16 @@ def one_pass(text: str, matrix: str | None):
     for stage, seconds in report.timings.items():
         row[f"solve.{stage}"] = seconds
     if matrix is not None:
-        row.update(matrix_stages(matrix))
+        row.update(matrix_stages(matrix, decode_first))
     return row, report
 
 
 def one_run(text: str, matrix: str | None):
     """PASSES passes of every stage: (each stage's best seconds, the last
-    pass's report)."""
+    pass's report).  The decoders swap order from pass to pass."""
     best, report = one_pass(text, matrix)
-    for _ in range(PASSES - 1):
-        row, report = one_pass(text, matrix)
+    for i in range(1, PASSES):
+        row, report = one_pass(text, matrix, decode_first=i % 2 == 1)
         best = {stage: min(seconds, row[stage]) for stage, seconds in best.items()}
     return best, report
 

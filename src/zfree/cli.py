@@ -83,12 +83,12 @@ def _dot_hook(directory: Path, layout):
         for v in range(graph.n):
             i, a = layout.pair(v)
             lines.append(f'  v{v} [label="({i + 1},{a + 1})"];')
-        on_path = set(search.path_to(graph.t)) if search.reached(graph.t) else set()
-        for idx, arc in enumerate(graph.arcs):
+        on_path = set(search.arcs or ())   # an Arc is unique within its graph
+        for arc in graph.arcs:
             reduced = arc.length + potential[arc.tail] - potential[arc.head]
             attrs = (f'label="{value(arc.length)}/{value(reduced)}", '
                      f'tooltip="{arc.kind.value}"')
-            if idx in on_path:
+            if arc in on_path:
                 attrs += ", color=red, penwidth=2"
             lines.append(f"  {_dot_name(graph, arc.tail)} -> "
                          f"{_dot_name(graph, arc.head)} [{attrs}];")

@@ -24,17 +24,16 @@ before it, capped at its key.  Ties are broken one way everywhere: the
 highest offered rank goes next, the lowest vertex on a tie, each component
 is rooted at its smallest vertex and every other vertex hangs off the
 earliest-joined vertex whose rank to it is its join key.  The tree itself
-is derived on demand: a refutation climbs the parents on its tree path
-only, and the whole tree (parent, depth, root) is derived only when
-read.  The matrix is completable exactly when every defined pair equals its
-floor value; otherwise the first pair (flat order) that ranks below it,
-closed by its tree path and shrunk along defined chords, is a chordless
-cycle whose minimum is unique.  A completion gives each undefined connected
-pair its floor value and pairs in different components the globally
-smallest defined value (zero when nothing is defined): one np.where over
-ranks and floor, the completion sharing the partial matrix's pool.
-pipeline builds the same structure over the cross-variable pairs of an
-instance to check and complete it.
+is never stored: a refutation derives and climbs the parents on its tree
+path only.  The matrix is completable exactly when every defined pair
+equals its floor value; otherwise the first pair (flat order) that ranks
+below it, closed by its tree path and shrunk along defined chords, is a
+chordless cycle whose minimum is unique.  A completion gives each
+undefined connected pair its floor value and pairs in different
+components the globally smallest defined value (zero when nothing is
+defined): one np.where over ranks and floor, the completion sharing the
+partial matrix's pool.  pipeline builds the same structure over the
+cross-variable pairs of an instance to check and complete it.
 
 parse_partial_matrix decodes its text as parse_instance does (orjson, with
 json.loads as the exact fallback), then checks a well-formed entries list
@@ -283,12 +282,11 @@ class _Forest:
     over the defined-pair graph.  A join key of 0 starts a new component, so
     the graph is connected exactly when no key after the first is 0.
 
-    The tree itself is derived on demand.  A vertex's parent is the
+    The tree itself is never stored.  A vertex's parent (_parent_of) is the
     earliest-joined vertex whose rank to it equals its join key (a
-    component's first vertex is its own parent); tree_path climbs the
-    parents of its two ends only, and parent, depth and root, the whole
-    tree as int32 arrays, are derived on first read.  Every component is
-    rooted at its smallest vertex.
+    component's first vertex is its own parent, so every component is
+    rooted at its smallest vertex); tree_path climbs the parents of its two
+    ends only.
 
     Tie rule (Prim's algorithm, _spanning_forest): the outside vertex the
     tree offers the highest rank joins next, the lowest such vertex on a
@@ -298,13 +296,13 @@ class _Forest:
     a witness cycle depends on this rule, never a verdict or a floor value.
     """
 
-    __slots__ = ("ranks", "pool", "order", "keys", "floor", "_at", "_tree")
+    __slots__ = ("ranks", "pool", "order", "keys", "floor", "_at")
 
     def __init__(self, ranks, pool):
         self.ranks = ranks
         self.pool = pool
         self.order, self.keys, self.floor = _spanning_forest(ranks)
-        self._at = self._tree = None
+        self._at = None
 
     def _positions(self):
         """Each vertex's place in the join order."""
@@ -322,28 +320,6 @@ class _Forest:
             return v
         before = self.order[:t]
         return before.item(int(np.argmax(self.ranks[v][before] == k)))
-
-    def _derive(self):
-        """(parent, depth, root) of every vertex, read off the join order."""
-        n = len(self.order)
-        parent, depth, root = [0] * n, [0] * n, [0] * n
-        for v in self.order.tolist():
-            p = parent[v] = self._parent_of(v)
-            if p != v:
-                depth[v] = depth[p] + 1
-                root[v] = root[p]
-            else:
-                root[v] = v
-        return tuple(np.array(a, dtype=np.int32) for a in (parent, depth, root))
-
-    def _tree_arrays(self):
-        if self._tree is None:
-            self._tree = self._derive()
-        return self._tree
-
-    parent = property(lambda self: self._tree_arrays()[0])
-    depth = property(lambda self: self._tree_arrays()[1])
-    root = property(lambda self: self._tree_arrays()[2])
 
     def tree_path(self, u: int, w: int) -> list[int]:
         """Vertices on the tree path from u to w, both ends included.  A

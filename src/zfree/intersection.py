@@ -17,9 +17,8 @@ have more than one outgoing arc: an exchange arc to every position outside x
 whose swap keeps f finite.  Every other position has at most one, a reassign
 arc to y's pick in its block, or the sink arc if it is a pick outside x.  So
 a round keeps one r x n array of exchange lengths with its feasibility mask,
-y's pick in every block, and the source and sink lists; the arc lists exist
-only once something reads them (the --dump-aux writer, tests, the reference
-search).
+y's pick in every block, and the source and sink lists; the arcs are listed
+only when something iterates graph.arcs (the --dump-aux writer, the tests).
 
 The search is Dijkstra on the contracted graph over s, supp(x),
 supp(y) \\ supp(x) and t: at most 2r + 2 vertices.  A hub reaches the pick
@@ -30,12 +29,12 @@ reduced per block with np.minimum.reduceat, prices all of those at once.
 Labels are (distance, hops) pairs compared lexicographically; the distance
 of every other position is one more r x n reduction over the hubs.  The
 path is rebuilt backwards from t with the tie rule of a heap Dijkstra over
-the materialised graph: a vertex's parent arc leaves the tail that pops
-first among those that give its label, smallest (distance, vertex), then
-the first such arc in arc order.  That heap search stays as the reference:
-it runs on graphs built arc by arc (ExchangeGraph.from_arcs), and on the
---dump-aux path ssp_intersect runs it next to the contracted search and
-raises InvariantError if their paths or capped distances differ.
+the listed arcs: a vertex's parent arc leaves the tail that pops first
+among those that give its label, smallest (distance, vertex), then the
+first such arc in arc order.  That heap search is the reference
+(zfree.reference.heap_search): on the --dump-aux path ssp_intersect runs it
+next to the contracted search and raises InvariantError if their paths or
+capped distances differ.
 
 All arithmetic is on exact integers: f's kernel (QuadFn.kernel) scales every
 finite value by D, so arc lengths, distances and potentials are ints in
@@ -43,18 +42,16 @@ units of 1/D (ExchangeGraph.scale).  Exchange lengths come from one r x n
 array operation per round, in int64 when the sums fit and in Python ints
 otherwise; the search picks int64 again only when a bound on every sum it
 forms stays below 2**63 (see _search_dtype).  Infinite pair terms are
-counted, never added, so arc lengths are always finite.  IterationStats
-reports in the original units.
+counted, never added, so arc lengths are always finite.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -68,7 +65,6 @@ __all__ = [
     "Arc",
     "ExchangeGraph",
     "build_exchange_graph",
-    "PathSearch",
     "ContractedSearch",
     "shortest_path_min_hops",
     "IterationStats",
@@ -91,8 +87,8 @@ class Arc(NamedTuple):
     kind: ArcKind
 
 
-class _ArcView(Sequence):
-    """A graph's arcs as Arc tuples, in arc order."""
+class _ArcView:
+    """A graph's arcs as Arc tuples, in arc order; len() lists none."""
 
     __slots__ = ("_graph",)
 
@@ -102,132 +98,51 @@ class _ArcView(Sequence):
     def __len__(self):
         return self._graph.arc_count()
 
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return [self[i] for i in range(*idx.indices(len(self)))]
-        g = self._graph
-        return Arc(g.tail[idx], g.head[idx], g.length[idx], g.kind[idx])
-
     def __iter__(self):
         g = self._graph
-        return map(Arc, g.tail, g.head, g.length, g.kind)
+        rows, heads = np.nonzero(g.feasible)
+        yield from map(Arc, g.hubs[rows].tolist(), heads.tolist(),
+                       g.lengths[rows, heads].tolist(), repeat(ArcKind.EXCHANGE))
+        moved = np.flatnonzero(g.target != np.arange(g.n))   # all but the picks
+        for w, q in zip(moved.tolist(), g.target[moved].tolist()):
+            yield Arc(w, q, 0, ArcKind.REASSIGN)
+        for u in g.sources:
+            yield Arc(g.s, u, 0, ArcKind.SOURCE)
+        for w in g.sinks:
+            yield Arc(w, g.t, 0, ArcKind.SINK)
 
 
 class ExchangeGraph:
-    """Directed multigraph on flat positions plus source s and sink t.
+    """The implicit exchange graph of one round, on flat positions plus
+    source s and sink t.
 
-    Arc idx runs from tail[idx] to head[idx] with integer length[idx], in
-    units of 1/scale, and kind[idx]; adj[v] lists the arcs leaving v in arc
-    order, and arcs views them as Arc tuples.  Arcs come in a fixed order:
-    exchange, reassign, source, sink, each class by tail and then head.
-
-    A graph from build_exchange_graph is implicit.  hubs (supp(x),
-    ascending), lengths (the r x n exchange lengths, meaningful where
-    feasible), target (y's pick in each position's block), starts (each
-    block's first position), picks (y's pick per block), sources and sinks
-    define every arc; the four arc columns and adj are built on first
-    access.  A graph from from_arcs has only the columns, and hubs None.
+    hubs (supp(x), ascending), lengths (the r x n exchange lengths in units
+    of 1/scale, meaningful where feasible), target (y's pick in each
+    position's block), starts (each block's first position), picks (y's
+    pick per block), sources and sinks define every arc.  arcs iterates them
+    as Arc tuples in a fixed order: exchange, reassign, source, sink, each
+    class by tail and then head.  count and arc_count, like len(arcs), read
+    counts kept at build time and list no arc.
     """
 
     __slots__ = ("n", "s", "t", "scale", "hubs", "lengths", "feasible", "target",
-                 "starts", "picks", "sources", "sinks", "_counts", "_size", "_columns", "_adj",
-                 "_offsets")
+                 "starts", "picks", "sources", "sinks", "_counts", "_size")
 
-    def __init__(self, n: int, scale: int = 1):
+    def __init__(self, n: int, scale: int):
         self.n = n
         self.s = n
         self.t = n + 1
         self.scale = scale
-        self.hubs = None
-        self._counts = None
-        self._columns = None
-        self._adj = None
-        self._offsets = None
-
-    @classmethod
-    def from_arcs(cls, n: int, arcs, scale: int = 1) -> "ExchangeGraph":
-        """A graph from (tail, head, length, kind) arcs, in that order."""
-        g = cls(n, scale)
-        g._columns = [list(c) for c in zip(*arcs)] or [[], [], [], []]
-        return g
 
     @property
-    def tail(self) -> list:
-        return self._arc_columns()[0]
-
-    @property
-    def head(self) -> list:
-        return self._arc_columns()[1]
-
-    @property
-    def length(self) -> list:
-        return self._arc_columns()[2]
-
-    @property
-    def kind(self) -> list:
-        return self._arc_columns()[3]
-
-    @property
-    def adj(self) -> list:
-        if self._adj is None:
-            tails = np.array(self.tail, dtype=np.intp)
-            order = np.argsort(tails, kind="stable")
-            bounds = np.searchsorted(tails[order], np.arange(self.n + 3)).tolist()
-            order = order.tolist()
-            self._adj = [order[a:b] for a, b in zip(bounds, bounds[1:])]
-        return self._adj
-
-    @property
-    def arcs(self) -> Sequence:
+    def arcs(self) -> _ArcView:
         return _ArcView(self)
 
     def count(self, kind: ArcKind) -> int:
-        if self.hubs is None:
-            return self.kind.count(kind)
         return self._counts[kind]
 
     def arc_count(self) -> int:
-        if self.hubs is None:
-            return len(self.head)
         return self._size
-
-    def _exchange_offsets(self) -> list:
-        """Index of each hub's first exchange arc, then the exchange count."""
-        if self._offsets is None:
-            counts = np.count_nonzero(self.feasible, axis=1)
-            self._offsets = [0, *np.cumsum(counts).tolist()]
-        return self._offsets
-
-    def _arc_index(self, arc: Arc) -> int:
-        """Index of an implicit graph's arc in arc order."""
-        tail, head, _, kind = arc
-        if kind is ArcKind.EXCHANGE:
-            a = int(np.searchsorted(self.hubs, tail))
-            return self._exchange_offsets()[a] + int(np.count_nonzero(self.feasible[a, :head]))
-        if kind is ArcKind.REASSIGN:
-            return self._exchange_offsets()[-1] + tail - int(np.searchsorted(self.picks, tail))
-        if kind is ArcKind.SOURCE:
-            return (self.arc_count() - len(self.sinks) - len(self.sources)
-                    + self.sources.index(head))
-        return self.arc_count() - len(self.sinks) + self.sinks.index(tail)
-
-    def _arc_columns(self) -> list:
-        if self._columns is None:
-            rows, heads = np.nonzero(self.feasible)
-            tail = self.hubs[rows].tolist()
-            head = heads.tolist()
-            length = self.lengths[rows, heads].tolist()
-            kind = [ArcKind.EXCHANGE] * len(head)
-            moved = np.flatnonzero(self.target != np.arange(self.n))   # all but the picks
-            tail += moved.tolist()
-            head += self.target[moved].tolist()
-            tail += [self.s] * len(self.sources) + self.sinks
-            head += self.sources + [self.t] * len(self.sinks)
-            length += [0] * (len(head) - len(length))
-            kind += ([ArcKind.REASSIGN] * len(moved) + [ArcKind.SOURCE] * len(self.sources)
-                     + [ArcKind.SINK] * len(self.sinks))
-            self._columns = [tail, head, length, kind]
-        return self._columns
 
 
 def _support(mask: int) -> list[int]:
@@ -315,149 +230,19 @@ def _negative(value, scale: int, tail: int, head: int) -> InvariantError:
 
 
 @dataclass
-class PathSearch:
-    """Heap Dijkstra output on graph: reduced distances, hop counts, and
-    parent arcs.
-
-    dist entries are None for unreachable vertices.
-    """
-
-    graph: ExchangeGraph
-    dist: list
-    hops: list
-    parent: list      # arc index into graph's arcs, or None
-    pops: int = 0
-
-    def reached(self, v: int) -> bool:
-        return self.dist[v] is not None
-
-    def path_to(self, v: int) -> list[int]:
-        """Arc indices from s to v, in path order."""
-        tail = self.graph.tail
-        out = []
-        while self.parent[v] is not None:
-            idx = self.parent[v]
-            out.append(idx)
-            v = tail[idx]
-        out.reverse()
-        return out
-
-    @property
-    def path(self) -> list[int] | None:
-        """Arc indices from s to t, or None when t is unreached."""
-        return self.path_to(self.graph.t) if self.reached(self.graph.t) else None
-
-    @property
-    def arcs(self) -> list | None:
-        """The path's arcs as Arc tuples, or None when t is unreached."""
-        path = self.path
-        return None if path is None else [self.graph.arcs[idx] for idx in path]
-
-    @property
-    def capped(self) -> list | None:
-        """Every vertex's distance capped at t's (unreached ones at t's too),
-        or None when t is unreached."""
-        d_t = self.dist[self.graph.t]
-        if d_t is None:
-            return None
-        return [d_t if d is None or d > d_t else d for d in self.dist]
-
-
-@dataclass
 class ContractedSearch:
-    """Contracted-search output on graph.  The search stops once t is final,
-    so it knows the s-t path and every vertex's distance capped at t's, not
-    the distances past t.
+    """Contracted-search output.  The search stops once t is final, so it
+    knows the s-t path and every vertex's distance capped at t's, not the
+    distances past t.
 
     arcs holds the s-t path's arcs as Arc tuples and capped an array of
     n + 2 distances in the search's dtype; both are None when t is
-    unreached.  path, the same arcs as indices into graph's arcs, is derived
-    from arcs when first read: the loop reads only arcs.  pops counts the
-    contracted vertices the search made final.
+    unreached.  pops counts the contracted vertices the search made final.
     """
 
-    graph: ExchangeGraph
     arcs: list | None
     capped: np.ndarray | None
     pops: int
-
-    @cached_property
-    def path(self) -> list | None:
-        return None if self.arcs is None else list(map(self.graph._arc_index, self.arcs))
-
-    def reached(self, v: int) -> bool:
-        if v != self.graph.t:
-            raise ValueError("the contracted search only knows whether t is reached")
-        return self.path is not None
-
-
-def shortest_path_min_hops(graph: ExchangeGraph, potential):
-    """Shortest s-t path under reduced lengths, breaking distance ties by
-    fewest arcs, then by the tail that a heap Dijkstra over the arcs would
-    pop first (smallest distance, then vertex), then by arc order.
-
-    potential holds an int per vertex (n positions, then s, then t), in the
-    graph's units, as a sequence or an array.  Every reduced length must
-    come out nonnegative; a negative one means the potentials are stale and
-    raises InvariantError naming the first such arc in arc order.
-
-    An implicit graph (build_exchange_graph) gets the contracted search and
-    a ContractedSearch; a graph from from_arcs gets the heap search over its
-    arcs and a PathSearch.
-    """
-    if len(potential) != graph.n + 2:
-        raise ValueError("potential length does not match the graph")
-    if graph.hubs is None:
-        return _heap_search(graph, potential)
-    return _contracted_search(graph, potential)
-
-
-def _heap_search(graph: ExchangeGraph, potential) -> PathSearch:
-    """Dijkstra over every arc of graph, ordered by (distance, hops, vertex);
-    a vertex keeps the first arc, in pop and arc order, that gives its label."""
-    if isinstance(potential, np.ndarray):
-        potential = potential.tolist()   # Python ints: the heap keys grow past int64
-    m = graph.n + 2
-    reduced = [lp + potential[a] - potential[b]
-               for a, b, lp in zip(graph.tail, graph.head, graph.length)]
-    if reduced and min(reduced) < 0:
-        idx = next(i for i, lp in enumerate(reduced) if lp < 0)
-        raise _negative(reduced[idx], graph.scale, graph.tail[idx], graph.head[idx])
-
-    head, adj = graph.head, graph.adj
-    dist = [None] * m
-    hops = [0] * m
-    parent = [None] * m
-    done = [False] * m
-    s = graph.s
-    dist[s] = 0
-    # One int per heap entry orders by (distance, hops, vertex): hops and
-    # vertices are below m.  A vertex's first pop carries its final
-    # distance and hops, so only the vertex is decoded.
-    mm = m * m
-    heap = [s]
-    pops = 0
-    heappop, heappush = heapq.heappop, heapq.heappush
-    while heap:
-        v = heappop(heap) % m
-        if done[v]:
-            continue
-        done[v] = True
-        pops += 1
-        d = dist[v]
-        nh = hops[v] + 1
-        key_hops = nh * m
-        for idx in adj[v]:
-            w = head[idx]
-            if done[w]:
-                continue
-            nd = d + reduced[idx]
-            dw = dist[w]
-            if dw is None or nd < dw or (nd == dw and nh < hops[w]):
-                dist[w], hops[w], parent[w] = nd, nh, idx
-                heappush(heap, nd * mm + key_hops + w)
-
-    return PathSearch(graph, dist, hops, parent, pops)
 
 
 def _search_dtype(graph: ExchangeGraph, potential):
@@ -478,7 +263,18 @@ def _search_dtype(graph: ExchangeGraph, potential):
     return (np.int64 if 8 * big < 2**63 else object), big
 
 
-def _contracted_search(g: ExchangeGraph, potential) -> ContractedSearch:
+def shortest_path_min_hops(g: ExchangeGraph, potential) -> ContractedSearch:
+    """Shortest s-t path under reduced lengths, breaking distance ties by
+    fewest arcs, then by the tail that a heap Dijkstra over the arcs would
+    pop first (smallest distance, then vertex), then by arc order.
+
+    potential holds an int per vertex (n positions, then s, then t), in the
+    graph's units, as a sequence or an array.  Every reduced length must
+    come out nonnegative; a negative one means the potentials are stale and
+    raises InvariantError naming the first such arc in arc order.
+    """
+    if len(potential) != g.n + 2:
+        raise ValueError("potential length does not match the graph")
     n, s, t = g.n, g.s, g.t
     hubs, picks, target = g.hubs, g.picks, g.target
     blocks = len(picks)
@@ -545,7 +341,7 @@ def _contracted_search(g: ExchangeGraph, potential) -> ContractedSearch:
             hub_lab[a] = (d, h)
             relax(d, h, range(blocks), (weight[a], weight_hops[a]))
     if not done[blocks]:
-        return ContractedSearch(g, None, None, pops)
+        return ContractedSearch(None, None, pops)
 
     d_t = lab[blocks][0]
     hub_d = np.array([big if hl is None else hl[0] for hl in hub_lab], dtype=dtype)
@@ -560,7 +356,7 @@ def _contracted_search(g: ExchangeGraph, potential) -> ContractedSearch:
     capped[hubs] = hub_cap
     capped[s] = 0
     capped[t] = d_t
-    return ContractedSearch(g, arcs, capped, pops)
+    return ContractedSearch(arcs, capped, pops)
 
 
 def _check_nonnegative(g: ExchangeGraph, red, rr, pl) -> None:
@@ -665,13 +461,6 @@ class IterationStats:
     arcs_reassign: int
     arcs_source: int
     arcs_sink: int
-    # Smallest reduced length on the path: int or Fraction.  It is 0 in
-    # every round: each path starts with a length-0 source arc out of s,
-    # whose potential stays 0, and the reduced length of that arc is the
-    # negated potential of a hub, which the search's nonnegativity check
-    # (over every arc, before each search) forces to 0.  That check is the
-    # live one.
-    min_reduced: object
 
 
 @dataclass
@@ -684,12 +473,6 @@ class SspResult:
     counters: dict = field(default_factory=dict)
 
 
-def _unscaled(v: int, scale: int):
-    """v / scale as an int when integral, else as a Fraction."""
-    q, rem = divmod(v, scale)
-    return q if rem == 0 else Fraction(v, scale)
-
-
 def ssp_intersect(f: QuadFn, layout: OneHotLayout, x0_mask: int, y0_mask: int,
                   dump_hook=None) -> SspResult:
     """Drive x (a layer minimizer of f) and y (a one-hot point) together.
@@ -700,9 +483,10 @@ def ssp_intersect(f: QuadFn, layout: OneHotLayout, x0_mask: int, y0_mask: int,
 
     dump_hook, when given, is called once per round with
     (index, graph, potential, search) before x and y change; potential is a
-    list in the graph's units (graph.scale) and search the reference heap
-    search's PathSearch, which must agree with the contracted search on the
-    path and on every capped distance.
+    list in the graph's units (graph.scale) and search the PathSearch of
+    zfree.reference.heap_search over graph.arcs, which must agree with the
+    contracted search on the path's arcs and on every capped distance.  The
+    reference module is imported on this path only.
     """
     n = f.n
     if x0_mask.bit_count() != y0_mask.bit_count():
@@ -726,10 +510,12 @@ def ssp_intersect(f: QuadFn, layout: OneHotLayout, x0_mask: int, y0_mask: int,
         search = shortest_path_min_hops(graph, potential)
         counters["search_pops"] += search.pops
         if dump_hook is not None:
+            from .reference import heap_search
+
             listed = potential.tolist()
-            reference = _heap_search(graph, listed)
+            reference = heap_search(graph.n, graph.arcs, listed, graph.scale)
             capped = None if search.capped is None else search.capped.tolist()
-            if reference.path != search.path or reference.capped != capped:
+            if reference.arcs != search.arcs or reference.capped != capped:
                 raise InvariantError(f"round {index}: the contracted search and the "
                                      f"heap search disagree")
             dump_hook(index, graph, listed, reference)
@@ -738,11 +524,7 @@ def ssp_intersect(f: QuadFn, layout: OneHotLayout, x0_mask: int, y0_mask: int,
         if path is None:
             return SspResult(None, stats, counters)
 
-        min_reduced = None
-        for tail, head, length, kind in path:
-            lp = length + int(potential[tail]) - int(potential[head])
-            if min_reduced is None or lp < min_reduced:
-                min_reduced = lp
+        for tail, head, _, kind in path:
             if kind is ArcKind.EXCHANGE:
                 x = (x ^ (1 << tail)) | (1 << head)
             elif kind is ArcKind.REASSIGN:
@@ -770,6 +552,5 @@ def ssp_intersect(f: QuadFn, layout: OneHotLayout, x0_mask: int, y0_mask: int,
             arcs_reassign=graph.count(ArcKind.REASSIGN),
             arcs_source=graph.count(ArcKind.SOURCE),
             arcs_sink=graph.count(ArcKind.SINK),
-            min_reduced=None if min_reduced is None else _unscaled(min_reduced, graph.scale),
         ))
     return SspResult(x, stats, counters)

@@ -74,6 +74,22 @@ def test_bench_times_a_parent_alternately(tmp_path, monkeypatch):
 def test_a_run_keeps_each_stages_best_pass(monkeypatch):
     bench = _load()
     rows = iter([{"a": 3.0, "b": 1.0}, {"a": 1.0, "b": 2.0}, {"a": 2.0, "b": 0.5}])
-    monkeypatch.setattr(bench, "one_pass", lambda text, matrix: (next(rows), "report"))
+    orders = []
+
+    def one_pass(text, matrix, decode_first=False):
+        orders.append(decode_first)
+        return next(rows), "report"
+
+    monkeypatch.setattr(bench, "one_pass", one_pass)
     monkeypatch.setattr(bench, "PASSES", 3)
     assert bench.one_run("text", None) == ({"a": 1.0, "b": 0.5}, "report")
+    assert orders == [False, True, False]
+
+
+def test_the_decoders_swap_places(monkeypatch):
+    bench = _load()
+    calls = []
+    monkeypatch.setattr(bench, "_timed", lambda func, text: calls.append(func) or (None, 1.0))
+    assert list(bench._decoders("{}", "matrix.", False)) == ["matrix.json_loads", "matrix.decode"]
+    assert list(bench._decoders("{}", "", True)) == ["decode", "json_loads"]
+    assert calls == [json.loads, bench._fast_loads, bench._fast_loads, json.loads]

@@ -225,3 +225,21 @@ def test_numpy_and_orjson_are_the_only_dependencies():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text())["project"]
     assert project["dependencies"] == ["numpy>=1.24", "orjson>=3.8"]
+
+
+def test_the_reference_search_loads_only_for_dump_aux(instance_file, tmp_path):
+    probe = ("import sys, zfree.cli\n"
+             "before = 'zfree.reference' in sys.modules\n"
+             "code = zfree.cli.main(sys.argv[1:])\n"
+             "print(before, 'zfree.reference' in sys.modules, code, file=sys.stderr)")
+
+    def loaded(*args):
+        res = subprocess.run([sys.executable, "-c", probe, *args],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        return res.stderr.split()
+
+    assert loaded("solve", str(instance_file)) == ["False", "False", "0"]
+    aux = tmp_path / "aux"
+    assert loaded("solve", "--dump-aux", str(aux), str(instance_file)) == ["False", "True", "0"]
+    assert sorted(aux.glob("round_*.dot"))

@@ -1,17 +1,18 @@
 """The contracted shortest-path search against the heap search over the
-materialised exchange graph, round by round.
+listed arcs of the exchange graph, round by round.
 
 The inputs are the valid instances of test_ssp_identity.py (generated ones
 for r=2..12 with and without infinite costs, wide ones, half-integer,
 coprime-denominator and past-2**63 costs, pair tables over {0, 1} with many
 equal-distance ties, d=1 variables and omitted tables) and 100 more tied
 ones up to r=14.  On every round of every solve both searches run on the
-same graph and potential and must agree on the path's arc indices and hops
-and on every vertex's distance capped at t's, hence on the next potential.  A second run of the loop with
-the heap search in place of the contracted one must give the same
-IterationStats, potentials and result.  A stale potential must raise the
-same InvariantError text from both: the nonnegativity check is the only
-live one, since IterationStats.min_reduced is always 0.
+same graph and potential and must agree on the path's arcs and hops and
+on every vertex's distance capped at t's, hence on the next potential.  A
+second run of the loop with the heap search in place of the contracted one
+must give the same IterationStats, potentials and result.  A stale
+potential must raise the same InvariantError text from both: that check,
+run over every arc before each search, is the loop's guard on reduced
+lengths.
 """
 
 import random
@@ -19,10 +20,10 @@ import random
 import pytest
 
 from test_ssp_identity import CASES, _tied
-from zfree import (ExchangeGraph, GenConfig, InvariantError, build_relaxation,
-                   check_bottleneck, generate_instance, greedy_min_layer, intersection,
-                   minimize_zfree)
-from zfree.intersection import ContractedSearch, PathSearch, ssp_intersect
+from zfree import (GenConfig, InvariantError, build_relaxation, check_bottleneck,
+                   generate_instance, greedy_min_layer, intersection, minimize_zfree)
+from zfree.intersection import ContractedSearch, ssp_intersect
+from zfree.reference import PathSearch, heap_search
 from zfree.pipeline import _warm_start
 
 
@@ -40,8 +41,8 @@ VALID = [(name, inst) for name, inst in [*CASES, *_more_ties()]
 SEARCH = intersection.shortest_path_min_hops
 
 
-def materialised(graph):
-    return ExchangeGraph.from_arcs(graph.n, list(graph.arcs), graph.scale)
+def reference(graph, potential):
+    return heap_search(graph.n, graph.arcs, potential, graph.scale)
 
 
 def stale(potential, arc, rng):
@@ -86,26 +87,29 @@ def test_contracted_search_matches_the_heap_search(name, inst):
     def compared(graph, potential):
         search = SEARCH(graph, potential)
         listed = potential.tolist()
-        ref = materialised(graph)
-        heap = SEARCH(ref, listed)
+        heap = reference(graph, listed)
         assert isinstance(search, ContractedSearch) and isinstance(heap, PathSearch)
-        assert search.path == heap.path and search.arcs == heap.arcs
-        if heap.path is not None:
-            assert len(search.path) == heap.hops[graph.t]
+        assert search.arcs == heap.arcs
+        if heap.arcs is not None:
+            assert len(search.arcs) == heap.hops[graph.t]
             assert search.capped.tolist() == heap.capped
             assert ((potential + search.capped).tolist()
                     == [p + d for p, d in zip(listed, heap.capped)])
-        for arc in rng.sample(list(ref.arcs), min(3, len(ref.arcs))):
+        arcs = list(graph.arcs)
+        # Arcs, not indices, are compared above: that is as strict only
+        # because no two arcs of a graph are equal.
+        assert len(set(arcs)) == len(arcs) == len(graph.arcs)
+        for arc in rng.sample(arcs, min(3, len(arcs))):
             bad = stale(listed, arc, rng)
             with pytest.raises(InvariantError) as got:
                 SEARCH(graph, bad)
             with pytest.raises(InvariantError) as want:
-                SEARCH(ref, bad)
+                heap_search(graph.n, arcs, bad, graph.scale)
             assert str(got.value) == str(want.value)
         return search
 
     result, potentials = run(f, inst, compared)
-    reference, ref_potentials = run(f, inst, lambda g, p: SEARCH(materialised(g), p.tolist()))
-    assert result.mask == reference.mask
-    assert result.iterations == reference.iterations
+    ref_result, ref_potentials = run(f, inst, reference)
+    assert result.mask == ref_result.mask
+    assert result.iterations == ref_result.iterations
     assert potentials == ref_potentials

@@ -1,7 +1,7 @@
 """The spanning forest that checking and completion read, against a brute
 force maximin closure computed independently of it and against the Prim
 pass it replaced (the reference for the tie rule); plus guards that a
-valid solve or completion never derives the tree and that building the
+valid solve or completion never climbs the tree and that building the
 forest allocates nothing n x n besides floor."""
 
 import gc
@@ -64,7 +64,7 @@ def _assert_forest(ranks):
     f = _Forest(ranks, pool=[1, 2, 3])
     c = _closure(ranks.tolist())
     floor = f.floor.tolist()
-    parent, depth, root = f.parent.tolist(), f.depth.tolist(), f.root.tolist()
+    parent = [f._parent_of(v) for v in range(n)]
     comp = [min(w for w in range(n) if w == v or c[v][w] > 0) for v in range(n)]
     for u in range(n):
         for w in range(n):
@@ -73,13 +73,15 @@ def _assert_forest(ranks):
             else:
                 assert floor[u][w] == 0, (u, w)
     for v in range(n):
-        assert root[v] == comp[v]
-        if v == root[v]:
-            assert parent[v] == v and depth[v] == 0
-        else:
+        # the parents climb, without a cycle, to the component's smallest vertex
+        root, steps = v, 0
+        while parent[root] != root:
+            root, steps = parent[root], steps + 1
+            assert steps < n
+        assert root == comp[v]
+        if v != root:
             p = parent[v]
             assert ranks[v, p] > 0 and ranks[v, p] == floor[v][p]
-            assert depth[v] == depth[p] + 1
     consistent = all(ranks[u, w] == c[u][w]
                      for u in range(n) for w in range(n) if ranks[u, w])
     assert (f.violation() is None) == consistent
@@ -103,13 +105,13 @@ def test_forest_matches_maximin_closure():
 ])
 def test_tie_rule(ranks, parent):
     f = _Forest(np.array(ranks, dtype=np.int32), pool=[1, 2, 3])
-    assert f.parent.tolist() == parent
+    assert [f._parent_of(v) for v in range(len(ranks))] == parent
 
 
 # ---------------------------------------------------------------------------
 # The join-order forest against the Prim pass it replaced, kept here verbatim
-# as the reference for the tie rule: parent, depth, root, floor and the
-# violation cycle must come out the same on every matrix.
+# as the reference for the tie rule: parent, floor and the violation cycle
+# must come out the same on every matrix (depth and root follow from parent).
 # ---------------------------------------------------------------------------
 
 
@@ -223,15 +225,11 @@ def _oracle_matrices():
 def test_join_order_forest_matches_the_reference():
     count = violated = 0
     for ranks in _oracle_matrices():
-        parent, depth, root, floor = _reference_forest(ranks)
-        # The witness is read first, before anything derives the whole tree.
-        fresh = _Forest(ranks, ())
-        cycle = fresh.violation()
+        parent, depth, _, floor = _reference_forest(ranks)
         f = _Forest(ranks, ())
+        cycle = f.violation()
         assert np.array_equal(f.floor, floor)
-        assert f.parent.tolist() == parent.tolist()
-        assert f.depth.tolist() == depth.tolist()
-        assert f.root.tolist() == root.tolist()
+        assert [f._parent_of(v) for v in range(len(ranks))] == parent.tolist()
         bad = np.argwhere((ranks < floor) & (ranks > 0))
         if len(bad):
             u, w = bad[0].tolist()
@@ -267,7 +265,6 @@ def _never_derive(monkeypatch):
         raise AssertionError("derived the tree")
 
     monkeypatch.setattr(_Forest, "_parent_of", refuse)
-    monkeypatch.setattr(_Forest, "_derive", refuse)
 
 
 def test_valid_solves_never_derive_the_tree(monkeypatch):

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from zfree import (Arc, ArcKind, ExchangeGraph, GenConfig, Instance, QuadFn,
-                   build_exchange_graph, build_relaxation, generate_instance,
-                   greedy_min_layer, shortest_path_min_hops, ssp_intersect)
+from zfree import (Arc, ArcKind, GenConfig, Instance, QuadFn, build_exchange_graph,
+                   build_relaxation, generate_instance, greedy_min_layer,
+                   shortest_path_min_hops, ssp_intersect)
 from zfree.errors import InvariantError
 from zfree.instance import OneHotLayout
+from zfree.reference import heap_search
 
 
 def zero_quad(n):
@@ -21,7 +22,7 @@ class TestBuild:
         assert g.count(ArcKind.SOURCE) == 0
         assert g.count(ArcKind.SINK) == 0
         search = shortest_path_min_hops(g, [0] * 6)
-        assert not search.reached(g.t)
+        assert search.arcs is None and search.capped is None
 
     def test_disjoint_points_arc_sets(self):
         lay = OneHotLayout((2, 2))
@@ -74,13 +75,13 @@ class TestBuild:
 
 
 class TestShortestPath:
+    """The reference search over a plain arc list: vertex n is s, n + 1 t."""
+
     def test_two_arc_path(self):
         # one interior vertex: s -> 0 (len 2), 0 -> t (len 0)
-        g = ExchangeGraph.from_arcs(1, [Arc(1, 0, 2, ArcKind.SOURCE),
-                              Arc(0, 2, 0, ArcKind.SINK)])
-        search = shortest_path_min_hops(g, [0, 0, 0])
-        assert search.dist[g.t] == 2
-        assert len(search.path_to(g.t)) == 2
+        search = heap_search(1, [(1, 0, 2, ArcKind.SOURCE), (0, 2, 0, ArcKind.SINK)], [0, 0, 0])
+        assert search.dist[2] == 2
+        assert search.arcs == [Arc(1, 0, 2, ArcKind.SOURCE), Arc(0, 2, 0, ArcKind.SINK)]
 
     def test_hop_tie_break(self):
         # two equal-length routes; the two-arc one must win
@@ -90,28 +91,28 @@ class TestShortestPath:
             Arc(0, 1, 0, ArcKind.EXCHANGE),
             Arc(1, 3, 1, ArcKind.SINK),
         ]
-        g = ExchangeGraph.from_arcs(2, arcs)
-        search = shortest_path_min_hops(g, [0] * 4)
-        assert search.dist[g.t] == 2
-        assert len(search.path_to(g.t)) == 2
+        search = heap_search(2, arcs, [0] * 4)
+        assert search.dist[3] == 2
+        assert search.arcs == arcs[:2]
 
     def test_unreachable_sink(self):
-        g = ExchangeGraph.from_arcs(1, [Arc(1, 0, 0, ArcKind.SOURCE)])
-        search = shortest_path_min_hops(g, [0, 0, 0])
-        assert not search.reached(g.t)
+        search = heap_search(1, [Arc(1, 0, 0, ArcKind.SOURCE)], [0, 0, 0])
+        assert search.arcs is None and search.capped is None
 
     def test_negative_reduced_length_raises(self):
-        g = ExchangeGraph.from_arcs(1, [Arc(1, 0, -1, ArcKind.SOURCE)])
-        with pytest.raises(InvariantError):
-            shortest_path_min_hops(g, [0, 0, 0])
+        with pytest.raises(InvariantError, match="negative reduced length -1/2 on arc 1->0"):
+            heap_search(1, [Arc(1, 0, -1, ArcKind.SOURCE)], [0, 0, 0], scale=2)
 
     def test_potential_shifts_reduced_lengths(self):
-        g = ExchangeGraph.from_arcs(1, [Arc(1, 0, 2, ArcKind.SOURCE),
-                              Arc(0, 2, 0, ArcKind.SINK)])
+        arcs = [Arc(1, 0, 2, ArcKind.SOURCE), Arc(0, 2, 0, ArcKind.SINK)]
         # potential 2 on the interior vertex cancels the first arc's length
-        search = shortest_path_min_hops(g, [2, 0, 2])
+        search = heap_search(1, arcs, [2, 0, 2])
         assert search.dist[0] == 0
-        assert search.dist[g.t] == 0
+        assert search.dist[2] == 0
+
+    def test_potential_length_must_match(self):
+        with pytest.raises(ValueError):
+            heap_search(1, [], [0, 0])
 
 
 class TestSsp:
@@ -168,7 +169,6 @@ class TestSsp:
             assert len(res.iterations) <= r
             for st in res.iterations:
                 assert st.gap_after == st.gap_before - 2
-                assert st.min_reduced is None or st.min_reduced >= 0
                 assert st.arcs_exchange <= r * (n - r)
                 assert st.arcs_reassign <= n
                 assert st.arcs_source <= r

@@ -18,8 +18,7 @@ from zfree import (INF, GenConfig, Instance, OneHotLayout, QuadFn, SolveStatus,
                    brute_force_min,
                    build_exchange_graph, build_relaxation, check_jwp, check_zfree,
                    dump_instance, eval_quad, evaluate_instance, generate_instance,
-                   greedy_min_layer, minimize_zfree, shortest_path_min_hops,
-                   ssp_intersect)
+                   greedy_min_layer, minimize_zfree, shortest_path_min_hops)
 from zfree.cli import main
 from zfree.errors import InvariantError
 from zfree.intersection import ArcKind
@@ -214,27 +213,12 @@ class TestLoopUnits:
             moved = eval_quad(f, x ^ (1 << a.tail) | (1 << a.head)).raw
             assert Fraction(a.length, graph.scale) == moved - base
 
-    def test_min_reduced_is_nonnegative_in_original_units(self):
-        # Each path starts with a length-0 source arc out of s, whose
-        # potential stays 0, so every round's minimum is an exact 0.
-        inst, f, x, y = self.half_integer_case()
-        rounds = []
-        res = ssp_intersect(f, inst.layout, x, y,
-                            lambda i, g, pot, search: rounds.append((g, list(pot), search)))
-        assert len(res.iterations) == len(rounds) == 3
-        for st, (g, pot, search) in zip(res.iterations, rounds):
-            path = search.path_to(g.t)
-            want = min(Fraction(g.length[i] + pot[g.tail[i]] - pot[g.head[i]], g.scale)
-                       for i in path)
-            assert st.min_reduced == want >= 0
-            assert isinstance(st.min_reduced, int) == (want.denominator == 1)
-
     def test_stale_potential_raises(self):
         inst, f, x, y = self.half_integer_case()
         graph = build_exchange_graph(f, x, y, inst.layout)
         potential = [0] * (graph.n + 2)
-        idx = graph.kind.index(ArcKind.REASSIGN)
-        potential[graph.head[idx]] = graph.length[idx] + 1
+        arc = next(a for a in graph.arcs if a.kind is ArcKind.REASSIGN)
+        potential[arc.head] = arc.length + 1
         # One scaled unit below zero, reported in the instance's units.
         with pytest.raises(InvariantError, match="negative reduced length -1/2 on arc"):
             shortest_path_min_hops(graph, potential)
