@@ -97,10 +97,12 @@ PASSES = 3   # passes per run; each stage keeps its best
 
 # name: (r, domains, inf_share).  The four shapes of the baseline table in
 # ROADMAP.md (wide domains; the criterion-8 top size; many variables at
-# n = 2000), the size of perfbench's instances (r=6, d=21, n=126) and a
-# many-variable shape with tiny domains and half its instances carrying
-# infinite costs.
+# n = 2000), the size of perfbench's instances (r=6, d=21, n=126), the
+# largest size the solve once rescanned its relaxation at (r=6, d=20,
+# n=120) and a many-variable shape with tiny domains and half its instances
+# carrying infinite costs.
 SHAPES = {
+    "r6_d20": (6, (20,) * 6, 0.0),
     "r6_d21": (6, (21,) * 6, 0.0),
     "r6_d42": (6, (42,) * 6, 0.0),
     "r13_d154": (13, (154,) * 13, 0.0),

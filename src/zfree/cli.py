@@ -153,7 +153,12 @@ def _cmd_oracle_min(args) -> int:
 def _cmd_gen(args) -> int:
     cfg = GenConfig(r=args.r, dmax=args.dmax, levels=args.levels, seed=args.seed,
                     unary_max=args.unary_max, inf_share=args.inf_share)
-    print(dump_instance(generate_instance(cfg), indent=2))
+    try:
+        inst = generate_instance(cfg)
+    except ValueError as e:   # a parameter out of range: a usage failure
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    print(dump_instance(inst, indent=2))
     return 0
 
 
@@ -184,7 +189,8 @@ def _build_parser() -> _Parser:
     p = add("solve", _cmd_solve, "minimize an instance")
     p.add_argument("instance", help="instance JSON file, or - for stdin")
     p.add_argument("--no-check", action="store_true",
-                   help="skip the input property checks")
+                   help="do not reject an invalid instance: the verdict is "
+                        "still computed, and an invalid one raises instead")
     p.add_argument("--dump-aux", metavar="DIR",
                    help="write one Graphviz file per search round into DIR")
 
@@ -221,18 +227,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
     except InvariantError:
         raise  # internal defect; fail loudly rather than exit politely
-    except ZfreeError as e:
+    except (OSError, ZfreeError) as e:   # ParseError among them
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -212,6 +212,7 @@ class CompletedMatrix(_RankMatrix):
 # buffers it allocates one band x band block, not an n x n temporary.
 _BAND = 64
 _OUTSIDE = np.iinfo(np.int32).max
+_UNDECIDED = object()   # _Forest._cycle before violation() first runs
 
 
 def _spanning_forest(ranks):
@@ -294,15 +295,24 @@ class _Forest:
     component; a joining vertex hangs off the earliest tree vertex that
     offered its rank.  Only the tree path that closes a violating pair into
     a witness cycle depends on this rule, never a verdict or a floor value.
+
+    violation() is decided once and kept; refuted reads the kept answer
+    without deciding.  That one verdict also decides floor with the defined
+    ranks written over it, the relaxation pipeline builds: a defined rank
+    never exceeds its floor, so that matrix is anti-ultrametric exactly
+    when no defined pair ranks below its floor, which is violation() is
+    None.  QuadFn.mnatural_violation runs the same check (_check) on a
+    function's own pair matrix.
     """
 
-    __slots__ = ("ranks", "pool", "order", "keys", "floor", "_at")
+    __slots__ = ("ranks", "pool", "order", "keys", "floor", "_at", "_cycle")
 
     def __init__(self, ranks, pool):
         self.ranks = ranks
         self.pool = pool
         self.order, self.keys, self.floor = _spanning_forest(ranks)
         self._at = None
+        self._cycle = _UNDECIDED
 
     def _positions(self):
         """Each vertex's place in the join order."""
@@ -342,16 +352,23 @@ class _Forest:
         holds exactly when the matrix is completable.  Otherwise a chordless
         cycle of defined pairs with a unique minimum, shrunk from the first
         defined pair (flat order, u < w) that ranks below that minimum and
-        its tree path; the minimum is the closing pair (cycle[-1], cycle[0])."""
-        ranks = self.ranks
-        bad = ranks < self.floor
-        bad &= ranks > 0
-        # bad is symmetric, so its first cell in flat order has u < w.
-        first = int(np.argmax(bad))
-        if not bad.flat[first]:
-            return None
-        u, w = divmod(first, len(ranks))
-        return self._chordless(self.tree_path(u, w))
+        its tree path; the minimum is the closing pair (cycle[-1], cycle[0]).
+        Decided on the first call and kept (see refuted)."""
+        if self._cycle is _UNDECIDED:
+            bad = self.ranks < self.floor
+            bad &= self.ranks > 0
+            # bad is symmetric, so its first cell in flat order has u < w.
+            first = int(np.argmax(bad))
+            self._cycle = (self._chordless(self.tree_path(*divmod(first, len(bad))))
+                           if bad.flat[first] else None)
+        return self._cycle
+
+    @property
+    def refuted(self):
+        """Whether violation() found a cycle; None until it is first asked.
+        The answer is kept, so it stays true to the matrix the forest was
+        built from after floor is handed on (pipeline.build_relaxation)."""
+        return None if self._cycle is _UNDECIDED else self._cycle is not None
 
     def _chordless(self, cycle: list[int]) -> list[int]:
         """Shrink a cycle of defined pairs whose closing pair (cycle[-1],

@@ -79,6 +79,8 @@ def generate_instance(cfg: GenConfig) -> Instance:
     """A random instance that passes both input checks by construction."""
     if cfg.r < 1:
         raise ValueError("need at least one variable")
+    if cfg.unary_max < 0:
+        raise ValueError("unary_max must be nonnegative")
     rng = random.Random(cfg.seed)
     if cfg.domains is not None:
         domains = tuple(cfg.domains)

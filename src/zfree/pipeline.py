@@ -27,6 +27,15 @@ both questions the solve asks:
   completion.complete on the induced partial matrix, which reads the same
   kind of forest.
 
+The validity verdict is also the relaxation's M-natural verdict: a cross
+rank never exceeds its floor, so the relaxation is anti-ultrametric (its
+pool is nonnegative) exactly when no cross pair ranks below its floor.
+Every solve asks the forest once, checks on or off; build_relaxation
+records the answer on the relaxation, and the solve's check and
+greedy_min_layer's precondition read it at every n without scanning.  The
+cubic check_mnatural_quadratic runs only to word a refutation, or when
+verify_completion asks for the independent rescan.
+
 build_relaxation also builds the relaxation's integer kernel once: every
 finite unary and pool value times D, the LCM of their denominators (1 for
 all-integer input, 2 for the generator's half-integer unary costs).  The
@@ -57,8 +66,9 @@ from .completion import _spanning_forest as minimum_spanning_tree
 from .instance import Instance, one_hot_decode, evaluate_instance
 from .intersection import IterationStats, ssp_intersect
 from .properties import (Violation, _jwp_violation, _zfree_violation, check_jwp,
-                         check_zfree)
-from .quadratic import QuadFn, eval_quad, greedy_min_layer, induced_partial_matrix
+                         check_mnatural_quadratic, check_zfree)
+from .quadratic import (_REFUTED, QuadFn, eval_quad, greedy_min_layer,
+                        induced_partial_matrix)
 from .values import INF, ExtValue, format_value
 
 __all__ = [
@@ -70,8 +80,6 @@ __all__ = [
     "CertifyResult",
     "certify",
 ]
-
-_VERIFY_LIMIT = 120  # auto-verify the relaxation up to this flat size
 
 
 class SolveStatus(Enum):
@@ -119,15 +127,6 @@ def _build_forest(inst: Instance) -> _Forest | None:
     return forest
 
 
-def _bottleneck_violation(inst: Instance, forest: _Forest | None):
-    """None when every cross pair equals its tree bottleneck, otherwise the
-    JWP or ZFREE witness for the forest's chordless cycle."""
-    if forest is None:
-        return None
-    cycle = forest.violation()
-    return None if cycle is None else _cycle_violation(inst, cycle)
-
-
 def _cycle_violation(inst: Instance, cycle: list[int]):
     """The witness for a chordless cycle of cross pairs with a unique
     minimum.  The cross-pair graph is complete multipartite over the
@@ -170,7 +169,9 @@ def check_bottleneck(inst: Instance):
     shape check_jwp and check_zfree report.  Those exhaustive scans give the
     same verdict but may cite a different witness.
     """
-    return _bottleneck_violation(inst, _build_forest(inst))
+    forest = _build_forest(inst)
+    cycle = None if forest is None else forest.violation()
+    return None if cycle is None else _cycle_violation(inst, cycle)
 
 
 def build_relaxation(inst: Instance, forest: _Forest | None = None) -> QuadFn:
@@ -183,20 +184,30 @@ def build_relaxation(inst: Instance, forest: _Forest | None = None) -> QuadFn:
     the forest's cross ranks are written into it, over the within-variable
     tree-path minima it already holds, and that read-only matrix is the
     relaxation's ranks over the forest's pool; the only n x n allocation
-    is the bool mask of the cross pairs.  A single variable has no cross pairs and no forest: its
-    relaxation is inst.ranks (all 0, zero coefficients) over inst.pool.
+    is the bool mask of the cross pairs.  A single variable has no cross
+    pairs and no forest: its relaxation is inst.ranks (all 0, zero
+    coefficients) over inst.pool, M-natural-convex.
 
-    The integer kernel (each finite value scaled by the LCM D of the
-    denominators) is built here, once.
+    The relaxation's M-natural verdict (QuadFn.mnatural_violation) is the
+    forest's, recorded here when forest.violation() was already asked and
+    read before floor is taken.  A cross rank never exceeds its floor, so
+    floor with the cross ranks written over it is anti-ultrametric exactly
+    when no cross pair ranks below its floor; the pool is nonnegative.  A
+    forest not asked yet leaves the relaxation to decide on its own, when
+    first asked.  The integer kernel (each finite value scaled by the LCM D
+    of the denominators) is built here, once.
     """
     linear = list(chain.from_iterable(inst.unary))
     if inst.r == 1:
-        f = QuadFn(linear, inst.ranks, inst.pool)
+        f, refuted = QuadFn(linear, inst.ranks, inst.pool), False
     else:
         if forest is None:
             forest = _build_forest(inst)
+        refuted = forest.refuted
         np.copyto(forest.floor, forest.ranks, where=forest.ranks > 0)
         f = QuadFn(linear, forest.floor, forest.pool)
+    if refuted is not None:
+        f._verdict = _REFUTED if refuted else None
     f.kernel()   # scale once, here
     return f
 
@@ -213,7 +224,7 @@ def _warm_start(inst: Instance) -> int:
 
 
 def minimize_zfree(inst: Instance, *, check_properties: bool = True,
-                   verify_completion: bool | None = None,
+                   verify_completion: bool = False,
                    dump_hook=None) -> SolveReport:
     """Minimize a valid instance exactly.
 
@@ -223,11 +234,17 @@ def minimize_zfree(inst: Instance, *, check_properties: bool = True,
     pair in flat order, closed by its tree path and shrunk along chords to a
     triangle (ViolationKind.JWP) or a 2x2 subtable (ViolationKind.ZFREE).
     The witness can differ from the first hit of check_jwp/check_zfree; the
-    verdict cannot.  Turning the check off skips straight to the solve and
-    is only sound for instances known valid.
+    verdict cannot.
 
-    verify_completion rescans the completed relaxation for the coefficient
-    conditions the solve relies on; None means auto (on for small inputs).
+    The forest's verdict is asked once per solve either way: it is also the
+    relaxation's M-natural verdict (see build_relaxation), which the solve
+    and greedy_min_layer then read for free at every n.  With
+    check_properties off, an invalid instance therefore raises
+    InvariantError ("completion produced a bad relaxation: ..." with
+    check_mnatural_quadratic's witness) instead of being rejected.
+
+    verify_completion adds the exhaustive cubic rescan of the relaxation
+    (check_mnatural_quadratic), an independent check of the same verdict.
     dump_hook is passed through to the shortest-path loop.
     """
     timings: dict = {}
@@ -237,22 +254,20 @@ def minimize_zfree(inst: Instance, *, check_properties: bool = True,
     timings["forest"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if check_properties:
-        bad = _bottleneck_violation(inst, forest)
-        if bad is not None:
-            timings["check"] = time.perf_counter() - t0
-            return SolveReport(SolveStatus.REJECTED, violation=bad, timings=timings,
-                               counters=counters)
+    cycle = None if forest is None else forest.violation()
+    if cycle is not None and check_properties:
+        timings["check"] = time.perf_counter() - t0
+        return SolveReport(SolveStatus.REJECTED, violation=_cycle_violation(inst, cycle),
+                           timings=timings, counters=counters)
     timings["check"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     f = build_relaxation(inst, forest)
-    if verify_completion is None:
-        verify_completion = inst.layout.n <= _VERIFY_LIMIT
-    if verify_completion:
-        bad = f.mnatural_violation()
-        if bad is not None:
-            raise InvariantError(f"completion produced a bad relaxation: {bad}")
+    bad = f.mnatural_violation()
+    if bad is None and verify_completion:
+        bad = check_mnatural_quadratic(f)
+    if bad is not None:
+        raise InvariantError(f"completion produced a bad relaxation: {bad}")
     timings["complete"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

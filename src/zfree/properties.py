@@ -51,16 +51,13 @@ class Violation:
 
 
 def _raw_table(inst: Instance, i: int, j: int):
-    """d_i x d_j raw-value grid for c_ij, materializing zeros and symmetry."""
-    if i < j:
-        t = inst.table(i, j)
-        if t is None:
-            return [[0] * inst.domains[j] for _ in range(inst.domains[i])]
-        return [[v.raw for v in row] for row in t]
-    t = inst.table(j, i)
-    if t is None:
-        return [[0] * inst.domains[j] for _ in range(inst.domains[i])]
-    return [[t[b][a].raw for b in range(inst.domains[j])] for a in range(inst.domains[i])]
+    """d_i x d_j raw-value grid for c_ij, read off the instance's ranks and
+    pool: the rank matrix is symmetric, and an omitted table's block holds
+    0's rank."""
+    off = inst.layout.offsets
+    by_rank = (None, *(v.raw for v in inst.pool))
+    block = inst.ranks[off[i]:off[i + 1], off[j]:off[j + 1]]
+    return [[by_rank[k] for k in row] for row in block.tolist()]
 
 
 def _jwp_violation(ia, jb, kc, raws) -> Violation:

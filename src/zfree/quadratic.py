@@ -22,19 +22,24 @@ eval_quad, the property checks).
 greedy_min_layer minimizes such a function over points with exactly `size`
 ones by repeatedly adding the cheapest position.  That is only valid for
 M-natural-convex functions, which is exactly what the completion step
-produces; an InvariantError check guards the precondition on small inputs.
-The check's verdict is kept on the QuadFn (mnatural_violation), so the
-solve's own rescan of the relaxation and greedy's scan are one scan.
+produces; an InvariantError check guards the precondition at every n, also
+under python -O.  The verdict is QuadFn.mnatural_violation, decided in
+O(n^2) by the bottleneck forest of completion (_check) and kept on the
+QuadFn.  A relaxation arrives with it already decided by the instance's
+forest (pipeline.build_relaxation), so the solve's check and greedy's cost
+nothing more.  The cubic check_mnatural_quadratic runs only on a refuted
+function, to name its witness.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import chain
 
 import numpy as np
 
-from .completion import CompletedMatrix, PartialMatrix, _rank_arrays
+from .completion import CompletedMatrix, PartialMatrix, _check, _rank_arrays
 from .errors import InvariantError
 from .instance import Instance
 from .properties import check_mnatural_quadratic
@@ -48,8 +53,8 @@ __all__ = [
     "greedy_min_layer",
 ]
 
-_GREEDY_CHECK_LIMIT = 48  # the precondition check is cubic; keep it cheap
-_UNCHECKED = object()     # QuadFn._verdict before the first scan
+_UNCHECKED = object()     # QuadFn._verdict before it is decided
+_REFUTED = object()       # decided not M-natural-convex, witness not yet named
 
 
 def _scaled(raws, scale: int) -> list:
@@ -132,12 +137,40 @@ class QuadFn:
         return self._kernel
 
     def mnatural_violation(self):
-        """check_mnatural_quadratic(f), scanned on the first call only: the
-        linear part is a tuple and ranks is read-only, so the verdict
+        """check_mnatural_quadratic(f): None when f is M-natural-convex,
+        otherwise the scan's witness, with its ValueError for an infinite
+        linear coefficient.
+
+        Decided by completion._check on f's pair matrix fully defined: each
+        zero coefficient gets 0's rank (0 joins the pool when absent) and
+        the diagonal is left undefined.  Such a matrix is completable
+        exactly when its values are nonnegative and anti-ultrametric, which
+        is M-natural-convexity.  Only a refuted f is scanned, to name the
+        witness; a scan that finds none raises InvariantError.  The verdict
+        is kept (pipeline.build_relaxation records one from the instance's
+        forest): the linear part is a tuple and ranks is read-only, so it
         cannot change."""
-        if self._verdict is _UNCHECKED:
-            self._verdict = check_mnatural_quadratic(self)
-        return self._verdict
+        verdict = self._verdict
+        if verdict is _UNCHECKED:
+            verdict = _REFUTED if INF in self.linear or self._refuted() else None
+        if verdict is _REFUTED:
+            verdict = check_mnatural_quadratic(self)
+            if verdict is None:
+                raise InvariantError("the forest refutes an M-natural-convex function")
+        self._verdict = verdict
+        return verdict
+
+    def _refuted(self) -> bool:
+        """Whether _check refutes f's fully defined pair matrix; never
+        when f has no pair (n < 2)."""
+        pool, ranks = self.pool, self.ranks
+        k = bisect_left(pool, ZERO)
+        if pool[k:k + 1] != (ZERO,):    # 0 joins the pool; the ranks above move up
+            pool = (*pool[:k], ZERO, *pool[k:])
+            ranks = ranks + (ranks > k)
+        full = np.where(ranks > 0, ranks, np.int32(k + 1))
+        np.fill_diagonal(full, 0)
+        return self.n > 1 and _check(PartialMatrix._of(self.n, full, pool))[0] is not None
 
     @classmethod
     def from_coeffs(cls, linear, pair_entries) -> "QuadFn":
@@ -235,14 +268,14 @@ def greedy_min_layer(f: QuadFn, size: int):
     Returns the chosen bitmask, or None when every point of the layer is
     infinite.  Ties go to the lowest flat position.  Every greedy prefix
     is itself a layer minimizer; that is what makes the final point one.
-    Correct only for M-natural-convex f (checked when n is small, also
-    under python -O).
+    Correct only for M-natural-convex f: mnatural_violation is checked at
+    every n when the linear part is finite, also under python -O.
     """
     n = f.n
     if not 0 <= size <= n:
         raise ValueError(f"layer size {size} out of range for n={n}")
     k = f.kernel()
-    if n <= _GREEDY_CHECK_LIMIT and not k.linear_inf.any():
+    if not k.linear_inf.any():
         bad = f.mnatural_violation()
         if bad is not None:
             raise InvariantError(f"greedy needs an M-natural-convex function: {bad}")

@@ -160,6 +160,24 @@ def test_usage_errors_exit_one(tmp_path):
     assert run_cli("solve", str(bad)).returncode == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--r", "0"], "need at least one variable"),
+    (["--r", "-3"], "need at least one variable"),
+    (["--r", "2", "--dmax", "0"], "domain sizes must be >= 1"),
+    (["--r", "2", "--dmax", "-1"], "domain sizes must be >= 1"),
+    (["--r", "2", "--unary-max", "-1"], "unary_max must be nonnegative"),
+])
+def test_gen_parameters_out_of_range_exit_one(args, message):
+    res = run_cli("gen", *args)
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
+
+
+def test_gen_edge_parameters_still_generate():
+    for args in (["--r", "1", "--dmax", "1"], ["--r", "2", "--unary-max", "0"]):
+        res = run_cli("gen", *args)
+        assert res.returncode == 0 and json.loads(res.stdout)["r"] == int(args[1])
+
+
 def test_parse_error_reports_location(tmp_path):
     doc = {"r": 1, "domains": [2], "unary": [[0, 0.25]], "binary": []}
     path = tmp_path / "f.json"

@@ -77,8 +77,11 @@ class TestGreedy:
 
 
 class TestVerdictMemo:
-    """QuadFn.mnatural_violation scans a function once: minimize_zfree and
-    greedy_min_layer both ask on small inputs, and each asks only once."""
+    """QuadFn.mnatural_violation decides a function once, by the bottleneck
+    forest, and keeps the verdict: minimize_zfree and greedy_min_layer both
+    ask, at every n.  The cubic scan runs only to name a refutation's
+    witness, once; a relaxation takes its verdict from the solve's forest
+    and is never scanned."""
 
     @staticmethod
     def _count_scans(monkeypatch):
@@ -92,15 +95,14 @@ class TestVerdictMemo:
         monkeypatch.setattr(quadratic, "check_mnatural_quadratic", counted)
         return calls
 
-    def test_a_small_solve_scans_its_relaxation_once(self, monkeypatch):
+    def test_a_small_solve_never_scans_its_relaxation(self, monkeypatch):
         calls = self._count_scans(monkeypatch)
         inst = generate_instance(GenConfig(r=12, domains=(4,) * 12, seed=7))
-        assert inst.n == quadratic._GREEDY_CHECK_LIMIT
+        assert inst.n == 48
         report = minimize_zfree(inst)
         assert report.status is SolveStatus.OPTIMAL
-        assert len(calls) == 1
         assert minimize_zfree(inst).value == report.value
-        assert len(calls) == 2        # a new relaxation is scanned anew
+        assert calls == []        # the forest's verdict is the relaxation's
 
     def test_greedy_keeps_its_error_and_scans_once(self, monkeypatch):
         calls = self._count_scans(monkeypatch)
