@@ -45,8 +45,9 @@ which reads faster than any decode a parse makes (about 0.17 against
 0.3-0.4 ms for instance._fast_loads at r6_d21 on a 2-core shared host).
 The tracemalloc peaks of parse_instance, of the forest and of minimize_zfree
 (solve_alloc_peak_mb: forest, check, relaxation and the shortest-path loop
-together) on the parsed instance are taken in a separate pass, because
-tracemalloc slows the code it watches.  The file
+together) on the parsed instance, and up to MATRIX_MAX_N positions that of
+complete() on the parsed matrix (matrix.complete_alloc_peak_mb), are taken
+in a separate pass, because tracemalloc slows the code it watches.  The file
 also records the core count and the numpy and Python versions, so two
 files are comparable only when those agree.
 
@@ -188,14 +189,18 @@ def one_run(text: str, matrix: str | None):
     return best, report
 
 
-def peaks(text: str) -> dict:
-    """The tracemalloc peaks of the parse, the forest and the solve."""
+def peaks(text: str, matrix: str | None) -> dict:
+    """The tracemalloc peaks of the parse, the forest and the solve, and of
+    the completion when there is a matrix text."""
     inst = parse_instance(text)
-    return {
+    out = {
         "parse_peak_mb": _peak_mb(parse_instance, text),
         "forest_peak_mb": _peak_mb(_build_forest, inst),
         "solve_alloc_peak_mb": _peak_mb(minimize_zfree, inst),
     }
+    if matrix is not None:
+        out["matrix.complete_alloc_peak_mb"] = _peak_mb(complete, parse_partial_matrix(matrix))
+    return out
 
 
 def shape_texts(r: int, domains, inf_share: float):
@@ -229,7 +234,7 @@ def bench_shape(r: int, domains, inf_share: float) -> dict:
             stages.setdefault(stage, []).append(seconds)
     return {**_about(r, domains, inf_share, text, matrix), **_outcome(report),
             "seconds": {stage: _summary(v) for stage, v in stages.items()},
-            **peaks(text)}
+            **peaks(text, matrix)}
 
 
 def _src_digest(tree: Path) -> str:
@@ -254,10 +259,11 @@ def compare_shape(trees: dict, r: int, domains, inf_share: float) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp) / "instance.json", Path(tmp) / "matrix.json"]
         paths[0].write_text(text)
-        args = ["--stages", str(paths[0])]
+        with_matrix = []
         if matrix is not None:
             paths[1].write_text(matrix)
-            args += ["--matrix", str(paths[1])]
+            with_matrix = ["--matrix", str(paths[1])]
+        args = ["--stages", str(paths[0]), *with_matrix]
         stages = {side: {} for side in trees}
         replies = {}
         for run in range(RUNS):
@@ -270,7 +276,7 @@ def compare_shape(trees: dict, r: int, domains, inf_share: float) -> dict:
         for side, tree in trees.items():
             out[side] = {**replies[side]["outcome"],
                          "seconds": {k: _summary(v) for k, v in stages[side].items()},
-                         **_worker(tree, "--peaks", str(paths[0]))}
+                         **_worker(tree, "--peaks", str(paths[0]), *with_matrix)}
     change, parent = stages["change"], stages["parent"]
     out["ratio"] = {stage: statistics.median(c / p for c, p in zip(change[stage], parent[stage]))
                     for stage in change if stage in parent}
@@ -298,14 +304,14 @@ def main(argv=None) -> int:
     parser.add_argument("--matrix", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--peaks", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    matrix = None if args.matrix is None else args.matrix.read_text()
     if args.stages is not None:
         _warm_up()
-        matrix = None if args.matrix is None else args.matrix.read_text()
         row, report = one_run(args.stages.read_text(), matrix)
         print(json.dumps({"seconds": row, "outcome": _outcome(report)}))
         return 0
     if args.peaks is not None:
-        print(json.dumps(peaks(args.peaks.read_text())))
+        print(json.dumps(peaks(args.peaks.read_text(), matrix)))
         return 0
     if args.out is None:
         parser.error("--out is required")

@@ -28,12 +28,14 @@ is never stored: a refutation derives and climbs the parents on its tree
 path only.  The matrix is completable exactly when every defined pair
 equals its floor value; otherwise the first pair (flat order) that ranks
 below it, closed by its tree path and shrunk along defined chords, is a
-chordless cycle whose minimum is unique.  A completion gives each
+chordless cycle whose minimum is unique.  That verdict is decided band by
+band, before anything overwrites floor.  A completion gives each
 undefined connected pair its floor value and pairs in different
 components the globally smallest defined value (zero when nothing is
-defined): one np.where over ranks and floor, the completion sharing the
-partial matrix's pool.  pipeline builds the same structure over the
-cross-variable pairs of an instance to check and complete it.
+defined).  It is written into floor in place (_Forest.fill), so it takes
+no n x n array beyond floor, and it shares the partial matrix's pool.
+pipeline builds the same structure over the cross-variable pairs of an
+instance; the same fill makes its relaxation.
 
 parse_partial_matrix decodes its text as parse_instance does (orjson, with
 json.loads as the exact fallback), then checks a well-formed entries list
@@ -208,8 +210,9 @@ class CompletedMatrix(_RankMatrix):
         return f"CompletedMatrix(n={self.n})"
 
 
-# Rows per band of the pass that mirrors floor: besides numpy's ufunc
-# buffers it allocates one band x band block, not an n x n temporary.
+# Rows per band of the passes over floor (mirroring it, deciding the
+# verdict, filling it): each allocates band-sized temporaries at most, never
+# an n x n one.
 _BAND = 64
 _OUTSIDE = np.iinfo(np.int32).max
 _UNDECIDED = object()   # _Forest._cycle before violation() first runs
@@ -296,13 +299,14 @@ class _Forest:
     offered its rank.  Only the tree path that closes a violating pair into
     a witness cycle depends on this rule, never a verdict or a floor value.
 
-    violation() is decided once and kept; refuted reads the kept answer
-    without deciding.  That one verdict also decides floor with the defined
-    ranks written over it, the relaxation pipeline builds: a defined rank
-    never exceeds its floor, so that matrix is anti-ultrametric exactly
-    when no defined pair ranks below its floor, which is violation() is
-    None.  QuadFn.mnatural_violation runs the same check (_check) on a
-    function's own pair matrix.
+    violation() is decided once, from floor as built, and kept.  fill()
+    decides it before it writes the completion over floor, so the verdict
+    stays true to the matrix the forest was built from.  That one verdict
+    also decides the filled matrix: a defined rank never exceeds its floor,
+    so the fill is anti-ultrametric exactly when no defined pair ranks
+    below its floor, which is violation() is None.  complete() and
+    pipeline.build_relaxation both take the fill; QuadFn.mnatural_violation
+    runs the same check (_check) on a function's own pair matrix.
     """
 
     __slots__ = ("ranks", "pool", "order", "keys", "floor", "_at", "_cycle")
@@ -353,22 +357,40 @@ class _Forest:
         cycle of defined pairs with a unique minimum, shrunk from the first
         defined pair (flat order, u < w) that ranks below that minimum and
         its tree path; the minimum is the closing pair (cycle[-1], cycle[0]).
-        Decided on the first call and kept (see refuted)."""
+        Decided on the first call, band by band up to the first band with a
+        hit, and kept (fill() asks before it overwrites floor)."""
         if self._cycle is _UNDECIDED:
-            bad = self.ranks < self.floor
-            bad &= self.ranks > 0
-            # bad is symmetric, so its first cell in flat order has u < w.
-            first = int(np.argmax(bad))
-            self._cycle = (self._chordless(self.tree_path(*divmod(first, len(bad))))
-                           if bad.flat[first] else None)
+            self._cycle = None
+            ranks, floor = self.ranks, self.floor
+            for a in range(0, len(ranks), _BAND):
+                rows = ranks[a:a + _BAND]
+                bad = rows < floor[a:a + _BAND]
+                bad &= rows > 0
+                # bad is symmetric, so its first cell in flat order has u < w.
+                first = int(np.argmax(bad))
+                if bad.flat[first]:
+                    u, w = divmod(first, len(ranks))
+                    self._cycle = self._chordless(self.tree_path(a + u, w))
+                    break
         return self._cycle
 
-    @property
-    def refuted(self):
-        """Whether violation() found a cycle; None until it is first asked.
-        The answer is kept, so it stays true to the matrix the forest was
-        built from after floor is handed on (pipeline.build_relaxation)."""
-        return None if self._cycle is _UNDECIDED else self._cycle is not None
+    def fill(self):
+        """The completion's rank matrix, written over floor band by band and
+        returned read-only: a defined pair keeps its rank, an undefined pair
+        takes its floor rank, a pair across components rank 1 (the smallest
+        defined value) and the diagonal 0.  violation() is decided first,
+        from floor as built.  The only temporaries are band-sized masks."""
+        self.violation()
+        ranks, floor = self.ranks, self.floor
+        apart = not self.keys[1:].all()     # floor is 0 across components
+        for a in range(0, len(floor), _BAND):
+            band, rows = floor[a:a + _BAND], ranks[a:a + _BAND]
+            np.copyto(band, rows, where=rows > 0)
+            if apart:
+                np.maximum(band, 1, out=band)
+        np.fill_diagonal(floor, 0)
+        floor.flags.writeable = False
+        return floor
 
     def _chordless(self, cycle: list[int]) -> list[int]:
         """Shrink a cycle of defined pairs whose closing pair (cycle[-1],
@@ -469,7 +491,9 @@ def complete(H: PartialMatrix) -> CompletedMatrix:
     bottleneck (minimum) weight along their maximum-spanning-forest path;
     pairs in different components receive the smallest defined value; with
     no defined entries at all, everything becomes zero.  Defined entries are
-    never changed.
+    never changed.  The completion's ranks are the forest's floor, filled in
+    place (_Forest.fill, as pipeline.build_relaxation fills it), over H's
+    pool.
 
     Raises NotCompletableError when validate_partial refutes H, carrying its
     Violation and, unless an entry is negative, the chordless cycle.
@@ -479,14 +503,11 @@ def complete(H: PartialMatrix) -> CompletedMatrix:
         raise NotCompletableError(f"not completable: {bad}", violation=bad, cycle=cycle)
 
     n = H.n
-    if forest is None:
-        ranks, pool = np.ones((n, n), dtype=np.int32), ((ZERO,) if n > 1 else ())
-    else:
-        # Rank 1, the smallest defined value, across components (floor 0).
-        ranks = np.where(forest.ranks > 0, forest.ranks, np.maximum(forest.floor, 1))
-        pool = forest.pool
+    if forest is not None:
+        return CompletedMatrix._of(n, forest.fill(), forest.pool)
+    ranks = np.ones((n, n), dtype=np.int32)
     np.fill_diagonal(ranks, 0)
-    return CompletedMatrix._of(n, ranks, pool)
+    return CompletedMatrix._of(n, ranks, (ZERO,) if n > 1 else ())
 
 
 def completable_oracle(H: PartialMatrix, *, max_n: int = 30):

@@ -23,18 +23,18 @@ both questions the solve asks:
   no cross pair ranks below its floor value (see check_bottleneck);
 - completion: a within-variable pair gets its floor value.  The
   relaxation's ranks are floor itself with the cross ranks written over
-  it, over the forest's value pool; they agree entry for entry with
-  completion.complete on the induced partial matrix, which reads the same
-  kind of forest.
+  it (_Forest.fill), over the forest's value pool; they agree entry for
+  entry with completion.complete on the induced partial matrix, which
+  fills the same kind of forest the same way.
 
 The validity verdict is also the relaxation's M-natural verdict: a cross
 rank never exceeds its floor, so the relaxation is anti-ultrametric (its
 pool is nonnegative) exactly when no cross pair ranks below its floor.
-Every solve asks the forest once, checks on or off; build_relaxation
-records the answer on the relaxation, and the solve's check and
-greedy_min_layer's precondition read it at every n without scanning.  The
-cubic check_mnatural_quadratic runs only to word a refutation, or when
-verify_completion asks for the independent rescan.
+The forest decides it once per solve, checks on or off, before its floor
+is filled; build_relaxation records it on every relaxation, and the
+solve's check and greedy_min_layer's precondition read it at every n
+without scanning.  The cubic check_mnatural_quadratic runs only to word a
+refutation, or when verify_completion asks for the independent rescan.
 
 build_relaxation also builds the relaxation's integer kernel once: every
 finite unary and pool value times D, the LCM of their denominators (1 for
@@ -56,8 +56,6 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-
-import numpy as np
 
 from .errors import InvariantError
 from .completion import _Forest, completable_oracle
@@ -180,22 +178,20 @@ def build_relaxation(inst: Instance, forest: _Forest | None = None) -> QuadFn:
     Requires a valid instance (join condition plus the subtable condition);
     on anything else the output is meaningless and may trip downstream
     invariant checks.  forest is the instance's shared spanning forest,
-    built here when not given.  The call takes ownership of forest.floor:
-    the forest's cross ranks are written into it, over the within-variable
+    built here when not given.  The call takes forest.floor: _Forest.fill
+    writes the cross ranks into it, band by band, over the within-variable
     tree-path minima it already holds, and that read-only matrix is the
-    relaxation's ranks over the forest's pool; the only n x n allocation
-    is the bool mask of the cross pairs.  A single variable has no cross
-    pairs and no forest: its relaxation is inst.ranks (all 0, zero
-    coefficients) over inst.pool, M-natural-convex.
+    relaxation's ranks over the forest's pool; no n x n array is allocated.
+    A single variable has no cross pairs and no forest: its relaxation is
+    inst.ranks (all 0, zero coefficients) over inst.pool, M-natural-convex.
 
     The relaxation's M-natural verdict (QuadFn.mnatural_violation) is the
-    forest's, recorded here when forest.violation() was already asked and
-    read before floor is taken.  A cross rank never exceeds its floor, so
-    floor with the cross ranks written over it is anti-ultrametric exactly
-    when no cross pair ranks below its floor; the pool is nonnegative.  A
-    forest not asked yet leaves the relaxation to decide on its own, when
-    first asked.  The integer kernel (each finite value scaled by the LCM D
-    of the denominators) is built here, once.
+    forest's, which fill decides before it overwrites floor, and is always
+    recorded here.  A cross rank never exceeds its floor, so floor with the
+    cross ranks written over it is anti-ultrametric exactly when no cross
+    pair ranks below its floor; the pool is nonnegative.  The integer
+    kernel (each finite value scaled by the LCM D of the denominators) is
+    built here, once.
     """
     linear = list(chain.from_iterable(inst.unary))
     if inst.r == 1:
@@ -203,11 +199,9 @@ def build_relaxation(inst: Instance, forest: _Forest | None = None) -> QuadFn:
     else:
         if forest is None:
             forest = _build_forest(inst)
-        refuted = forest.refuted
-        np.copyto(forest.floor, forest.ranks, where=forest.ranks > 0)
-        f = QuadFn(linear, forest.floor, forest.pool)
-    if refuted is not None:
-        f._verdict = _REFUTED if refuted else None
+        f = QuadFn(linear, forest.fill(), forest.pool)
+        refuted = forest.violation() is not None
+    f._verdict = _REFUTED if refuted else None
     f.kernel()   # scale once, here
     return f
 

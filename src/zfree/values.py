@@ -1,33 +1,29 @@
-"""Exact scalar arithmetic for costs: rationals extended with plus infinity.
+"""The exact ordered value of the API and file boundary: a rational or
+plus infinity.
 
-Every cost and weight at the API and file boundary is an ExtValue; inside
-the solver, quadratic.QuadFn.kernel scales them to exact integers.  Finite
-values are exact rationals (stored as int when integral, fractions.Fraction
-otherwise); the single non-finite value is positive infinity, whose raw
-value is always the one object math.inf: every constructor and operation
-normalizes to it, so infinity is tested by identity (raw is math.inf), not
-by a comparison that would send a Fraction through its float equality.  No
-finite value is ever represented as a float, so equality and comparison
-are exact everywhere.
+Every cost and weight at the API and file boundary is an ExtValue.  The
+paper's conditions only compare values ("the minimum is attained at least
+twice"), so the type carries order, not arithmetic: the forest works on
+integer ranks of the values, and the solver's sums live in the exact
+integer kernel (quadratic.QuadFn.kernel), which scales the raw values, and
+in the final check on raw ints and Fractions.  Finite values are exact
+rationals (stored as int when integral, fractions.Fraction otherwise); the
+single non-finite value is positive infinity, whose raw value is always the
+one object math.inf: every constructor normalizes to it, so infinity is
+tested by identity (raw is math.inf), not by a comparison that would send a
+Fraction through its float equality.  No finite value is ever represented
+as a float, so equality and order are exact everywhere, and infinity is
+above every finite value.
 
-Arithmetic follows the extended conventions:
-
-    a + inf = inf            for every a
-    k * inf = inf            for every integer k >= 1
-    0 * inf = 0
-    inf > a                  for every finite a
-
-Subtraction is defined when the right operand is finite (inf - a = inf,
-a - b exact); inf - inf raises.
-
-The class itself does not restrict sign: differences of finite values are
-legitimate intermediate quantities, and the test oracles exercise quadratics
-with negative coefficients.  Nonnegativity of instance data is enforced where
-the data enters the system (file parsing, instance and matrix validation).
+The class itself does not restrict sign: the test oracles exercise
+quadratics with negative coefficients.  Nonnegativity of instance data is
+enforced where the data enters the system (file parsing, instance and
+matrix validation).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -39,30 +35,25 @@ _INF_RAW = math.inf
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
+@functools.total_ordering
 class ExtValue:
     """An exact rational number or positive infinity.
 
     Construct from an int, a Fraction, another ExtValue, the string "inf",
-    a rational string like "3" or "5/2", or math.inf.  A two-argument form
-    ExtValue(p, q) builds the fraction p/q.  Floats other than math.inf are
-    rejected: they would silently destroy exactness.
+    a rational string like "3" or "5/2", or math.inf.  Floats other than
+    math.inf are rejected: they would silently destroy exactness.
 
-    Instances are immutable and hashable; values equal as rationals compare
-    and hash equal regardless of how they were constructed.
+    Instances are immutable, hashable and totally ordered, and comparable
+    only with each other; values equal as rationals compare and hash equal
+    regardless of how they were constructed.
     """
 
     # raw is the underlying int, Fraction, or math.inf.  A slot, not a
     # property, so hot loops read it without a Python call.
     __slots__ = ("raw",)
 
-    def __init__(self, value: "int | Fraction | str | float | ExtValue" = 0, den: int | None = None):
-        if den is not None:
-            if not isinstance(value, int) or isinstance(value, bool) or not isinstance(den, int):
-                raise TypeError("two-argument form requires integers")
-            if den == 0:
-                raise ZeroDivisionError("zero denominator")
-            raw: object = _normalize(Fraction(value, den))
-        elif isinstance(value, ExtValue):
+    def __init__(self, value: "int | Fraction | str | float | ExtValue" = 0):
+        if isinstance(value, ExtValue):
             raw = value.raw
         elif isinstance(value, bool):
             raise TypeError("bool is not a valid cost value")
@@ -95,97 +86,31 @@ class ExtValue:
     @classmethod
     def _interned(cls, raw) -> "ExtValue":
         """The shared ExtValue of a normalized raw value: one cache lookup,
-        and _wrap on a miss."""
+        and a new object over raw on a miss."""
         v = cls._cache.get(raw)
         if v is None:
-            v = cls._wrap(raw)
+            v = object.__new__(cls)
+            object.__setattr__(v, "raw", raw)
             if len(cls._cache) < 4096:
                 cls._cache[raw] = v
-        return v
-
-    @classmethod
-    def _wrap(cls, raw) -> "ExtValue":
-        v = object.__new__(cls)
-        object.__setattr__(v, "raw", raw)
         return v
 
     @property
     def is_finite(self) -> bool:
         return self.raw is not _INF_RAW
 
-    @property
-    def numerator(self) -> int:
-        if self.raw is _INF_RAW:
-            raise ValueError("infinity has no numerator")
-        return self.raw.numerator
-
-    @property
-    def denominator(self) -> int:
-        if self.raw is _INF_RAW:
-            raise ValueError("infinity has no denominator")
-        return self.raw.denominator
-
     def __setattr__(self, name, value):
         raise AttributeError("ExtValue is immutable")
-
-    def __add__(self, other):
-        if not isinstance(other, ExtValue):
-            return NotImplemented
-        a, b = self.raw, other.raw
-        if a is _INF_RAW or b is _INF_RAW:
-            return INF
-        return ExtValue._wrap(_normalize(a + b))
-
-    def __sub__(self, other):
-        if not isinstance(other, ExtValue):
-            return NotImplemented
-        a, b = self.raw, other.raw
-        if b is _INF_RAW:
-            raise ValueError("cannot subtract infinity")
-        if a is _INF_RAW:
-            return INF
-        return ExtValue._wrap(_normalize(a - b))
-
-    def __mul__(self, k):
-        if isinstance(k, bool) or not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            raise ValueError("multiplier must be a nonnegative integer")
-        if self.raw is _INF_RAW:
-            return ZERO if k == 0 else INF
-        return ExtValue._wrap(_normalize(self.raw * k))
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, ExtValue):
             return NotImplemented
         return self.raw == other.raw
 
-    def __ne__(self, other):
-        if not isinstance(other, ExtValue):
-            return NotImplemented
-        return self.raw != other.raw
-
     def __lt__(self, other):
         if not isinstance(other, ExtValue):
             return NotImplemented
         return self.raw < other.raw
-
-    def __le__(self, other):
-        if not isinstance(other, ExtValue):
-            return NotImplemented
-        return self.raw <= other.raw
-
-    def __gt__(self, other):
-        if not isinstance(other, ExtValue):
-            return NotImplemented
-        return self.raw > other.raw
-
-    def __ge__(self, other):
-        if not isinstance(other, ExtValue):
-            return NotImplemented
-        return self.raw >= other.raw
 
     def __hash__(self):
         return hash(self.raw)

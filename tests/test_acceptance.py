@@ -78,7 +78,7 @@ def _rewrite_unaries(inst, rng):
 
 def _scale_tables(inst, rng):
     k = rng.randint(2, 4)
-    binary = {pair: [[v * k for v in row] for row in table]
+    binary = {pair: [[v.raw * k for v in row] for row in table]
               for pair, table in inst.binary_pairs()}
     return Instance(inst.domains, inst.unary, binary)
 

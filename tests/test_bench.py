@@ -34,7 +34,7 @@ def test_bench_writes_every_stage(tmp_path, monkeypatch):
         assert len(s["runs"]) == 2 and s["min"] <= s["median"] <= s["max"]
     assert shape["parse_peak_mb"] > 0
     assert shape["solve_alloc_peak_mb"] > 0
-    assert shape["matrix_json_bytes"] > 0
+    assert shape["matrix_json_bytes"] > 0 and shape["matrix.complete_alloc_peak_mb"] > 0
     for stage in ("json_loads", "decode", "parse_partial_matrix", "complete", "dump_matrix",
                   "end_to_end"):
         s = stages[f"matrix.{stage}"]
@@ -66,6 +66,7 @@ def test_bench_times_a_parent_alternately(tmp_path, monkeypatch):
             s = got["seconds"][stage]
             assert len(s["runs"]) == 2 and s["min"] <= s["median"] <= s["max"]
         assert got["parse_peak_mb"] > 0 and got["solve_alloc_peak_mb"] > 0
+        assert got["matrix.complete_alloc_peak_mb"] > 0
     assert shape["change"]["counters"] == shape["parent"]["counters"]
     assert set(shape["ratio"]) == set(shape["change"]["seconds"])
     assert all(ratio > 0 for ratio in shape["ratio"].values())

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from zfree import (GenConfig, PartialMatrix, SolveStatus, complete, generate_instance,
+from zfree import (ExtValue, GenConfig, PartialMatrix, SolveStatus, complete, generate_instance,
                    induced_partial_matrix, minimize_zfree)
 from zfree.completion import _Forest
 from zfree.errors import InvariantError
@@ -241,6 +241,20 @@ def test_join_order_forest_matches_the_reference():
     assert count > 1500 and violated > 300 and count - violated > 300
 
 
+def test_fill_writes_the_completion_over_floor():
+    # The whole-matrix formula the fill replaced: a defined rank, else the
+    # floor rank, else rank 1 across components; the diagonal 0.
+    for ranks in _oracle_matrices():
+        f = _Forest(ranks, ())
+        want = np.where(ranks > 0, ranks, np.maximum(f.floor, 1))
+        np.fill_diagonal(want, 0)
+        floor = f.floor
+        assert f.fill() is floor and np.array_equal(floor, want)
+        assert not floor.flags.writeable
+        # The verdict was decided before the fill and is kept.
+        assert f.violation() == _Forest(ranks, ()).violation()
+
+
 def test_forest_keeps_the_join_order():
     ranks = np.array([[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                      dtype=np.int32)
@@ -297,4 +311,32 @@ def test_forest_peak_memory_is_its_floor():
     # floor's 4 n^2 bytes and O(n) besides: an n x n int32 temporary (as a
     # plain floor += floor.T makes) would add another 4 n^2.
     assert forest.floor.nbytes == 4 * n * n
+    assert peak <= 4 * n * n + 256 * n
+
+
+def test_complete_peak_memory_is_its_floor():
+    # A completable partial matrix: a forest's floor (anti-ultrametric)
+    # with about half its pairs undefined, in several components.
+    n = 600
+    rng = np.random.default_rng(16)
+    ranks = np.triu(rng.integers(1, 13, (n, n), dtype=np.int32), 1)
+    ranks *= rng.random((n, n)) < 0.003
+    ranks += ranks.T
+    floor = _Forest(ranks, ()).floor
+    keep = np.triu(rng.random((n, n)) < 0.5, 1)
+    keep |= keep.T
+    partial = PartialMatrix._of(n, np.where(keep, floor, 0).astype(np.int32),
+                                tuple(map(ExtValue, range(1, 13))))
+    assert int(np.count_nonzero(_Forest(partial.ranks, ()).keys)) < n - 1
+    gc.collect()
+    tracemalloc.start()
+    try:
+        matrix = complete(partial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The forest's floor becomes the completion: 4 n^2 bytes and O(n)
+    # besides.  A completion built beside floor would add another 4 n^2.
+    assert matrix.ranks.nbytes == 4 * n * n
+    assert not matrix.ranks.flags.writeable
     assert peak <= 4 * n * n + 256 * n

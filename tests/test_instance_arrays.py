@@ -110,9 +110,10 @@ def test_parse_and_constructor_build_the_same_arrays(label, domains, unary, bina
 
     assignments = itertools.islice(itertools.product(*map(range, domains)), 60)
     for x in assignments:
-        want = sum((ExtValue.of(unary[i][a]) for i, a in enumerate(x)), ExtValue.of(0))
-        for i, j in itertools.combinations(range(r), 2):
-            want = want + _cell(binary, i, x[i], j, x[j])
+        want = ExtValue.of(
+            sum(ExtValue.of(unary[i][a]).raw for i, a in enumerate(x))
+            + sum(_cell(binary, i, x[i], j, x[j]).raw
+                  for i, j in itertools.combinations(range(r), 2)))
         assert evaluate_instance(built, x) == evaluate_instance(parsed, x) == want
     a, b = check_bottleneck(built), check_bottleneck(parsed)
     assert (a is None) == (b is None)

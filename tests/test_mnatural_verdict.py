@@ -95,16 +95,31 @@ def test_the_forest_verdict_agrees_on_relaxations():
             valid = check_bottleneck(source) is None
             # The verdict recorded from the solve's forest ...
             forest = _build_forest(source)
-            forest.violation()
             f = build_relaxation(source, forest)
             assert f._verdict is not quadratic._UNCHECKED
             assert _agree(f) is valid
-            # ... and the one a relaxation decides on its own.
-            g = build_relaxation(source)
+            # ... and the one a fresh function over its arrays decides alone.
+            g = QuadFn(f.linear, f.ranks, f.pool)
             assert g._verdict is quadratic._UNCHECKED
             assert _agree(g) is valid
             outcomes[valid] += 1
     assert seen >= 1000 and min(outcomes.values()) > 200, outcomes
+
+
+def test_the_forest_decides_before_build_relaxation_fills_its_floor():
+    # Unasked before build_relaxation, the forest still answers for the
+    # instance it was built from, not for the filled floor.
+    inst = Instance((2, 2), [[0, 0], [0, 0]], {(0, 1): [[1, 2], [2, 2]]})
+    want = check_bottleneck(inst)
+    assert want is not None
+    forest = _build_forest(inst)
+    f = build_relaxation(inst, forest)
+    cycle = forest.violation()
+    assert cycle is not None and f.ranks is forest.floor
+    assert pipeline._cycle_violation(inst, cycle) == want
+    assert f._verdict is quadratic._REFUTED
+    assert f.mnatural_violation() == check_mnatural_quadratic(f) is not None
+    assert not hasattr(forest, "refuted")
 
 
 def test_greedy_checks_a_large_function_under_optimize_flag():
