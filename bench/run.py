@@ -1,7 +1,7 @@
 """Layer timings of the solver on fixed-seed shapes, written as BENCH_<n>.json.
 
     PYTHONPATH=src python3 bench/run.py --out BENCH_9.json
-    PYTHONPATH=src python3 bench/run.py --out BENCH_11.json --parent ../parent
+    PYTHONPATH=src python3 bench/run.py --out BENCH_17.json --parent ../parent
 
 Each shape is one generated instance (generator seed 7), serialized once.
 Every run then times, on that JSON text:
@@ -45,11 +45,17 @@ which reads faster than any decode a parse makes (about 0.17 against
 0.3-0.4 ms for instance._fast_loads at r6_d21 on a 2-core shared host).
 The tracemalloc peaks of parse_instance, of the forest and of minimize_zfree
 (solve_alloc_peak_mb: forest, check, relaxation and the shortest-path loop
-together) on the parsed instance, and up to MATRIX_MAX_N positions that of
-complete() on the parsed matrix (matrix.complete_alloc_peak_mb), are taken
-in a separate pass, because tracemalloc slows the code it watches.  The file
-also records the core count and the numpy and Python versions, so two
-files are comparable only when those agree.
+together) on the parsed instance, and that of complete() on its induced
+partial matrix (matrix.complete_alloc_peak_mb, at every size: the matrix
+is built from the instance, not from its text), are taken in a separate
+pass, because tracemalloc slows the code it watches.  The file also
+records the core count and the numpy and Python versions, so two files
+are comparable only when those agree.
+
+no_check times `zfree solve --no-check` on MUTANT, a rejected single-cell
+mutant of a shape: the best of PASSES calls of minimize_zfree with
+check_properties off per run, each raising InvariantError, and the
+error's text, which must not change.
 
 --parent PATH compares this tree with another checkout at PATH (its src/
 is put on the path; only its zfree package is used, timed by this file).
@@ -60,8 +66,9 @@ same text for both sides), the side that goes first alternates, and each
 side's peaks come from one more process.  The file then holds both sides per
 shape ("change" and "parent", each with its seconds, peaks and counters),
 "ratio", the median over runs of change / parent per stage, and each
-side's src_sha256, a digest of its zfree sources.  The worker processes
-are this file run with --stages or --peaks.
+side's src_sha256, a digest of its zfree sources, and no_check holds both
+sides too.  The worker processes are this file run with --stages, --peaks
+or --no-check.
 """
 
 from __future__ import annotations
@@ -82,9 +89,9 @@ from pathlib import Path
 
 import numpy as np
 
-from zfree import (GenConfig, complete, dump_instance, dump_matrix, generate_instance,
-                   induced_partial_matrix, minimize_zfree, parse_instance,
-                   parse_partial_matrix)
+from zfree import (GenConfig, InvariantError, complete, dump_instance, dump_matrix,
+                   generate_instance, induced_partial_matrix, instance_to_dict,
+                   minimize_zfree, parse_instance, parse_partial_matrix)
 from zfree.pipeline import _build_forest
 
 try:
@@ -96,12 +103,12 @@ SEED = 7
 RUNS = 5
 PASSES = 3   # passes per run; each stage keeps its best
 
-# name: (r, domains, inf_share).  The four shapes of the baseline table in
+# name: (r, domains, inf_share).  The shapes of the baseline table in
 # ROADMAP.md (wide domains; the criterion-8 top size; many variables at
-# n = 2000), the size of perfbench's instances (r=6, d=21, n=126), the
-# largest size the solve once rescanned its relaxation at (r=6, d=20,
-# n=120) and a many-variable shape with tiny domains and half its instances
-# carrying infinite costs.
+# n = 2000, up to r = 400), the size of perfbench's instances (r=6, d=21,
+# n=126), the largest size the solve once rescanned its relaxation at
+# (r=6, d=20, n=120) and a many-variable shape with tiny domains and half
+# its instances carrying infinite costs.
 SHAPES = {
     "r6_d20": (6, (20,) * 6, 0.0),
     "r6_d21": (6, (21,) * 6, 0.0),
@@ -109,12 +116,19 @@ SHAPES = {
     "r13_d154": (13, (154,) * 13, 0.0),
     "r40_d50": (40, (50,) * 40, 0.0),
     "r100_d20": (100, (20,) * 100, 0.0),
+    "r200_d10": (200, (10,) * 200, 0.0),
+    "r400_d5": (400, (5,) * 400, 0.0),
     "r26_d2-3_inf0.5": (26, (2, 3) * 13, 0.5),
 }
 
-# The n = 2000 shapes are left out of the matrix stages: their induced
-# matrices hold 2M entries, and complete's output text is about 150 MB.
+# The n = 2000 shapes are left out of the timed matrix stages: their
+# induced matrices hold 2M entries, and complete's output text is about
+# 150 MB.
 MATRIX_MAX_N = 1000
+
+# (shape, i, j): the shape's instance with the first cell of its (i, j)
+# table lowered by one, which the bottleneck check rejects.
+MUTANT = ("r13_d154", 1, 2)
 
 
 def _summary(values) -> dict:
@@ -189,18 +203,44 @@ def one_run(text: str, matrix: str | None):
     return best, report
 
 
-def peaks(text: str, matrix: str | None) -> dict:
-    """The tracemalloc peaks of the parse, the forest and the solve, and of
-    the completion when there is a matrix text."""
+def peaks(text: str) -> dict:
+    """The tracemalloc peaks of the parse, the forest, the solve and the
+    completion of the instance's induced partial matrix."""
     inst = parse_instance(text)
-    out = {
+    return {
         "parse_peak_mb": _peak_mb(parse_instance, text),
         "forest_peak_mb": _peak_mb(_build_forest, inst),
         "solve_alloc_peak_mb": _peak_mb(minimize_zfree, inst),
+        "matrix.complete_alloc_peak_mb": _peak_mb(complete, induced_partial_matrix(inst)),
     }
-    if matrix is not None:
-        out["matrix.complete_alloc_peak_mb"] = _peak_mb(complete, parse_partial_matrix(matrix))
-    return out
+
+
+def mutant_text() -> str:
+    """The instance text of MUTANT."""
+    name, i, j = MUTANT
+    r, domains, inf_share = SHAPES[name]
+    doc = instance_to_dict(generate_instance(
+        GenConfig(r=r, domains=tuple(domains), seed=SEED, inf_share=inf_share)))
+    entry = next(e for e in doc["binary"] if (e["i"], e["j"]) == (i, j))
+    entry["table"][0][0] -= 1
+    return json.dumps(doc)
+
+
+def no_check_run(text: str) -> dict:
+    """The best seconds of PASSES unchecked solves of a rejected instance,
+    each of which must raise InvariantError, and the error's text."""
+    inst = parse_instance(text)
+    seconds = []
+    for _ in range(PASSES):
+        t0 = time.perf_counter()
+        try:
+            minimize_zfree(inst, check_properties=False)
+        except InvariantError as exc:
+            seconds.append(time.perf_counter() - t0)
+            error = str(exc)
+        else:
+            raise SystemExit("solve --no-check accepted a rejected instance")
+    return {"seconds": min(seconds), "error": error}
 
 
 def shape_texts(r: int, domains, inf_share: float):
@@ -234,7 +274,7 @@ def bench_shape(r: int, domains, inf_share: float) -> dict:
             stages.setdefault(stage, []).append(seconds)
     return {**_about(r, domains, inf_share, text, matrix), **_outcome(report),
             "seconds": {stage: _summary(v) for stage, v in stages.items()},
-            **peaks(text, matrix)}
+            **peaks(text)}
 
 
 def _src_digest(tree: Path) -> str:
@@ -253,6 +293,16 @@ def _worker(tree: Path, *args) -> dict:
     return json.loads(out)
 
 
+def _alternate(trees: dict, *args) -> dict:
+    """RUNS worker replies per tree to the same arguments, the side that
+    goes first alternating run by run."""
+    replies = {side: [] for side in trees}
+    for run in range(RUNS):
+        for side in (list(trees) if run % 2 == 0 else list(trees)[::-1]):
+            replies[side].append(_worker(trees[side], *args))
+    return replies
+
+
 def compare_shape(trees: dict, r: int, domains, inf_share: float) -> dict:
     """Time one shape on both trees, alternately, run by run."""
     text, matrix = shape_texts(r, domains, inf_share)
@@ -263,23 +313,42 @@ def compare_shape(trees: dict, r: int, domains, inf_share: float) -> dict:
         if matrix is not None:
             paths[1].write_text(matrix)
             with_matrix = ["--matrix", str(paths[1])]
-        args = ["--stages", str(paths[0]), *with_matrix]
+        replies = _alternate(trees, "--stages", str(paths[0]), *with_matrix)
         stages = {side: {} for side in trees}
-        replies = {}
-        for run in range(RUNS):
-            sides = list(trees) if run % 2 == 0 else list(trees)[::-1]
-            for side in sides:
-                replies[side] = _worker(trees[side], *args)
-                for stage, seconds in replies[side]["seconds"].items():
+        for side, got in replies.items():
+            for reply in got:
+                for stage, seconds in reply["seconds"].items():
                     stages[side].setdefault(stage, []).append(seconds)
         out = _about(r, domains, inf_share, text, matrix)
         for side, tree in trees.items():
-            out[side] = {**replies[side]["outcome"],
+            out[side] = {**replies[side][-1]["outcome"],
                          "seconds": {k: _summary(v) for k, v in stages[side].items()},
-                         **_worker(tree, "--peaks", str(paths[0]), *with_matrix)}
+                         **_worker(tree, "--peaks", str(paths[0]))}
     change, parent = stages["change"], stages["parent"]
     out["ratio"] = {stage: statistics.median(c / p for c, p in zip(change[stage], parent[stage]))
                     for stage in change if stage in parent}
+    return out
+
+
+def no_check(trees: dict | None) -> dict:
+    """MUTANT's unchecked solve over RUNS runs: in this process, or on both
+    trees alternately, each run a fresh process."""
+    def summary(got):
+        return {"seconds": _summary([g["seconds"] for g in got]),
+                "errors": sorted({g["error"] for g in got})}
+
+    text = mutant_text()
+    out = {"shape": MUTANT[0], "table": list(MUTANT[1:])}
+    if trees is None:
+        return {**out, **summary([no_check_run(text) for _ in range(RUNS)])}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutant.json"
+        path.write_text(text)
+        runs = _alternate(trees, "--no-check", str(path))
+    for side, got in runs.items():
+        out[side] = summary(got)
+    out["ratio"] = statistics.median(c["seconds"] / p["seconds"]
+                                     for c, p in zip(runs["change"], runs["parent"]))
     return out
 
 
@@ -303,6 +372,7 @@ def main(argv=None) -> int:
     parser.add_argument("--stages", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--matrix", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--peaks", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--no-check", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     matrix = None if args.matrix is None else args.matrix.read_text()
     if args.stages is not None:
@@ -311,19 +381,27 @@ def main(argv=None) -> int:
         print(json.dumps({"seconds": row, "outcome": _outcome(report)}))
         return 0
     if args.peaks is not None:
-        print(json.dumps(peaks(args.peaks.read_text(), matrix)))
+        print(json.dumps(peaks(args.peaks.read_text())))
+        return 0
+    if args.no_check is not None:
+        _warm_up()
+        print(json.dumps(no_check_run(args.no_check.read_text())))
         return 0
     if args.out is None:
         parser.error("--out is required")
     doc = {"seed": SEED, "runs": RUNS, "passes": PASSES, "machine": machine(), "shapes": {}}
+    trees = None
     if args.parent is not None:
         trees = {"change": Path(__file__).resolve().parents[1],
                  "parent": args.parent.resolve()}
         doc["src_sha256"] = {side: _src_digest(tree) for side, tree in trees.items()}
     for name, shape in SHAPES.items():
         print(f"{name} ...", file=sys.stderr, flush=True)
-        doc["shapes"][name] = (bench_shape(*shape) if args.parent is None
+        doc["shapes"][name] = (bench_shape(*shape) if trees is None
                                else compare_shape(trees, *shape))
+    if MUTANT[0] in SHAPES:
+        print("no_check ...", file=sys.stderr, flush=True)
+        doc["no_check"] = no_check(trees)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -306,7 +306,7 @@ class _Forest:
     so the fill is anti-ultrametric exactly when no defined pair ranks
     below its floor, which is violation() is None.  complete() and
     pipeline.build_relaxation both take the fill; QuadFn.mnatural_violation
-    runs the same check (_check) on a function's own pair matrix.
+    reads the bad pairs of _spanning_forest on a function's own pair matrix.
     """
 
     __slots__ = ("ranks", "pool", "order", "keys", "floor", "_at", "_cycle")

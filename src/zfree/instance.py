@@ -47,7 +47,7 @@ from operator import countOf
 import numpy as np
 import orjson
 
-from .errors import NotOneHotError, ParseError
+from .errors import InvariantError, NotOneHotError, ParseError
 from .values import (_INF_RAW, INF, ZERO, ExtValue, _decode_value, _ranked,
                      format_value)
 
@@ -474,11 +474,14 @@ def instance_from_dict(doc) -> Instance:
     """Build an instance from a decoded JSON document.  Raises ParseError on
     any defect.
 
-    Well-formed unary rows are decoded together and well-formed tables go
-    straight into the instance's rank matrix (see _read_unary and
-    _read_table).  Rows or a table with a defect are read again row by row
-    and cell by cell, which raises the ParseError for the first defect in
-    document order."""
+    doc holds the plain types json.loads gives.  Well-formed unary rows are
+    decoded together and well-formed tables go straight into the
+    instance's rank matrix (see _read_unary and _read_table).  Rows or a
+    table those readers refuse have a defect, since _decode_value accepts
+    exactly the cells they accept (nonnegative ints and strings).  They
+    are read again row by row and cell by cell only to raise the
+    ParseError for the first defect in document order; a re-read that
+    finds none raises InvariantError."""
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     unknown = set(doc) - {"r", "domains", "unary", "binary"}
@@ -505,7 +508,6 @@ def instance_from_dict(doc) -> Instance:
         raise ParseError(f"'unary' must list {r} rows")
     unary = _read_unary(unary_doc, domains)
     if unary is None:
-        unary = []
         for i, row in enumerate(unary_doc):
             if not isinstance(row, list) or len(row) != domains[i]:
                 raise ParseError(f"unary row {i + 1} must list {domains[i]} values")
@@ -513,7 +515,7 @@ def instance_from_dict(doc) -> Instance:
             for a, v in enumerate(vals):
                 if not v.is_finite:
                     raise ParseError(f"unary[{i + 1}][{a + 1}]: unary costs must be finite")
-            unary.append(tuple(vals))
+        raise InvariantError("_read_unary refused unary rows that parse cell by cell")
 
     binary_doc = doc.get("binary", [])
     if not isinstance(binary_doc, list):
@@ -542,12 +544,12 @@ def instance_from_dict(doc) -> Instance:
         if not _read_table(builder, i - 1, j - 1, table, di, dj):
             if not isinstance(table, list) or len(table) != di:
                 raise ParseError(f"binary[{k}]: table must have {di} rows")
-            cells = []
             for a, row in enumerate(table):
                 if not isinstance(row, list) or len(row) != dj:
                     raise ParseError(f"binary[{k}]: row {a + 1} must have {dj} values")
-                cells += _parse_cells(row, lambda b: f"binary[{k}].table[{a + 1}][{b + 1}]")
-            builder.add_cells(i - 1, j - 1, [v.raw for v in cells], (di, dj), lambda v: v)
+                _parse_cells(row, lambda b: f"binary[{k}].table[{a + 1}][{b + 1}]")
+            raise InvariantError(f"binary[{k}]: _read_table refused a table that parses "
+                                 f"cell by cell")
         pairs.add((i - 1, j - 1))
 
     inst = object.__new__(Instance)

@@ -26,12 +26,15 @@ of a block by an exchange arc straight to it, by its own reassign arc, or
 through one other position of the block (an exchange arc, then that
 position's reassign arc: two hops).  One r x n array of reduced lengths,
 reduced per block with np.minimum.reduceat, prices all of those at once.
-Labels are (distance, hops) pairs compared lexicographically; the distance
-of every other position is one more r x n reduction over the hubs.  The
-path is rebuilt backwards from t with the tie rule of a heap Dijkstra over
-the listed arcs: a vertex's parent arc leaves the tail that pops first
-among those that give its label, smallest (distance, vertex), then the
-first such arc in arc order.  That heap search is the reference
+Labels are (distance, hops) pairs compared lexicographically.  Hubs,
+picks and t take theirs from the search and s has (0, 0); every other
+position's distance is one more r x n reduction over the hubs, and its
+hops are one more than the fewest of the hubs that give it that distance.
+Those distances, capped at t's, also update the potential.  The path is
+rebuilt backwards from t by one rule, the tie rule of a heap Dijkstra over
+the listed arcs: among the arcs into a vertex that give its label, it keeps
+the one whose tail pops first, smallest (distance, vertex), then the first
+such arc in arc order.  That heap search is the reference
 (zfree.reference.heap_search): on the --dump-aux path ssp_intersect runs it
 next to the contracted search and raises InvariantError if their paths or
 capped distances differ.
@@ -343,20 +346,19 @@ def shortest_path_min_hops(g: ExchangeGraph, potential) -> ContractedSearch:
     if not done[blocks]:
         return ContractedSearch(None, None, pops)
 
+    # Every vertex's distance, big where unreached: a position's through its
+    # cheapest hub, then the picks' and hubs' own (a label that is not final
+    # is past t).  The walk reads it, and capped is it capped at t's.
     d_t = lab[blocks][0]
     hub_d = np.array([big if hl is None else hl[0] for hl in hub_lab], dtype=dtype)
-    arcs = _rebuild(g, lab, done, hub_lab, hub_d, red, rr.tolist(), pl, pick_hub, big)
-
-    # Every position's distance through its cheapest hub, then the picks
-    # and hubs from their labels; a label that is not final is past t.
-    hub_cap = np.minimum(hub_d, d_t)
-    capped = np.empty(n + 2, dtype=dtype)
-    capped[:n] = np.minimum((hub_cap[:, None] + red).min(axis=0), d_t)
-    capped[picks] = [d_t if lb is None else min(lb[0], d_t) for lb in lab[:blocks]]
-    capped[hubs] = hub_cap
-    capped[s] = 0
-    capped[t] = d_t
-    return ContractedSearch(arcs, capped, pops)
+    dist = np.empty(n + 2, dtype=dtype)
+    dist[:n] = (hub_d[:, None] + red).min(axis=0)
+    dist[picks] = [big if lb is None else lb[0] for lb in lab[:blocks]]
+    dist[hubs] = hub_d
+    dist[s] = 0
+    dist[t] = d_t
+    arcs = _rebuild(g, lab, hub_lab, dist.tolist(), red, rr.tolist(), pl)
+    return ContractedSearch(arcs, np.minimum(dist, d_t), pops)
 
 
 def _check_nonnegative(g: ExchangeGraph, red, rr, pl) -> None:
@@ -376,75 +378,52 @@ def _check_nonnegative(g: ExchangeGraph, red, rr, pl) -> None:
             raise _negative(pl[w] - pl[t], g.scale, w, t)
 
 
-def _rebuild(g, lab, done, hub_lab, hub_d, red, rr, pl, pick_hub, big) -> list:
-    """The Arc of each arc on the s-t path, walked back from t.  At each
-    vertex the candidates are the arcs that give its final label; the one
-    kept leaves the smallest (distance, vertex) tail, then comes first in
-    arc order.  All candidates enter the same vertex, so two with the same
-    tail differ in kind only, and an exchange arc precedes a reassign arc."""
-    hubs_l, picks_l = g.hubs.tolist(), g.picks.tolist()
-    blocks = len(picks_l)
+def _rebuild(g, lab, hub_lab, dist, red, rr, pl) -> list:
+    """The Arc of each arc on the s-t path, walked back from t with the
+    labels and the one rule of the module docstring.  A label that is not
+    final is past t and gives no arc on the path.  Two arcs into a vertex
+    from one tail differ in kind only; the exchange arc comes first."""
+    s, t = g.s, g.t
+    hubs_l = g.hubs.tolist()
+    row_of = {u: a for a, u in enumerate(hubs_l)}
+    block_of = {q: b for b, q in enumerate(g.picks.tolist())}
     bounds = [*g.starts.tolist(), g.n]
+    sources = set(g.sources)
 
-    def feeds(w, want):
-        """(distance, hub, row) of every hub whose exchange arc into w
-        gives the label want."""
-        return [(hl[0], hubs_l[a], a) for a, (hl, r_aw)
-                in enumerate(zip(hub_lab, red[:, w].tolist()))
-                if hl is not None and (hl[0] + r_aw, hl[1] + 1) == want]
+    def hops(v):
+        if v == s:
+            return 0
+        if v in row_of:
+            return hub_lab[row_of[v]][1]
+        if v in block_of:
+            return lab[block_of[v]][1]
+        return 1 + min(hl[1] for hl, r_av in zip(hub_lab, red[:, v].tolist())
+                       if hl is not None and hl[0] + r_av == dist[v])
 
-    def exchange(a, w):
-        return Arc(hubs_l[a], w, int(g.lengths[a, w]), ArcKind.EXCHANGE)
-
-    def reassign(w, q):
-        return Arc(w, q, 0, ArcKind.REASSIGN)
-
-    def lost():
-        return InvariantError("the contracted search lost the path it found")
-
-    sinks = [(lab[b][0], q, b) for b, q in enumerate(picks_l)
-             if done[b] and pick_hub[b] < 0
-             and (lab[b][0] + pl[q] - pl[g.t], lab[b][1] + 1) == lab[blocks]]
-    if not sinks:
-        raise lost()
-    _, q, b = min(sinks)
-    out = [Arc(q, g.t, 0, ArcKind.SINK)]
-    while True:
-        want = lab[b]
-        lo, hi = bounds[b], bounds[b + 1]
-        # (tail distance, tail, Arc, the tail's hub row or None)
-        cands = []
-        if pick_hub[b] < 0:   # exchange arcs straight into a pick outside x
-            cands += [(d, u, exchange(a, q), a) for d, u, a in feeds(q, want)]
-        for a, u in enumerate(hubs_l):   # reassign arcs of the block's other hubs
-            hl = hub_lab[a]
-            if lo <= u < hi and u != q and hl is not None and (hl[0] + rr[u], hl[1] + 1) == want:
-                cands.append((hl[0], u, reassign(u, q), a))
-        # reassign arcs of the block's other positions, at their labels
-        # through the hubs (hubs and unreached positions stay at big)
-        leaf_d = (hub_d[:, None] + red[:, lo:hi]).min(axis=0).tolist()
-        for w, wd in enumerate(leaf_d, lo):
-            if w != q and wd < big and wd + rr[w] == want[0]:
-                wh = min(hl[1] for hl, r_aw in zip(hub_lab, red[:, w].tolist())
-                         if hl is not None and hl[0] + r_aw == wd) + 1
-                if wh + 1 == want[1]:
-                    cands.append((wd, w, reassign(w, q), None))
+    out = []
+    v, want = t, lab[-1]
+    while v != s:
+        # The arcs into v as (tail, reduced length, kind), in arc order.
+        if v == t:
+            into = [(w, pl[w] - pl[t], ArcKind.SINK) for w in g.sinks]
+        elif v in sources:
+            into = [(s, pl[s] - pl[v], ArcKind.SOURCE)]
+        else:
+            into = [] if v in row_of else [*zip(hubs_l, red[:, v].tolist(),
+                                                repeat(ArcKind.EXCHANGE))]
+            b = block_of.get(v)
+            if b is not None:
+                into += [(w, rr[w], ArcKind.REASSIGN)
+                         for w in range(bounds[b], bounds[b + 1]) if w != v]
+        # Distance first: a leaf's hops cost a pass over the hubs.
+        cands = [(dist[u], u, kind is ArcKind.REASSIGN, kind) for u, rl, kind in into
+                 if dist[u] + rl == want[0] and hops(u) + 1 == want[1]]
         if not cands:
-            raise lost()
-        _, tail, arc, a = min(cands, key=lambda c: (c[0], c[1], c[2].kind is ArcKind.REASSIGN))
-        out.append(arc)
-        if a is None:   # the leaf's own parent: an exchange arc from a hub
-            fed = feeds(tail, (want[0] - rr[tail], want[1] - 1))
-            if not fed:
-                raise lost()
-            a = min(fed)[2]
-            out.append(exchange(a, tail))
-        u = hubs_l[a]
-        if u in g.sources:
-            out.append(Arc(g.s, u, 0, ArcKind.SOURCE))
-            break
-        q = u
-        b = int(np.searchsorted(g.starts, u, side="right")) - 1
+            raise InvariantError("the contracted search lost the path it found")
+        d, u, _, kind = min(cands)
+        length = int(g.lengths[row_of[u], v]) if kind is ArcKind.EXCHANGE else 0
+        out.append(Arc(u, v, length, kind))
+        v, want = u, (d, want[1] - 1)
     out.reverse()
     return out
 

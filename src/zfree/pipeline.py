@@ -33,8 +33,10 @@ pool is nonnegative) exactly when no cross pair ranks below its floor.
 The forest decides it once per solve, checks on or off, before its floor
 is filled; build_relaxation records it on every relaxation, and the
 solve's check and greedy_min_layer's precondition read it at every n
-without scanning.  The cubic check_mnatural_quadratic runs only to word a
-refutation, or when verify_completion asks for the independent rescan.
+without scanning.  A refuted relaxation's witness, the first hit of the
+cubic check_mnatural_quadratic, comes from the bad pairs of its forest
+(QuadFn.mnatural_violation); the scan itself runs only when
+verify_completion asks for the independent rescan.
 
 build_relaxation also builds the relaxation's integer kernel once: every
 finite unary and pool value times D, the LCM of their denominators (1 for
@@ -234,8 +236,9 @@ def minimize_zfree(inst: Instance, *, check_properties: bool = True,
     relaxation's M-natural verdict (see build_relaxation), which the solve
     and greedy_min_layer then read for free at every n.  With
     check_properties off, an invalid instance therefore raises
-    InvariantError ("completion produced a bad relaxation: ..." with
-    check_mnatural_quadratic's witness) instead of being rejected.
+    InvariantError ("completion produced a bad relaxation: ..." with the
+    first hit of check_mnatural_quadratic, named without the scan) instead
+    of being rejected.
 
     verify_completion adds the exhaustive cubic rescan of the relaxation
     (check_mnatural_quadratic), an independent check of the same verdict.

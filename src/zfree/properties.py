@@ -191,6 +191,31 @@ def check_anti_ultrametric(matrix):
     )
 
 
+def _finite_linear(linear) -> None:
+    """Raise the ValueError of check_mnatural_quadratic for the first
+    infinite linear coefficient."""
+    for u, v in enumerate(linear):
+        if not v.is_finite:
+            raise ValueError(f"linear coefficient {u} must be finite")
+
+
+def _mnatural_violation(indices: tuple, values: tuple) -> Violation:
+    """check_mnatural_quadratic's Violation: a negative pair (u, w) and its
+    value, or a triple (u, w, z) and the values of its pairs (u, w),
+    (u, z) and (w, z), whose minimum is unique."""
+    at = ",".join(str(u + 1) for u in indices)
+    if len(indices) == 2:
+        return Violation(ViolationKind.NEGATIVE, indices, values,
+                         f"pair coefficient ({at}) = {values[0]} is negative")
+    return Violation(
+        ViolationKind.ANTI_ULTRAMETRIC,
+        indices,
+        values,
+        f"pair coefficients on ({at}) are {values[0]}, {values[1]}, "
+        f"{values[2]}: unique minimum breaks M-natural-convexity",
+    )
+
+
 def check_mnatural_quadratic(f):
     """Decide whether a quadratic function with finite linear part is
     M-natural-convex: all pair coefficients nonnegative and the pair
@@ -200,31 +225,18 @@ def check_mnatural_quadratic(f):
     coefficients are representable (the test suite uses them) and are
     reported as the violation.  Raises ValueError when a linear coefficient
     is infinite.  Scan order: negativity over pairs u < w first, then the
-    triple scan.
+    triple scan.  QuadFn.mnatural_violation finds the same first hit
+    without the scan.
     """
-    for u, v in enumerate(f.linear):
-        if not v.is_finite:
-            raise ValueError(f"linear coefficient {u} must be finite")
+    _finite_linear(f.linear)
     n = f.n
     for u in range(n):
         for w in range(u + 1, n):
             v = f.pair(u, w)
             if v.is_finite and v < ZERO:
-                return Violation(
-                    ViolationKind.NEGATIVE,
-                    (u, w),
-                    (v,),
-                    f"pair coefficient ({u + 1},{w + 1}) = {v} is negative",
-                )
+                return _mnatural_violation((u, w), (v,))
     hit = _anti_ultra_scan(n, lambda u, w: f.pair(u, w).raw)
     if hit is None:
         return None
     u, w, z, raws = hit
-    vals = tuple(ExtValue.of(v) for v in raws)
-    return Violation(
-        ViolationKind.ANTI_ULTRAMETRIC,
-        (u, w, z),
-        vals,
-        f"pair coefficients on ({u + 1},{w + 1},{z + 1}) are {vals[0]}, {vals[1]}, "
-        f"{vals[2]}: unique minimum breaks M-natural-convexity",
-    )
+    return _mnatural_violation((u, w, z), tuple(ExtValue.of(v) for v in raws))

@@ -23,12 +23,13 @@ greedy_min_layer minimizes such a function over points with exactly `size`
 ones by repeatedly adding the cheapest position.  That is only valid for
 M-natural-convex functions, which is exactly what the completion step
 produces; an InvariantError check guards the precondition at every n, also
-under python -O.  The verdict is QuadFn.mnatural_violation, decided in
-O(n^2) by the bottleneck forest of completion (_check) and kept on the
-QuadFn.  A relaxation arrives with it already decided by the instance's
-forest (pipeline.build_relaxation), so the solve's check and greedy's cost
-nothing more.  The cubic check_mnatural_quadratic runs only on a refuted
-function, to name its witness.
+under python -O.  The verdict is QuadFn.mnatural_violation, decided by
+the bad pairs of a maximum spanning forest (completion._spanning_forest)
+and kept on the QuadFn; for a refuted function they also name the first
+hit of the cubic check_mnatural_quadratic scan, in O(n^2 + |B| n) for |B|
+bad pairs, without running it.  A relaxation arrives with its verdict
+already decided by the instance's forest (pipeline.build_relaxation), so
+the solve's check and greedy's cost nothing more.
 """
 
 from __future__ import annotations
@@ -39,10 +40,12 @@ from itertools import chain
 
 import numpy as np
 
-from .completion import CompletedMatrix, PartialMatrix, _check, _rank_arrays
+from .completion import _BAND, CompletedMatrix, PartialMatrix, _rank_arrays, _spanning_forest
 from .errors import InvariantError
 from .instance import Instance
-from .properties import check_mnatural_quadratic
+# check_mnatural_quadratic stays importable from here, next to the witness
+# that reproduces its first hit.
+from .properties import _finite_linear, _mnatural_violation, check_mnatural_quadratic  # noqa: F401
 from .values import _INF_RAW, INF, ZERO, ExtValue
 
 __all__ = [
@@ -137,40 +140,74 @@ class QuadFn:
         return self._kernel
 
     def mnatural_violation(self):
-        """check_mnatural_quadratic(f): None when f is M-natural-convex,
-        otherwise the scan's witness, with its ValueError for an infinite
-        linear coefficient.
+        """check_mnatural_quadratic(f) without its cubic scan: None when f
+        is M-natural-convex, otherwise the scan's first hit, with its
+        ValueError for an infinite linear coefficient.
 
-        Decided by completion._check on f's pair matrix fully defined: each
-        zero coefficient gets 0's rank (0 joins the pool when absent) and
-        the diagonal is left undefined.  Such a matrix is completable
-        exactly when its values are nonnegative and anti-ultrametric, which
-        is M-natural-convexity.  Only a refuted f is scanned, to name the
-        witness; a scan that finds none raises InvariantError.  The verdict
-        is kept (pipeline.build_relaxation records one from the instance's
-        forest): the linear part is a tuple and ranks is read-only, so it
-        cannot change."""
+        The verdict is kept (pipeline.build_relaxation records one from the
+        instance's forest, and a refuted one is named here): the linear part
+        is a tuple and ranks is read-only, so it cannot change.  A recorded
+        refutation that names no witness raises InvariantError."""
         verdict = self._verdict
-        if verdict is _UNCHECKED:
-            verdict = _REFUTED if INF in self.linear or self._refuted() else None
-        if verdict is _REFUTED:
-            verdict = check_mnatural_quadratic(self)
-            if verdict is None:
+        if verdict is _UNCHECKED or verdict is _REFUTED:
+            _finite_linear(self.linear)
+            found = self._pair_violation()
+            if found is None and verdict is _REFUTED:
                 raise InvariantError("the forest refutes an M-natural-convex function")
+            verdict = found
         self._verdict = verdict
         return verdict
 
     def _refuted(self) -> bool:
-        """Whether _check refutes f's fully defined pair matrix; never
-        when f has no pair (n < 2)."""
-        pool, ranks = self.pool, self.ranks
+        """Whether f's pair part is not M-natural-convex."""
+        return self._pair_violation() is not None
+
+    def _pair_violation(self):
+        """The first hit of check_mnatural_quadratic's pair scans, in
+        O(n^2 + |B| n) for B the bad pairs below.
+
+        A negative pair is the first in flat order.  Otherwise let V be f's
+        pair matrix fully defined, each zero coefficient at 0's rank.  A
+        triple whose three pairs have a unique minimum has it at a bad pair,
+        one that ranks below its floor in V's maximum spanning forest: the
+        other two pairs are a path above it.  For a bad pair (a, b), the
+        smallest z whose pairs to a and to b both rank above (a, b) gives
+        its lexicographically first such triple, so the scan's first triple
+        is the least of those over B.  V is nonnegative and anti-ultrametric
+        (hence f M-natural-convex) exactly when B is empty."""
+        n, pool, ranks = self.n, self.pool, self.ranks
         k = bisect_left(pool, ZERO)
-        if pool[k:k + 1] != (ZERO,):    # 0 joins the pool; the ranks above move up
-            pool = (*pool[:k], ZERO, *pool[k:])
-            ranks = ranks + (ranks > k)
-        full = np.where(ranks > 0, ranks, np.int32(k + 1))
+        if k:   # ranks 1..k are negative; ranks is symmetric, so u < w
+            u, w = divmod(int(np.argmax((ranks > 0) & (ranks <= k))), n)
+            return _mnatural_violation((u, w), (self.pair(u, w),))
+        # 0 is the smallest value: it takes rank 1 and the others move up
+        # when it is not in the pool.
+        full = np.maximum(ranks, 1) if pool[:1] == (ZERO,) else ranks + 1
         np.fill_diagonal(full, 0)
-        return self.n > 1 and _check(PartialMatrix._of(self.n, full, pool))[0] is not None
+        floor = _spanning_forest(full)[2]
+        first = None
+        for a in range(0, n, _BAND):
+            u, w = np.nonzero(np.triu(full[a:a + _BAND] < floor[a:a + _BAND], a + 1))
+            u += a
+            c = 0
+            while c < len(u):
+                # Past the first index of the least triple so far, only a
+                # smaller z gives an earlier one.  A step reads _BAND * n cells.
+                cols = n if first is None or u[c] <= first[0] else first[0] + 1
+                step = _BAND * n // cols
+                pu, pw = u[c:c + step], w[c:c + step]
+                c += step
+                above = np.minimum(full[pu, :cols], full[pw, :cols]) > full[pu, pw][:, None]
+                z = above.argmax(axis=1)
+                hit = np.sort(np.stack([pu, pw, z])[:, above[np.arange(len(z)), z]], axis=0)
+                if hit.size:
+                    least = hit[:, np.lexsort(hit[::-1])[0]].tolist()
+                    first = least if first is None else min(first, least)
+        if first is None:
+            return None
+        u, w, z = first
+        return _mnatural_violation((u, w, z), (self.pair(u, w), self.pair(u, z),
+                                               self.pair(w, z)))
 
     @classmethod
     def from_coeffs(cls, linear, pair_entries) -> "QuadFn":

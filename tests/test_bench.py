@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from zfree import check_bottleneck, parse_instance
+
 BENCH = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
@@ -19,6 +21,7 @@ def _load():
 def test_bench_writes_every_stage(tmp_path, monkeypatch):
     bench = _load()
     monkeypatch.setattr(bench, "SHAPES", {"r3": (3, (2, 3, 2), 0.5)})
+    monkeypatch.setattr(bench, "MUTANT", ("r3", 2, 3))
     out = tmp_path / "BENCH.json"
     monkeypatch.setattr(bench, "RUNS", 2)
     assert bench.main(["--out", str(out)]) == 0
@@ -43,11 +46,16 @@ def test_bench_writes_every_stage(tmp_path, monkeypatch):
     assert set(counters) == {"pool_size", "rounds", "arcs", "search_pops", "kernel_dtype"}
     assert set(counters["arcs"]) == {"exchange", "reassign", "source", "sink"}
     assert counters["rounds"] >= shape["iterations"] and counters["kernel_dtype"] == "int64"
+    no_check = doc["no_check"]
+    assert no_check["shape"] == "r3" and len(no_check["seconds"]["runs"]) == 2
+    [error] = no_check["errors"]
+    assert error.startswith("completion produced a bad relaxation: ")
 
 
 def test_bench_times_a_parent_alternately(tmp_path, monkeypatch):
     bench = _load()
     monkeypatch.setattr(bench, "SHAPES", {"r3": (3, (2, 3, 2), 0.5)})
+    monkeypatch.setattr(bench, "MUTANT", ("r3", 2, 3))
     monkeypatch.setattr(bench, "RUNS", 2)
     out = tmp_path / "BENCH.json"
     root = BENCH.parents[1]
@@ -70,6 +78,16 @@ def test_bench_times_a_parent_alternately(tmp_path, monkeypatch):
     assert shape["change"]["counters"] == shape["parent"]["counters"]
     assert set(shape["ratio"]) == set(shape["change"]["seconds"])
     assert all(ratio > 0 for ratio in shape["ratio"].values())
+    no_check = doc["no_check"]
+    assert no_check["change"]["errors"] == no_check["parent"]["errors"]
+    assert len(no_check["parent"]["seconds"]["runs"]) == 2 and no_check["ratio"] > 0
+
+
+def test_the_mutant_is_rejected_without_checks():
+    bench = _load()
+    assert bench.MUTANT[0] in bench.SHAPES
+    mutant = parse_instance(bench.mutant_text())
+    assert check_bottleneck(mutant) is not None
 
 
 def test_a_run_keeps_each_stages_best_pass(monkeypatch):

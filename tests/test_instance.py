@@ -6,7 +6,8 @@ import pytest
 from zfree import (Instance, dump_instance, evaluate_instance,
                    instance_from_dict, instance_to_dict, one_hot_decode,
                    one_hot_encode, parse_instance)
-from zfree.errors import NotOneHotError, ParseError
+from zfree import instance
+from zfree.errors import InvariantError, NotOneHotError, ParseError
 from zfree.values import INF
 
 
@@ -110,6 +111,22 @@ class TestJson:
                "binary": [{"i": 1, "j": 2, "table": [[0, "inf"], [0, 0]]}]}
         inst = instance_from_dict(doc)
         assert inst.table(0, 1)[0][1] == INF
+
+    @pytest.mark.parametrize("reader, value, message", [
+        ("_read_unary", None, "_read_unary refused unary rows that parse cell by cell"),
+        ("_read_table", False,
+         "binary[0]: _read_table refused a table that parses cell by cell"),
+    ])
+    def test_a_refused_part_must_have_a_defect(self, monkeypatch, reader, value, message):
+        # The cell-by-cell re-read only raises: a part the fast reader
+        # refused but that parses is a broken reader, not an instance.
+        doc = {"r": 2, "domains": [2, 2], "unary": [[0, 0], [0, "1/2"]],
+               "binary": [{"i": 1, "j": 2, "table": [[0, "inf"], [3, 0]]}]}
+        assert instance_from_dict(doc).table(0, 1)[1][0].raw == 3
+        monkeypatch.setattr(instance, reader, lambda *args: value)
+        with pytest.raises(InvariantError) as exc:
+            instance_from_dict(doc)
+        assert str(exc.value) == message
 
     def test_reversed_pair_rejected(self):
         doc = {"r": 2, "domains": [2, 2], "unary": [[0, 0], [0, 0]],

@@ -79,9 +79,9 @@ class TestGreedy:
 class TestVerdictMemo:
     """QuadFn.mnatural_violation decides a function once, by the bottleneck
     forest, and keeps the verdict: minimize_zfree and greedy_min_layer both
-    ask, at every n.  The cubic scan runs only to name a refutation's
-    witness, once; a relaxation takes its verdict from the solve's forest
-    and is never scanned."""
+    ask, at every n.  A refutation's witness is named once, from the bad
+    pairs of that forest, and the cubic scan never runs; a relaxation takes
+    its verdict from the solve's forest."""
 
     @staticmethod
     def _count_scans(monkeypatch):
@@ -104,8 +104,11 @@ class TestVerdictMemo:
         assert minimize_zfree(inst).value == report.value
         assert calls == []        # the forest's verdict is the relaxation's
 
-    def test_greedy_keeps_its_error_and_scans_once(self, monkeypatch):
+    def test_greedy_keeps_its_error_and_names_it_once(self, monkeypatch):
         calls = self._count_scans(monkeypatch)
+        named = []
+        witness = QuadFn._pair_violation
+        monkeypatch.setattr(QuadFn, "_pair_violation", lambda f: named.append(f) or witness(f))
         f = QuadFn.from_coeffs([0, 0, 0], {(0, 1): 1, (0, 2): 2, (1, 2): 2})
         for _ in range(2):
             with pytest.raises(InvariantError) as exc:
@@ -113,7 +116,7 @@ class TestVerdictMemo:
             assert str(exc.value) == (
                 "greedy needs an M-natural-convex function: pair coefficients "
                 "on (1,2,3) are 1, 2, 2: unique minimum breaks M-natural-convexity")
-        assert len(calls) == 1
+        assert calls == [] and named == [f]
 
     def test_the_solve_keeps_its_error(self, monkeypatch):
         bad = QuadFn.from_coeffs([0, 0, 0, 0], {(0, 1): 1, (0, 2): 2, (1, 2): 2})
