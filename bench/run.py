@@ -107,8 +107,10 @@ PASSES = 3   # passes per run; each stage keeps its best
 # ROADMAP.md (wide domains; the criterion-8 top size; many variables at
 # n = 2000, up to r = 400), the size of perfbench's instances (r=6, d=21,
 # n=126), the largest size the solve once rescanned its relaxation at
-# (r=6, d=20, n=120) and a many-variable shape with tiny domains and half
-# its instances carrying infinite costs.
+# (r=6, d=20, n=120), a many-variable shape with tiny domains and half
+# its instances carrying infinite costs, and the r=13 shape with infinite
+# costs (n=2002), whose "inf" cells keep its tables off the parser's int
+# path.
 SHAPES = {
     "r6_d20": (6, (20,) * 6, 0.0),
     "r6_d21": (6, (21,) * 6, 0.0),
@@ -119,6 +121,7 @@ SHAPES = {
     "r200_d10": (200, (10,) * 200, 0.0),
     "r400_d5": (400, (5,) * 400, 0.0),
     "r26_d2-3_inf0.5": (26, (2, 3) * 13, 0.5),
+    "r13_d154_inf0.5": (13, (154,) * 13, 0.5),
 }
 
 # The n = 2000 shapes are left out of the timed matrix stages: their

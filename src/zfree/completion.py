@@ -61,7 +61,7 @@ from operator import countOf
 
 import numpy as np
 
-from .errors import BudgetExceededError, NotCompletableError, ParseError
+from .errors import BudgetExceededError, InvariantError, NotCompletableError, ParseError
 from .instance import _check_size, _parse_json
 from .properties import Violation, ViolationKind
 from .values import ZERO, ExtValue, _decode_value, _ranked, format_value
@@ -590,8 +590,8 @@ def parse_partial_matrix(text: str) -> PartialMatrix:
 def _matrix_from_dict(doc) -> PartialMatrix:
     """The PartialMatrix of a decoded document.  A well-formed entries list
     is written straight into the rank matrix (_read_entries); one with any
-    defect is read again entry by entry (_parse_entries), which raises the
-    ParseError for its first defect.  An n whose rank matrix would pass
+    defect is read again entry by entry only to raise the ParseError for
+    its first defect (_parse_entries).  An n whose rank matrix would pass
     instance.MAX_RANK_BYTES is refused before any entry is read."""
     if not isinstance(doc, dict):
         raise ParseError("matrix document must be a JSON object")
@@ -609,7 +609,9 @@ def _matrix_from_dict(doc) -> PartialMatrix:
     if not isinstance(entries_doc, list):
         raise ParseError("'entries' must be a list")
     matrix = _read_entries(n, entries_doc)
-    return _parse_entries(n, entries_doc) if matrix is None else matrix
+    if matrix is None:
+        _parse_entries(n, entries_doc)
+    return matrix
 
 
 def _read_entries(n: int, entries_doc: list):
@@ -654,10 +656,10 @@ def _read_entries(n: int, entries_doc: list):
     return PartialMatrix._of(n, ranks, pool)
 
 
-def _parse_entries(n: int, entries_doc: list) -> PartialMatrix:
-    """The entries list read entry by entry; raises the ParseError for its
-    first defect in document order."""
-    entries = []
+def _parse_entries(n: int, entries_doc: list) -> None:
+    """Read an entries list _read_entries refused entry by entry, raising
+    the ParseError for its first defect in document order; a list with no
+    defect is a broken _read_entries and raises InvariantError."""
     seen = set()
     for k, e in enumerate(entries_doc):
         if not isinstance(e, dict):
@@ -678,11 +680,10 @@ def _parse_entries(n: int, entries_doc: list) -> PartialMatrix:
             raise ParseError(f"entries[{k}]: duplicate pair ({i},{j})")
         seen.add((i, j))
         try:
-            parsed = _decode_value(value)
+            _decode_value(value)
         except ValueError as exc:
             raise ParseError(f"entries[{k}].value: {exc}") from None
-        entries.append(((i - 1, j - 1), parsed))
-    return PartialMatrix(n, entries)
+    raise InvariantError("_read_entries refused entries that parse one by one")
 
 
 def dump_matrix(matrix, *, indent: int | None = None) -> str:

@@ -24,13 +24,14 @@ creates no per-cell objects.  table() and binary_pairs() build ExtValue
 tables from the two on first use and cache them, for the exhaustive
 oracles, the JSON writer and other callers.
 
-parse_instance decodes the text with orjson and falls back to json.loads
-(see _parse_json), then fills ranks and pool straight from the document: an
-all-int table becomes one int64 array after an exact type check, any other
-table has each distinct cell decoded once, and the unary rows are decoded
-together, each distinct cell once.  Rows or a table with any defect are
-read again row by row and cell by cell, which raises the ParseError for the
-first defect, so the messages do not depend on the fast paths.
+Instance() and instance_from_dict fill ranks and pool in one pass over the
+pair tables (_rank_tables), each with its own cell decoder: int tables are
+read together as int32 in bounded batches, each distinct cell of the others
+is decoded once, and one banded lookup turns every cell into its rank.
+parse_instance decodes the text with orjson, json.loads as the fallback
+(_parse_json), and the unary rows together.  Rows or tables with a defect
+are read again cell by cell only to raise the ParseError for the first
+defect in document order, so the messages do not depend on the fast paths.
 
 MAX_RANK_BYTES caps the 4 n^2 bytes of ranks.  A larger instance is refused
 before anything is allocated: parse_instance raises ParseError as soon as
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from itertools import chain
+from itertools import chain, combinations
 from operator import countOf
 
 import numpy as np
@@ -112,105 +113,123 @@ def _check_size(n: int, what: str = "one-hot positions") -> None:
                          f"matrix, more than the {MAX_RANK_BYTES}-byte limit")
 
 
-def _int_array(table, rows: int, cols: int):
-    """table, rows lists of cols cells each, as an int64 array when every
-    cell is exactly an int (a bool is not) that fits in int64; None
-    otherwise.  The type check comes first because numpy would turn True
-    into 1 and 1.5 into 1.  Both passes read the rows in place."""
-    cells = rows * cols
-    if countOf(map(type, chain.from_iterable(table)), int) != cells:
-        return None
-    try:
-        return np.fromiter(chain.from_iterable(table), np.int64, cells).reshape(rows, cols)
-    except OverflowError:   # past int64: ranked from the Python ints
-        return None
-
+# Cell types whose distinct values can share a dict without two of them
+# comparing equal (a bool would collide with 0 and 1, a float with an int).
+_KEYABLE = {int, str}
 
 # Int tables whose values all lie below this are ranked through one lookup
-# table of this many entries at most; any other table is indexed on its own.
-# The lookup costs a bool and an int32 per entry, 5 MB at most, less than
-# the rank matrix of 1200 positions.  A per-table np.unique would cost
-# more: its call overhead dominates on many small tables.
+# of this many entries (plus one per distinct cell of the other tables), a
+# bool and an int32 each: 5 MB, less than the ranks of 1200 positions.  A
+# per-table np.unique would cost more in call overhead on small tables.
 _LOOKUP_SIZE = 1 << 20
 
+# Int tables are read about _BATCH_CELLS cells at a time (a larger table on
+# its own), and codes ranked _BAND_CELLS at a time (a row at least): this
+# bounds the arrays beside the rank matrix.
+_BATCH_CELLS = 1 << 14
+_BAND_CELLS = 1 << 16
 
-class _RankBuilder:
-    """The symmetric int32 rank matrix and ascending value pool of an
-    instance's pair tables, collected one table at a time.
 
-    An int table with values below _LOOKUP_SIZE is written into its block
-    above the diagonal as value + 1, leaving 0 for "no value yet"; any
-    other table is kept as its distinct raw values and an index array into
-    them.  finish() ranks every value against the pool of all of them (0
-    included when a table is omitted), one band of rows per variable, and
-    mirrors each band below the diagonal.
+def _rank_tables(layout: "OneHotLayout", tables: dict, raw_of):
+    """(ranks, pool) of an instance's pair tables, ranks read-only; None
+    when a cell has a defect: raw_of raises on it, or its value is negative.
+
+    tables maps pairs (i, j), i < j, to d_i x d_j lists of rows, shapes
+    checked.  raw_of(cell) is a cell's raw value and keeps a raw value as
+    it is.  Each block above the diagonal first gets a code per cell:
+    value + 1 for the int tables (every cell exactly int, since numpy reads
+    True and 1.5 as 1), read as int32 _BATCH_CELLS cells at a time; 1 for an
+    omitted pair (cost 0); and a code past those per distinct cell of the
+    other tables (and of int tables too large for the lookup), decoded once.
+    One lookup then turns codes into ranks, band by band, and mirrors each.
     """
+    dom, off = layout.domains, layout.offsets
+    ranks = np.zeros((layout.n, layout.n), dtype=np.int32)
 
-    def __init__(self, layout: "OneHotLayout"):
-        self.layout = layout
-        self.ranks = np.zeros((layout.n, layout.n), dtype=np.int32)
-        self.top = -1            # the largest value written into a block
-        self.written = set()     # pairs whose block holds value + 1
-        self.indexed = {}        # pair -> (distinct raw values, index array)
+    def block(i, j):
+        return ranks[off[i]:off[i + 1], off[j]:off[j + 1]]
 
-    def block(self, i: int, j: int):
-        off = self.layout.offsets
-        return self.ranks[off[i]:off[i + 1], off[j]:off[j + 1]]
+    batches, filled, other = [], 0, []
+    for (i, j), table in tables.items():
+        size = dom[i] * dom[j]
+        if countOf(map(type, chain.from_iterable(table)), int) != size:
+            other.append((i, j))
+        elif batches and filled + size <= _BATCH_CELLS:
+            batches[-1].append((i, j))
+            filled += size
+        else:
+            batches.append([(i, j)])
+            filled = size
+    top = 0             # the largest int value written into a block, or 0
+    for batch in batches:
+        sizes = [dom[i] * dom[j] for i, j in batch]
+        try:
+            flat = np.fromiter(chain.from_iterable(chain.from_iterable(map(
+                tables.__getitem__, batch))), np.int32, sum(sizes))
+        except OverflowError:   # past int32: coded from the Python ints
+            other += batch
+            continue
+        if flat.min() < 0:
+            return None
+        starts = np.cumsum([0, *sizes[:-1]])
+        for (i, j), start, size, high in zip(batch, starts.tolist(), sizes,
+                                             np.maximum.reduceat(flat, starts).tolist()):
+            if high >= _LOOKUP_SIZE:
+                other.append((i, j))
+            else:
+                np.add(flat[start:start + size].reshape(dom[i], dom[j]), 1, out=block(i, j))
+                top = max(top, high)
+        del flat        # before the lookup's arrays
+    # A cell of the other tables (its raw value, where a bool or a float
+    # would share a key with an equal int) -> its code, and each code's value.
+    codes, raws = {}, []
+    try:
+        for i, j in other:
+            cells = list(chain.from_iterable(tables[(i, j)]))
+            if not set(map(type, cells)) <= _KEYABLE:
+                cells = list(map(raw_of, cells))
+            for cell in set(cells).difference(codes):
+                codes[cell] = top + 2 + len(raws)
+                raws.append(raw_of(cell))
+            block(i, j)[...] = np.fromiter(map(codes.__getitem__, cells), np.int32,
+                                           len(cells)).reshape(dom[i], dom[j])
+    except (ArithmeticError, TypeError, ValueError):
+        return None
+    if raws and min(raws) < 0:
+        return None
+    r = len(dom)
+    for i, j in combinations(range(r), 2):
+        if (i, j) not in tables:
+            block(i, j)[...] = 1
 
-    def add_ints(self, i: int, j: int, table) -> None:
-        """A table of nonnegative ints as an int64 array."""
-        top = int(table.max())
-        if top >= _LOOKUP_SIZE:
-            self.add_cells(i, j, table.ravel().tolist(), table.shape, int)
-            return
-        np.add(table, 1, out=self.block(i, j), casting="unsafe")
-        self.written.add((i, j))
-        self.top = max(self.top, top)
+    # The cross pairs above the diagonal as rows a:b from column c on: each
+    # variable's rows right of its diagonal block, _BAND_CELLS at a time.
+    bands = []
+    for i in range(r - 1):
+        step = max(1, _BAND_CELLS // (layout.n - off[i + 1]))
+        bands += [(a, min(a + step, off[i + 1]), off[i + 1])
+                  for a in range(off[i], off[i + 1], step)]
+    seen = np.zeros(top + 2 + len(raws), dtype=bool)
+    for a, b, c in bands:
+        seen[ranks[a:b, c:]] = True
+    keys = np.flatnonzero(seen[1:top + 2])
+    pool, rank_of = _ranked({*keys.tolist(), *raws})
+    lookup = np.zeros(len(seen), dtype=np.int32)
+    lookup[keys + 1] = [rank_of[v] for v in keys.tolist()]
+    lookup[top + 2:] = [rank_of[v] for v in raws]
+    for a, b, c in bands:
+        ranks[a:b, c:] = lookup[ranks[a:b, c:]]
+        ranks[c:, a:b] = ranks[a:b, c:].T
+    ranks.flags.writeable = False
+    return ranks, pool
 
-    def add_cells(self, i: int, j: int, cells, shape, raw_of) -> None:
-        """A table as its flat hashable cells, raw_of(cell) giving each
-        distinct cell's raw value once."""
-        distinct = list(set(cells))
-        at = {c: k for k, c in enumerate(distinct)}
-        index = np.fromiter(map(at.__getitem__, cells), dtype=np.intp,
-                            count=len(cells)).reshape(shape)
-        self.indexed[(i, j)] = ([raw_of(c) for c in distinct], index)
 
-    def finish(self):
-        """(ranks, pool); ranks is read-only from here on."""
-        off = self.layout.offsets
-        r = len(self.layout.domains)
-        ranks = self.ranks
-        # Each variable's rows right of its diagonal block: the cross pairs
-        # above the diagonal, so far value + 1 in written blocks, else 0.
-        bands = [ranks[off[i]:off[i + 1], off[i + 1]:] for i in range(r - 1)]
-        seen = np.zeros(self.top + 2, dtype=bool)
-        for band in bands:
-            seen[band] = True
-        keys = np.flatnonzero(seen[1:])
-        raws = set(keys.tolist())
-        for values, _ in self.indexed.values():
-            raws.update(values)
-        present = self.written | self.indexed.keys()
-        if len(present) < r * (r - 1) // 2:
-            raws.add(0)
-        pool, rank_of = _ranked(raws)
-
-        lookup = np.zeros(self.top + 2, dtype=np.int32)
-        lookup[keys + 1] = [rank_of[v] for v in keys.tolist()]
-        for band in bands:
-            band[...] = lookup[band]
-        for pair, (values, index) in self.indexed.items():
-            self.block(*pair)[...] = np.array([rank_of[v] for v in values],
-                                              dtype=np.int32)[index]
-        for i in range(r):
-            for j in range(i + 1, r):
-                if (i, j) not in present:
-                    self.block(i, j)[...] = rank_of[0]
-        for i, band in enumerate(bands):
-            ranks[off[i + 1]:, off[i]:off[i + 1]] = band.T
-        ranks.flags.writeable = False
-        return ranks, pool
+def _check_cells(tables) -> None:
+    """Raise the constructor's error for the first bad cell of tables, in
+    order: a cell ExtValue refuses, then a table's negative entry."""
+    for (i, j), table in tables.items():
+        if min(ExtValue.of(v).raw for row in table for v in row) < 0:
+            raise ValueError(f"binary table ({i},{j}) has a negative entry")
 
 
 class Instance:
@@ -239,7 +258,11 @@ class Instance:
     __slots__ = ("domains", "r", "unary", "ranks", "pool", "_tables", "layout")
 
     def __init__(self, domains, unary, binary=None):
-        domains = tuple(int(d) for d in domains)
+        domains = tuple(domains)
+        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
+                   for d in domains):
+            raise ValueError("domain sizes must be integers")
+        domains = tuple(map(int, domains))
         if len(domains) == 0:
             raise ValueError("instance needs at least one variable")
         if any(d < 1 for d in domains):
@@ -262,29 +285,24 @@ class Instance:
             rows.append(row)
 
         layout = OneHotLayout(domains)
-        builder = _RankBuilder(layout)
-        pairs = set()
-        for (i, j), table in (binary or {}).items():
-            if not (0 <= i < j < r):
-                raise ValueError(f"binary pair ({i},{j}) must satisfy 0 <= i < j < r")
-            if (i, j) in pairs:
-                raise ValueError(f"duplicate binary pair ({i},{j})")
-            pairs.add((i, j))
-            if len(table) != domains[i] or any(len(row) != domains[j] for row in table):
-                raise ValueError(f"binary table ({i},{j}) is not {domains[i]}x{domains[j]}")
-            ints = _int_array(table, domains[i], domains[j])
-            if ints is None:
-                raws = [ExtValue.of(v).raw for row in table for v in row]
-                low = min(raws)
-            else:
-                low = ints.min()
-            if low < 0:
-                raise ValueError(f"binary table ({i},{j}) has a negative entry")
-            if ints is None:
-                builder.add_cells(i, j, raws, (domains[i], domains[j]), lambda v: v)
-            else:
-                builder.add_ints(i, j, ints)
-        self._init(domains, tuple(rows), pairs, layout, *builder.finish())
+        tables = {}
+        try:
+            for (i, j), table in (binary or {}).items():
+                if not (0 <= i < j < r):
+                    raise ValueError(f"binary pair ({i},{j}) must satisfy 0 <= i < j < r")
+                if (i, j) in tables:
+                    raise ValueError(f"duplicate binary pair ({i},{j})")
+                if len(table) != domains[i] or any(len(row) != domains[j] for row in table):
+                    raise ValueError(f"binary table ({i},{j}) is not {domains[i]}x{domains[j]}")
+                tables[(i, j)] = table
+        except (TypeError, ValueError):
+            _check_cells(tables)    # an earlier table's defect comes first
+            raise
+        ranked = _rank_tables(layout, tables, lambda v: ExtValue.of(v).raw)
+        if ranked is None:
+            _check_cells(tables)
+            raise InvariantError("_rank_tables refused tables that pass cell by cell")
+        self._init(domains, tuple(rows), tables, layout, *ranked)
 
     def _init(self, domains, unary, pairs, layout, ranks, pool):
         self.domains = domains
@@ -414,11 +432,6 @@ def evaluate_instance(inst: Instance, x) -> ExtValue:
 # ---------------------------------------------------------------------------
 
 
-# Cell types whose distinct values can share a dict without two of them
-# comparing equal (a bool would collide with 0 and 1, a float with an int).
-_KEYABLE = {int, str}
-
-
 def _parse_cells(row, where) -> list:
     """Decode a row of cells one by one.  where(b) labels cell b; it is
     formatted only when that cell fails, for the ParseError message."""
@@ -447,27 +460,14 @@ def _read_unary(rows, domains):
     return [tuple(map(decoded.__getitem__, row)) for row in rows]
 
 
-def _read_table(builder, i, j, table, di, dj) -> bool:
-    """Add a well-formed table to builder; False, with nothing added, when
-    the table has any defect.  Int tables are read as one int64 array;
-    any other table decodes each distinct cell once."""
-    if (not isinstance(table, list) or len(table) != di
-            or set(map(type, table)) != {list} or set(map(len, table)) != {dj}):
-        return False
-    ints = _int_array(table, di, dj)
-    if ints is not None:
-        if ints.min() < 0:
-            return False
-        builder.add_ints(i, j, ints)
-        return True
-    cells = list(chain.from_iterable(table))
-    if not set(map(type, cells)) <= _KEYABLE:
-        return False
-    try:
-        builder.add_cells(i, j, cells, (di, dj), lambda v: _decode_value(v).raw)
-    except ValueError:
-        return False
-    return True
+def _parse_tables(tables, domains) -> None:
+    """Read tables, the binary entries in document order, row by row and
+    cell by cell, raising the ParseError for the first defect."""
+    for k, ((_, j), table) in enumerate(tables.items()):
+        for a, row in enumerate(table):
+            if not isinstance(row, list) or len(row) != domains[j]:
+                raise ParseError(f"binary[{k}]: row {a + 1} must have {domains[j]} values")
+            _parse_cells(row, lambda b: f"binary[{k}].table[{a + 1}][{b + 1}]")
 
 
 def instance_from_dict(doc) -> Instance:
@@ -475,11 +475,11 @@ def instance_from_dict(doc) -> Instance:
     any defect.
 
     doc holds the plain types json.loads gives.  Well-formed unary rows are
-    decoded together and well-formed tables go straight into the
-    instance's rank matrix (see _read_unary and _read_table).  Rows or a
-    table those readers refuse have a defect, since _decode_value accepts
-    exactly the cells they accept (nonnegative ints and strings).  They
-    are read again row by row and cell by cell only to raise the
+    decoded together (_read_unary), and the tables, once every entry's
+    keys and shape are checked, are ranked together (_rank_tables).  Rows
+    or tables those readers refuse have a defect, since _decode_value
+    accepts exactly the cells they accept (nonnegative ints and strings).
+    They are read again row by row and cell by cell only to raise the
     ParseError for the first defect in document order; a re-read that
     finds none raises InvariantError."""
     if not isinstance(doc, dict):
@@ -521,39 +521,41 @@ def instance_from_dict(doc) -> Instance:
     if not isinstance(binary_doc, list):
         raise ParseError("'binary' must be a list of pair entries")
     layout = OneHotLayout(domains)
-    builder = _RankBuilder(layout)
-    pairs = set()
-    for k, entry in enumerate(binary_doc):
-        if not isinstance(entry, dict):
-            raise ParseError(f"binary[{k}] must be an object")
-        unknown = set(entry) - {"i", "j", "table"}
-        if unknown:
-            raise ParseError(f"binary[{k}]: unknown keys {sorted(unknown)}")
-        try:
-            i, j, table = entry["i"], entry["j"], entry["table"]
-        except KeyError as exc:
-            raise ParseError(f"binary[{k}]: missing key {exc.args[0]!r}") from None
-        for name, v in (("i", i), ("j", j)):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ParseError(f"binary[{k}].{name} must be an integer")
-        if not 1 <= i < j <= r:
-            raise ParseError(f"binary[{k}]: pair ({i},{j}) must satisfy 1 <= i < j <= r")
-        if (i - 1, j - 1) in pairs:
-            raise ParseError(f"binary[{k}]: duplicate pair ({i},{j})")
-        di, dj = domains[i - 1], domains[j - 1]
-        if not _read_table(builder, i - 1, j - 1, table, di, dj):
+    tables = {}
+    try:
+        for k, entry in enumerate(binary_doc):
+            if not isinstance(entry, dict):
+                raise ParseError(f"binary[{k}] must be an object")
+            unknown = set(entry) - {"i", "j", "table"}
+            if unknown:
+                raise ParseError(f"binary[{k}]: unknown keys {sorted(unknown)}")
+            try:
+                i, j, table = entry["i"], entry["j"], entry["table"]
+            except KeyError as exc:
+                raise ParseError(f"binary[{k}]: missing key {exc.args[0]!r}") from None
+            for name, v in (("i", i), ("j", j)):
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ParseError(f"binary[{k}].{name} must be an integer")
+            if not 1 <= i < j <= r:
+                raise ParseError(f"binary[{k}]: pair ({i},{j}) must satisfy 1 <= i < j <= r")
+            if (i - 1, j - 1) in tables:
+                raise ParseError(f"binary[{k}]: duplicate pair ({i},{j})")
+            di, dj = domains[i - 1], domains[j - 1]
             if not isinstance(table, list) or len(table) != di:
                 raise ParseError(f"binary[{k}]: table must have {di} rows")
-            for a, row in enumerate(table):
-                if not isinstance(row, list) or len(row) != dj:
-                    raise ParseError(f"binary[{k}]: row {a + 1} must have {dj} values")
-                _parse_cells(row, lambda b: f"binary[{k}].table[{a + 1}][{b + 1}]")
-            raise InvariantError(f"binary[{k}]: _read_table refused a table that parses "
-                                 f"cell by cell")
-        pairs.add((i - 1, j - 1))
+            tables[(i - 1, j - 1)] = table
+            if set(map(type, table)) != {list} or set(map(len, table)) != {dj}:
+                _parse_tables(tables, domains)
+    except ParseError:
+        _parse_tables(tables, domains)   # an earlier entry's bad cell comes first
+        raise
+    ranked = _rank_tables(layout, tables, lambda v: _decode_value(v).raw)
+    if ranked is None:
+        _parse_tables(tables, domains)
+        raise InvariantError("_rank_tables refused tables that parse cell by cell")
 
     inst = object.__new__(Instance)
-    inst._init(tuple(domains), tuple(unary), pairs, layout, *builder.finish())
+    inst._init(tuple(domains), tuple(unary), tables, layout, *ranked)
     return inst
 
 

@@ -158,10 +158,6 @@ class QuadFn:
         self._verdict = verdict
         return verdict
 
-    def _refuted(self) -> bool:
-        """Whether f's pair part is not M-natural-convex."""
-        return self._pair_violation() is not None
-
     def _pair_violation(self):
         """The first hit of check_mnatural_quadratic's pair scans, in
         O(n^2 + |B| n) for B the bad pairs below.

@@ -22,7 +22,7 @@ import pytest
 from test_ssp_identity import CASES, _tied
 from zfree import (GenConfig, InvariantError, build_relaxation, check_bottleneck,
                    generate_instance, greedy_min_layer, intersection, minimize_zfree)
-from zfree.intersection import ContractedSearch, ssp_intersect
+from zfree.intersection import ArcKind, ContractedSearch, ssp_intersect
 from zfree.reference import PathSearch, heap_search
 from zfree.pipeline import _warm_start
 
@@ -113,3 +113,36 @@ def test_contracted_search_matches_the_heap_search(name, inst):
     assert result.mask == ref_result.mask
     assert result.iterations == ref_result.iterations
     assert potentials == ref_potentials
+
+
+# Seeds of tied instances (r drawn from 3..8) whose paths take an exchange
+# arc u -> v of length 0 where u's reassign arc also leads to v: the two
+# arcs tie on (distance, hops, tail), and the walk must take the exchange
+# arc, which comes first in arc order, as the heap search does.
+EXCHANGE_FIRST = [50, 139, 298, 892]
+
+
+def _tied_recipe(seed):
+    rng = random.Random(seed)
+    inst = generate_instance(GenConfig(r=rng.randint(3, 8), dmax=4, seed=seed, levels=2))
+    return _tied(inst, rng)
+
+
+@pytest.mark.parametrize("seed", EXCHANGE_FIRST)
+def test_the_walk_takes_the_exchange_arc_of_a_tie(seed):
+    inst = _tied_recipe(seed)
+    assert check_bottleneck(inst) is None
+    f = build_relaxation(inst)
+    ties = []
+
+    def compared(graph, potential):
+        search = SEARCH(graph, potential)
+        assert search.arcs == reference(graph, potential.tolist()).arcs
+        reassign = {(a.tail, a.head) for a in graph.arcs if a.kind is ArcKind.REASSIGN}
+        ties.extend(a for a in search.arcs or () if a.kind is ArcKind.EXCHANGE
+                    and a.length == 0 and (a.tail, a.head) in reassign)
+        return search
+
+    result, _ = run(f, inst, compared)
+    assert ties, "the walk met no exchange-reassign tie"
+    assert result.mask == run(f, inst, reference)[0].mask

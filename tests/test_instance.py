@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from zfree import (Instance, dump_instance, evaluate_instance,
@@ -80,6 +81,41 @@ class TestValidation:
         with pytest.raises(ValueError):
             Instance((2, 2), [[0, 0], [0, 0]], {(1, 0): [[0, 0], [0, 0]]})
 
+    @pytest.mark.parametrize("domains", [(2.7, True), (2, 2.0), (True, 2), (2, "2")])
+    def test_rejects_domain_sizes_that_are_not_integers(self, domains):
+        with pytest.raises(ValueError, match="^domain sizes must be integers$"):
+            Instance(domains, [[0, 1], [0]])
+
+    def test_accepts_numpy_int_domain_sizes(self):
+        inst = Instance((np.int64(2), np.int32(1)), [[0, 1], [0]], {(0, 1): [[3], [4]]})
+        assert inst.domains == (2, 1) and all(type(d) is int for d in inst.domains)
+        assert inst.binary_value(0, 1, 1, 0).raw == 4
+
+    # The first defect in table order is the one reported, whichever part
+    # of the check finds it.
+    @pytest.mark.parametrize("binary, error, message", [
+        ({(0, 1): [[0, -1], [0, 0]], (0, 2): [[0], [0], [0]]}, ValueError,
+         "binary table (0,1) has a negative entry"),
+        ({(0, 1): [[0, True], [0, 0]], (2, 0): [[0, 0]]}, TypeError,
+         "bool is not a valid cost value"),
+        ({(0, 1): [[0, "1/0"], [0, 0]], (0, 1, 2): [[0]]}, ZeroDivisionError,
+         "zero denominator"),
+        ({(0, 1): [[0, 1], [0, 0]], (0, 2): [[0, 1]], (1, 2): [[-1], [0]]}, ValueError,
+         "binary table (0,2) is not 2x1"),
+        ({(0, 1): [[0, 2**70], [-2**70, 0]], (1, 2): [[-1], [0]]}, ValueError,
+         "binary table (0,1) has a negative entry"),
+    ])
+    def test_reports_the_first_defect_in_table_order(self, binary, error, message):
+        with pytest.raises(error) as exc:
+            Instance((2, 2, 1), [[0, 0], [0, 0], [0]], binary)
+        assert str(exc.value) == message
+
+    def test_a_refused_ranking_must_have_a_bad_cell(self, monkeypatch):
+        assert small_instance().binary_value(0, 0, 1, 0).raw == 5
+        monkeypatch.setattr(instance, "_rank_tables", lambda *args: None)
+        with pytest.raises(InvariantError, match="^_rank_tables refused tables that pass"):
+            small_instance()
+
     def test_immutable(self):
         inst = small_instance()
         with pytest.raises(AttributeError):
@@ -114,8 +150,7 @@ class TestJson:
 
     @pytest.mark.parametrize("reader, value, message", [
         ("_read_unary", None, "_read_unary refused unary rows that parse cell by cell"),
-        ("_read_table", False,
-         "binary[0]: _read_table refused a table that parses cell by cell"),
+        ("_rank_tables", None, "_rank_tables refused tables that parse cell by cell"),
     ])
     def test_a_refused_part_must_have_a_defect(self, monkeypatch, reader, value, message):
         # The cell-by-cell re-read only raises: a part the fast reader
@@ -125,6 +160,30 @@ class TestJson:
         assert instance_from_dict(doc).table(0, 1)[1][0].raw == 3
         monkeypatch.setattr(instance, reader, lambda *args: value)
         with pytest.raises(InvariantError) as exc:
+            instance_from_dict(doc)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("entries, message", [
+        ([[[0, -1], [0, 0]], {"i": "x", "j": 3, "table": []}],
+         "binary[0].table[1][2]: negative value -1"),
+        ([[[0, 2**70], [0, -3]], {"i": 1, "j": 3}],
+         "binary[0].table[2][2]: negative value -3"),
+        ([[[0, "x"], [0]]],
+         "binary[0].table[1][2]: malformed value string 'x'; expected 'p/q' or 'inf'"),
+        ([[[0, 0], [0]], [[0, "x"], [0, 0]]], "binary[0]: row 2 must have 2 values"),
+        ([[[0, 1], [1, 0]], [[True, 0], [0, 0]], {"i": 1, "j": 2, "table": []}],
+         "binary[1].table[1][1]: booleans are not values"),
+        ([[[0, "inf"], [1, 0]], [5, [0, 0]], [[-1, 0], [0, 0]]],
+         "binary[1]: row 1 must have 2 values"),
+    ])
+    def test_the_first_defect_in_document_order_is_reported(self, entries, message):
+        # Tables are entries (i, j) = (1, 2), (1, 3), (2, 3) in turn; a dict
+        # is an entry as it stands.
+        pairs = [(1, 2), (1, 3), (2, 3)]
+        doc = {"r": 3, "domains": [2, 2, 2], "unary": [[0, 0]] * 3,
+               "binary": [e if isinstance(e, dict) else {"i": i, "j": j, "table": e}
+                          for e, (i, j) in zip(entries, pairs)]}
+        with pytest.raises(ParseError) as exc:
             instance_from_dict(doc)
         assert str(exc.value) == message
 

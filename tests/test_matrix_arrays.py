@@ -1,6 +1,6 @@
 """PartialMatrix and CompletedMatrix ranks and pool: the parser's bulk path
-against the entry-by-entry loop and the constructor, the writer against
-json.dumps, and the size cap.
+against the constructor, the entry-by-entry re-read that only raises, the
+writer against json.dumps, and the size cap.
 
 The documents are those of tests/test_complete_identity.py."""
 
@@ -16,8 +16,9 @@ from test_complete_identity import _DOCUMENTS
 from zfree import (CompletedMatrix, GenConfig, ParseError, PartialMatrix, ViolationKind,
                    complete, dump_matrix, generate_instance, induced_partial_matrix,
                    parse_partial_matrix, validate_partial)
+from zfree import completion
 from zfree.completion import _parse_entries, _read_entries
-from zfree.errors import NotCompletableError
+from zfree.errors import InvariantError, NotCompletableError
 from zfree.instance import MAX_RANK_BYTES
 from zfree.values import _decode_value
 
@@ -37,21 +38,33 @@ def assert_same(a, b):
 
 
 @pytest.mark.parametrize("k", range(len(_DOCUMENTS)), ids=[d[0] for d in _DOCUMENTS])
-def test_bulk_parse_equals_the_loop_and_the_constructor(k):
+def test_bulk_parse_equals_the_constructor(k):
     text = _DOCUMENTS[k][1]
     doc = json.loads(text)
     n, entries = doc["n"], doc.get("entries", [])
     bulk = _read_entries(n, entries)
     assert bulk is not None                  # every document is well formed
-    loop = _parse_entries(n, entries)
+    with pytest.raises(InvariantError):      # so the re-read finds no defect
+        _parse_entries(n, entries)
     built = PartialMatrix(n, [((e["i"] - 1, e["j"] - 1), _decode_value(e["value"]))
                               for e in entries])
-    assert_same(bulk, loop)
     assert_same(bulk, built)
     assert_same(parse_partial_matrix(text), bulk)
     assert not bulk.ranks.flags.writeable
     assert bulk.defined_count == len(entries)
     assert dict(bulk.pairs()) == bulk._entries
+
+
+def test_a_refused_entries_list_must_have_a_defect(monkeypatch):
+    # The entry-by-entry re-read only raises: a list _read_entries refused
+    # but that parses is a broken reader, not a matrix.
+    text = '{"n": 3, "entries": [{"i": 1, "j": 2, "value": 1}]}'
+    assert parse_partial_matrix(text).value(0, 1).raw == 1
+    monkeypatch.setattr(completion, "_read_entries", lambda n, entries: None)
+    for parse in (parse_partial_matrix, lambda t: completion._matrix_from_dict(json.loads(t))):
+        with pytest.raises(InvariantError) as exc:
+            parse(text)
+        assert str(exc.value) == "_read_entries refused entries that parse one by one"
 
 
 @pytest.mark.parametrize("k", range(0, len(_DOCUMENTS), 3), ids=[d[0] for d in _DOCUMENTS[::3]])

@@ -1,7 +1,9 @@
 """One M-natural verdict at every size: QuadFn.mnatural_violation decides
 by the bottleneck forest, a relaxation takes its verdict from the solve's
-forest, and the cubic check_mnatural_quadratic runs only to name a
-refutation's witness (or when verify_completion asks for it)."""
+forest, and a refutation's witness comes from the pair scan
+(QuadFn._pair_violation), not from the cubic check_mnatural_quadratic,
+which a solve runs only when verify_completion asks for it.  Here the
+cubic scan is the oracle for both the verdict and the witness."""
 
 import functools
 import random
@@ -27,7 +29,7 @@ def _agree(f):
     """The forest's verdict on f against the exhaustive scan; returns
     whether f is M-natural-convex."""
     want = check_mnatural_quadratic(f)
-    assert f._refuted() is (want is not None)
+    assert (f._pair_violation() is not None) is (want is not None)
     assert f.mnatural_violation() == want
     return want is None
 
