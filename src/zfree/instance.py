@@ -26,7 +26,7 @@ oracles, the JSON writer and other callers.
 
 Instance() and instance_from_dict fill ranks and pool in one pass over the
 pair tables (_rank_tables), each with its own cell decoder: int tables are
-read together as int32 in bounded batches, each distinct cell of the others
+read together as int64 in bounded batches, each distinct cell of the others
 is decoded once, and one banded lookup turns every cell into its rank.
 parse_instance decodes the text with orjson, json.loads as the fallback
 (_parse_json), and the unary rows together.  Rows or tables with a defect
@@ -124,10 +124,11 @@ _KEYABLE = {int, str}
 _LOOKUP_SIZE = 1 << 20
 
 # Int tables are read about _BATCH_CELLS cells at a time (a larger table on
-# its own), and codes ranked _BAND_CELLS at a time (a row at least): this
-# bounds the arrays beside the rank matrix.
-_BATCH_CELLS = 1 << 14
-_BAND_CELLS = 1 << 16
+# its own), and codes ranked _BAND_ROWS rows at a time (a band's lookup
+# takes 12 bytes a cell: its codes as intp indices and its ranks): this
+# bounds the arrays beside the rank matrix at n = 120 as at n = 2000.
+_BATCH_CELLS = 1 << 11
+_BAND_ROWS = 16
 
 
 def _rank_tables(layout: "OneHotLayout", tables: dict, raw_of):
@@ -138,7 +139,8 @@ def _rank_tables(layout: "OneHotLayout", tables: dict, raw_of):
     checked.  raw_of(cell) is a cell's raw value and keeps a raw value as
     it is.  Each block above the diagonal first gets a code per cell:
     value + 1 for the int tables (every cell exactly int, since numpy reads
-    True and 1.5 as 1), read as int32 _BATCH_CELLS cells at a time; 1 for an
+    True and 1.5 as 1), read as int64 _BATCH_CELLS cells at a time (numpy
+    before 2.0 wraps an int past int32 without an error); 1 for an
     omitted pair (cost 0); and a code past those per distinct cell of the
     other tables (and of int tables too large for the lookup), decoded once.
     One lookup then turns codes into ranks, band by band, and mirrors each.
@@ -165,8 +167,8 @@ def _rank_tables(layout: "OneHotLayout", tables: dict, raw_of):
         sizes = [dom[i] * dom[j] for i, j in batch]
         try:
             flat = np.fromiter(chain.from_iterable(chain.from_iterable(map(
-                tables.__getitem__, batch))), np.int32, sum(sizes))
-        except OverflowError:   # past int32: coded from the Python ints
+                tables.__getitem__, batch))), np.int64, sum(sizes))
+        except OverflowError:   # past int64: coded from the Python ints
             other += batch
             continue
         if flat.min() < 0:
@@ -203,12 +205,9 @@ def _rank_tables(layout: "OneHotLayout", tables: dict, raw_of):
             block(i, j)[...] = 1
 
     # The cross pairs above the diagonal as rows a:b from column c on: each
-    # variable's rows right of its diagonal block, _BAND_CELLS at a time.
-    bands = []
-    for i in range(r - 1):
-        step = max(1, _BAND_CELLS // (layout.n - off[i + 1]))
-        bands += [(a, min(a + step, off[i + 1]), off[i + 1])
-                  for a in range(off[i], off[i + 1], step)]
+    # variable's rows right of its diagonal block, _BAND_ROWS at a time.
+    bands = [(a, min(a + _BAND_ROWS, off[i + 1]), off[i + 1])
+             for i in range(r - 1) for a in range(off[i], off[i + 1], _BAND_ROWS)]
     seen = np.zeros(top + 2 + len(raws), dtype=bool)
     for a, b, c in bands:
         seen[ranks[a:b, c:]] = True
@@ -521,7 +520,7 @@ def instance_from_dict(doc) -> Instance:
     if not isinstance(binary_doc, list):
         raise ParseError("'binary' must be a list of pair entries")
     layout = OneHotLayout(domains)
-    tables = {}
+    tables, ranked = {}, None
     try:
         for k, entry in enumerate(binary_doc):
             if not isinstance(entry, dict):
@@ -545,14 +544,15 @@ def instance_from_dict(doc) -> Instance:
                 raise ParseError(f"binary[{k}]: table must have {di} rows")
             tables[(i - 1, j - 1)] = table
             if set(map(type, table)) != {list} or set(map(len, table)) != {dj}:
-                _parse_tables(tables, domains)
+                break           # read again below
+        else:
+            ranked = _rank_tables(layout, tables, lambda v: _decode_value(v).raw)
     except ParseError:
         _parse_tables(tables, domains)   # an earlier entry's bad cell comes first
         raise
-    ranked = _rank_tables(layout, tables, lambda v: _decode_value(v).raw)
     if ranked is None:
         _parse_tables(tables, domains)
-        raise InvariantError("_rank_tables refused tables that parse cell by cell")
+        raise InvariantError("_rank_tables or a row check refused tables that parse cell by cell")
 
     inst = object.__new__(Instance)
     inst._init(tuple(domains), tuple(unary), tables, layout, *ranked)

@@ -150,7 +150,8 @@ class TestJson:
 
     @pytest.mark.parametrize("reader, value, message", [
         ("_read_unary", None, "_read_unary refused unary rows that parse cell by cell"),
-        ("_rank_tables", None, "_rank_tables refused tables that parse cell by cell"),
+        ("_rank_tables", None,
+         "_rank_tables or a row check refused tables that parse cell by cell"),
     ])
     def test_a_refused_part_must_have_a_defect(self, monkeypatch, reader, value, message):
         # The cell-by-cell re-read only raises: a part the fast reader
@@ -162,6 +163,29 @@ class TestJson:
         with pytest.raises(InvariantError) as exc:
             instance_from_dict(doc)
         assert str(exc.value) == message
+
+    def test_rows_that_are_not_lists_must_have_a_defect(self):
+        # A list subclass passes the row-by-row re-read, so the row check
+        # that refused it is the broken part.
+        class Row(list):
+            pass
+
+        doc = {"r": 2, "domains": [2, 2], "unary": [[0, 0], [0, 0]],
+               "binary": [{"i": 1, "j": 2, "table": [Row([0, 1]), Row([2, 3])]}]}
+        with pytest.raises(InvariantError, match="^_rank_tables or a row check refused"):
+            instance_from_dict(doc)
+
+    # Ints from 2**31 on are past int32, those from 2**63 past int64.
+    @pytest.mark.parametrize("big", [2**31, 2**32 + 7, 2**40, 2**63 - 1, 2**63, 2**70])
+    def test_large_int_costs_keep_their_values(self, big):
+        table = [[0, big], [1, 2]]
+        doc = {"r": 2, "domains": [2, 2], "unary": [[0, 0], [0, 0]],
+               "binary": [{"i": 1, "j": 2, "table": table}]}
+        for inst in (parse_instance(json.dumps(doc)), instance_from_dict(doc),
+                     Instance((2, 2), doc["unary"], {(0, 1): table})):
+            assert [[v.raw for v in row] for row in inst.table(0, 1)] == table
+            assert [v.raw for v in inst.pool] == [0, 1, 2, big]
+            assert inst.ranks[0, 3] == 4 and inst.ranks[3, 0] == 4
 
     @pytest.mark.parametrize("entries, message", [
         ([[[0, -1], [0, 0]], {"i": "x", "j": 3, "table": []}],
