@@ -63,7 +63,9 @@ Host speed drifts between runs minutes apart, so the two sides are timed
 alternately, run by run: each run of each side is a fresh process (one
 small warm-up solve, then PASSES timed passes of the stages above, the
 same text for both sides), the side that goes first alternates, and each
-side's peaks come from one more process.  The file then holds both sides per
+side's peaks are the medians of PEAK_RUNS more processes, alternating too
+(one process has misread a peak by over 1 KB), with every reading kept
+under "peak_readings".  The file then holds both sides per
 shape ("change" and "parent", each with its seconds, peaks and counters),
 "ratio", the median over runs of change / parent per stage, and each
 side's src_sha256, a digest of its zfree sources, and no_check holds both
@@ -102,6 +104,7 @@ except ImportError:   # a parent tree from before the orjson decoder
 SEED = 7
 RUNS = 5
 PASSES = 3   # passes per run; each stage keeps its best
+PEAK_RUNS = 3   # --peaks processes per side with --parent; each peak keeps its median
 
 # name: (r, domains, inf_share).  The shapes of the baseline table in
 # ROADMAP.md (wide domains; the criterion-8 top size; many variables at
@@ -296,14 +299,22 @@ def _worker(tree: Path, *args) -> dict:
     return json.loads(out)
 
 
-def _alternate(trees: dict, *args) -> dict:
-    """RUNS worker replies per tree to the same arguments, the side that
+def _alternate(trees: dict, runs: int, *args) -> dict:
+    """runs worker replies per tree to the same arguments, the side that
     goes first alternating run by run."""
     replies = {side: [] for side in trees}
-    for run in range(RUNS):
+    for run in range(runs):
         for side in (list(trees) if run % 2 == 0 else list(trees)[::-1]):
             replies[side].append(_worker(trees[side], *args))
     return replies
+
+
+def median_peaks(replies: list) -> dict:
+    """Each peak's median over the replies of several --peaks processes,
+    and under "peak_readings" every reply's value of each peak."""
+    readings = {key: [reply[key] for reply in replies] for key in replies[0]}
+    return {**{key: statistics.median(v) for key, v in readings.items()},
+            "peak_readings": readings}
 
 
 def compare_shape(trees: dict, r: int, domains, inf_share: float) -> dict:
@@ -316,17 +327,18 @@ def compare_shape(trees: dict, r: int, domains, inf_share: float) -> dict:
         if matrix is not None:
             paths[1].write_text(matrix)
             with_matrix = ["--matrix", str(paths[1])]
-        replies = _alternate(trees, "--stages", str(paths[0]), *with_matrix)
+        replies = _alternate(trees, RUNS, "--stages", str(paths[0]), *with_matrix)
+        peak_replies = _alternate(trees, PEAK_RUNS, "--peaks", str(paths[0]))
         stages = {side: {} for side in trees}
         for side, got in replies.items():
             for reply in got:
                 for stage, seconds in reply["seconds"].items():
                     stages[side].setdefault(stage, []).append(seconds)
         out = _about(r, domains, inf_share, text, matrix)
-        for side, tree in trees.items():
+        for side in trees:
             out[side] = {**replies[side][-1]["outcome"],
                          "seconds": {k: _summary(v) for k, v in stages[side].items()},
-                         **_worker(tree, "--peaks", str(paths[0]))}
+                         **median_peaks(peak_replies[side])}
     change, parent = stages["change"], stages["parent"]
     out["ratio"] = {stage: statistics.median(c / p for c, p in zip(change[stage], parent[stage]))
                     for stage in change if stage in parent}
@@ -347,7 +359,7 @@ def no_check(trees: dict | None) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mutant.json"
         path.write_text(text)
-        runs = _alternate(trees, "--no-check", str(path))
+        runs = _alternate(trees, RUNS, "--no-check", str(path))
     for side, got in runs.items():
         out[side] = summary(got)
     out["ratio"] = statistics.median(c["seconds"] / p["seconds"]

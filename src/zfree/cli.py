@@ -40,10 +40,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
+    """The text of the file at path, or of stdin for "-", decoded as UTF-8
+    whatever the locale: JSON text is UTF-8 (RFC 8259)."""
     try:
-        if path == "-":
-            return sys.stdin.read()
-        return Path(path).read_text()
+        if path != "-":
+            return Path(path).read_text(encoding="utf-8")
+        if hasattr(sys.stdin, "buffer"):
+            return sys.stdin.buffer.read().decode("utf-8")
+        return sys.stdin.read()     # a text stream put in stdin's place
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not text: {exc}") from None
 

@@ -26,8 +26,13 @@ oracles, the JSON writer and other callers.
 
 Instance() and instance_from_dict fill ranks and pool in one pass over the
 pair tables (_rank_tables), each with its own cell decoder: int tables are
-read together as int64 in bounded batches, each distinct cell of the others
-is decoded once, and one banded lookup turns every cell into its rank.
+read together as int64 in batches of _CHUNK_CELLS cells, each distinct cell
+of the others is decoded once, and one lookup, applied in bands of about
+_CHUNK_CELLS cells, turns every cell into its rank; at n = 126 that is one
+read and one band.  Which tables are int tables is read from each cell's
+type, except in a document parse_instance decoded with orjson whose text
+passes a screen (_int_text: no number but integer tokens, no true, false or
+null), where a table's sum is an int exactly when its cells are.
 parse_instance decodes the text with orjson, json.loads as the fallback
 (_parse_json), and the unary rows together.  Rows or tables with a defect
 are read again cell by cell only to raise the ParseError for the first
@@ -123,30 +128,47 @@ _KEYABLE = {int, str}
 # per-table np.unique would cost more in call overhead on small tables.
 _LOOKUP_SIZE = 1 << 20
 
-# Int tables are read about _BATCH_CELLS cells at a time (a larger table on
-# its own), and codes ranked _BAND_ROWS rows at a time (a band's lookup
-# takes 12 bytes a cell: its codes as intp indices and its ranks): this
-# bounds the arrays beside the rank matrix at n = 120 as at n = 2000.
-_BATCH_CELLS = 1 << 11
-_BAND_ROWS = 16
+# Int tables are read as int64 about _CHUNK_CELLS cells at a time (a larger
+# table on its own), and their codes ranked in bands of about as many cells
+# of ranks, whole rows from the diagonal on (a band's lookup takes 12 bytes
+# a cell: its codes as intp indices and its ranks).  An instance of up to
+# 128 positions takes one read and one band, and at n = 2000 the arrays
+# beside the rank matrix stay as small.
+_CHUNK_CELLS = 1 << 14
 
 
-def _rank_tables(layout: "OneHotLayout", tables: dict, raw_of):
+def _all_int(table, size: int, screened: bool) -> bool:
+    """Whether every cell of table, size cells, is exactly an int.  In a
+    screened document (_int_text) a cell is an int, a float (orjson's for
+    an int token past 2**64), a str, a list or a dict, so the table's sum
+    is an int exactly when every cell is; else each cell's type is read."""
+    if not screened:
+        return countOf(map(type, chain.from_iterable(table)), int) == size
+    try:
+        return type(sum(map(sum, table))) is int
+    except TypeError:
+        return False
+
+
+def _rank_tables(layout: "OneHotLayout", tables: dict, raw_of, screened: bool):
     """(ranks, pool) of an instance's pair tables, ranks read-only; None
     when a cell has a defect: raw_of raises on it, or its value is negative.
 
     tables maps pairs (i, j), i < j, to d_i x d_j lists of rows, shapes
     checked.  raw_of(cell) is a cell's raw value and keeps a raw value as
-    it is.  Each block above the diagonal first gets a code per cell:
+    it is.  screened says the tables come from a document that passed
+    _int_text, so _all_int may sum a table instead of reading each cell's
+    type.  Each block above the diagonal first gets a code per cell:
     value + 1 for the int tables (every cell exactly int, since numpy reads
-    True and 1.5 as 1), read as int64 _BATCH_CELLS cells at a time (numpy
+    True and 1.5 as 1), read as int64 _CHUNK_CELLS cells at a time (numpy
     before 2.0 wraps an int past int32 without an error); 1 for an
     omitted pair (cost 0); and a code past those per distinct cell of the
     other tables (and of int tables too large for the lookup), decoded once.
-    One lookup then turns codes into ranks, band by band, and mirrors each.
+    One lookup then turns codes into ranks, in bands of about _CHUNK_CELLS
+    cells, and mirrors each.
     """
-    dom, off = layout.domains, layout.offsets
-    ranks = np.zeros((layout.n, layout.n), dtype=np.int32)
+    dom, off, n = layout.domains, layout.offsets, layout.n
+    ranks = np.zeros((n, n), dtype=np.int32)
 
     def block(i, j):
         return ranks[off[i]:off[i + 1], off[j]:off[j + 1]]
@@ -154,9 +176,9 @@ def _rank_tables(layout: "OneHotLayout", tables: dict, raw_of):
     batches, filled, other = [], 0, []
     for (i, j), table in tables.items():
         size = dom[i] * dom[j]
-        if countOf(map(type, chain.from_iterable(table)), int) != size:
+        if not _all_int(table, size, screened):
             other.append((i, j))
-        elif batches and filled + size <= _BATCH_CELLS:
+        elif batches and filled + size <= _CHUNK_CELLS:
             batches[-1].append((i, j))
             filled += size
         else:
@@ -174,12 +196,13 @@ def _rank_tables(layout: "OneHotLayout", tables: dict, raw_of):
         if flat.min() < 0:
             return None
         starts = np.cumsum([0, *sizes[:-1]])
-        for (i, j), start, size, high in zip(batch, starts.tolist(), sizes,
-                                             np.maximum.reduceat(flat, starts).tolist()):
+        highs = np.maximum.reduceat(flat, starts).tolist()
+        flat += 1       # the codes; a table it wraps is past the lookup
+        for (i, j), start, size, high in zip(batch, starts.tolist(), sizes, highs):
             if high >= _LOOKUP_SIZE:
                 other.append((i, j))
             else:
-                np.add(flat[start:start + size].reshape(dom[i], dom[j]), 1, out=block(i, j))
+                block(i, j)[...] = flat[start:start + size].reshape(dom[i], dom[j])
                 top = max(top, high)
         del flat        # before the lookup's arrays
     # A cell of the other tables (its raw value, where a bool or a float
@@ -204,21 +227,24 @@ def _rank_tables(layout: "OneHotLayout", tables: dict, raw_of):
         if (i, j) not in tables:
             block(i, j)[...] = 1
 
-    # The cross pairs above the diagonal as rows a:b from column c on: each
-    # variable's rows right of its diagonal block, _BAND_ROWS at a time.
-    bands = [(a, min(a + _BAND_ROWS, off[i + 1]), off[i + 1])
-             for i in range(r - 1) for a in range(off[i], off[i + 1], _BAND_ROWS)]
+    # Bands of rows a:b from column a on.  Their cells below the diagonal
+    # still hold code 0, which looks up rank 0, and then take the ranks of
+    # the cells they mirror (numpy copies square.T before adding it).
+    rows = max(1, _CHUNK_CELLS // n)
+    bands = [(a, min(a + rows, n)) for a in range(0, n, rows)]
     seen = np.zeros(top + 2 + len(raws), dtype=bool)
-    for a, b, c in bands:
-        seen[ranks[a:b, c:]] = True
+    for a, b in bands:
+        seen[ranks[a:b, a:]] = True
     keys = np.flatnonzero(seen[1:top + 2])
     pool, rank_of = _ranked({*keys.tolist(), *raws})
     lookup = np.zeros(len(seen), dtype=np.int32)
     lookup[keys + 1] = [rank_of[v] for v in keys.tolist()]
     lookup[top + 2:] = [rank_of[v] for v in raws]
-    for a, b, c in bands:
-        ranks[a:b, c:] = lookup[ranks[a:b, c:]]
-        ranks[c:, a:b] = ranks[a:b, c:].T
+    for a, b in bands:
+        ranks[a:b, a:] = np.take(lookup, ranks[a:b, a:])
+        square = ranks[a:b, a:b]
+        square += square.T
+        ranks[b:, a:b] = ranks[a:b, b:].T
     ranks.flags.writeable = False
     return ranks, pool
 
@@ -297,7 +323,7 @@ class Instance:
         except (TypeError, ValueError):
             _check_cells(tables)    # an earlier table's defect comes first
             raise
-        ranked = _rank_tables(layout, tables, lambda v: ExtValue.of(v).raw)
+        ranked = _rank_tables(layout, tables, lambda v: ExtValue.of(v).raw, False)
         if ranked is None:
             _check_cells(tables)
             raise InvariantError("_rank_tables refused tables that pass cell by cell")
@@ -481,6 +507,12 @@ def instance_from_dict(doc) -> Instance:
     They are read again row by row and cell by cell only to raise the
     ParseError for the first defect in document order; a re-read that
     finds none raises InvariantError."""
+    return _instance_from_doc(doc, False)
+
+
+def _instance_from_doc(doc, screened: bool) -> Instance:
+    """instance_from_dict(doc); screened says doc was decoded from a text
+    that passed _int_text, which _rank_tables may rely on."""
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     unknown = set(doc) - {"r", "domains", "unary", "binary"}
@@ -546,7 +578,8 @@ def instance_from_dict(doc) -> Instance:
             if set(map(type, table)) != {list} or set(map(len, table)) != {dj}:
                 break           # read again below
         else:
-            ranked = _rank_tables(layout, tables, lambda v: _decode_value(v).raw)
+            ranked = _rank_tables(layout, tables, lambda v: _decode_value(v).raw,
+                                  screened)
     except ParseError:
         _parse_tables(tables, domains)   # an earlier entry's bad cell comes first
         raise
@@ -601,23 +634,44 @@ def _fast_loads(text):
         return None
 
 
-def _parse_json(text, build):
+# The bytes a document may hold outside its strings and still pass
+# _int_text: digits, "-", ",", ":", brackets, braces and JSON whitespace.
+_INT_TEXT = b"0123456789-,:[]{} \t\n\r"
+
+
+def _int_text(text) -> bool:
+    """Whether text, which _fast_loads decoded, has no number but integer
+    tokens and no true, false or null.
+
+    On that route no string holds a backslash, so every quote starts or
+    ends a string.  Once the bytes of _INT_TEXT are removed, the pieces
+    between the quotes that lie outside strings must then be empty: no
+    letter, ".", "+" or other byte is left there.
+    """
+    data = text.encode() if type(text) is str else text
+    return not any(data.translate(None, _INT_TEXT).split(b'"')[::2])
+
+
+def _parse_json(text, build, screened_build=None):
     """build(doc) for the JSON document in text (str, bytes or bytearray),
     the one decoding path of parse_instance and parse_partial_matrix.
 
     The document comes from orjson when _fast_loads gives one and build
-    accepts it.  Otherwise json.loads decodes the text again and build runs
-    on that: so json.loads alone gives every error (invalid JSON, nesting
-    too deep, its TypeError for other input types) and decodes what orjson
-    does not read the same way (ints outside [-2**63, 2**64), which orjson
-    makes floats that every field refuses; lone surrogates; NaN, Infinity
-    and 1e400; a UTF-8 BOM in bytes), and every ParseError comes from
-    build on the json.loads document.  The two decoders agree on every
+    accepts it; screened_build, when given, builds it instead when its text
+    passes _int_text.  Otherwise json.loads decodes the text again and build
+    runs on that: so json.loads alone gives every error (invalid JSON,
+    nesting too deep, its TypeError for other input types) and decodes what
+    orjson does not read the same way (ints outside [-2**63, 2**64), which
+    orjson makes floats that every field refuses; lone surrogates; NaN,
+    Infinity and 1e400; a UTF-8 BOM in bytes), and every ParseError comes
+    from build on the json.loads document.  The two decoders agree on every
     other document, repeated keys included (the last one wins).
     """
     doc = _fast_loads(text)
     if doc is not None:
         try:
+            if screened_build is not None and _int_text(text):
+                return screened_build(doc)
             return build(doc)
         except ParseError:
             pass
@@ -634,8 +688,10 @@ def parse_instance(text: str) -> Instance:
     """Parse the JSON instance format from a str, bytes or bytearray.
     Raises ParseError on any defect, with the message and result
     instance_from_dict(json.loads(text)) gives; orjson decodes the text
-    when it reads it the same way (see _parse_json)."""
-    return _parse_json(text, instance_from_dict)
+    when it reads it the same way, and a text whose numbers are all
+    integer tokens, with no true, false or null, has its tables checked
+    for int cells by their sums (see _parse_json and _int_text)."""
+    return _parse_json(text, instance_from_dict, lambda doc: _instance_from_doc(doc, True))
 
 
 def instance_to_dict(inst: Instance) -> dict:

@@ -75,6 +75,11 @@ def test_bench_times_a_parent_alternately(tmp_path, monkeypatch):
             assert len(s["runs"]) == 2 and s["min"] <= s["median"] <= s["max"]
         assert got["parse_peak_mb"] > 0 and got["solve_alloc_peak_mb"] > 0
         assert got["matrix.complete_alloc_peak_mb"] > 0
+        readings = got["peak_readings"]
+        assert set(readings) == {"parse_peak_mb", "forest_peak_mb", "solve_alloc_peak_mb",
+                                 "matrix.complete_alloc_peak_mb"}
+        for key, values in readings.items():
+            assert len(values) == bench.PEAK_RUNS and got[key] == sorted(values)[1]
     assert shape["change"]["counters"] == shape["parent"]["counters"]
     assert set(shape["ratio"]) == set(shape["change"]["seconds"])
     assert all(ratio > 0 for ratio in shape["ratio"].values())
@@ -88,6 +93,18 @@ def test_the_mutant_is_rejected_without_checks():
     assert bench.MUTANT[0] in bench.SHAPES
     mutant = parse_instance(bench.mutant_text())
     assert check_bottleneck(mutant) is not None
+
+
+def test_each_peak_is_the_median_of_its_processes():
+    # One process misreading a peak, high or low, does not move the median.
+    bench = _load()
+    replies = [{"parse_peak_mb": 0.6009, "solve_alloc_peak_mb": 2.0},
+               {"parse_peak_mb": 0.5994, "solve_alloc_peak_mb": 1.0},
+               {"parse_peak_mb": 0.5994, "solve_alloc_peak_mb": 3.0}]
+    assert bench.median_peaks(replies) == {
+        "parse_peak_mb": 0.5994, "solve_alloc_peak_mb": 2.0,
+        "peak_readings": {"parse_peak_mb": [0.6009, 0.5994, 0.5994],
+                          "solve_alloc_peak_mb": [2.0, 1.0, 3.0]}}
 
 
 def test_a_run_keeps_each_stages_best_pass(monkeypatch):

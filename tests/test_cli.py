@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -261,3 +262,24 @@ def test_the_reference_search_loads_only_for_dump_aux(instance_file, tmp_path):
     aux = tmp_path / "aux"
     assert loaded("solve", "--dump-aux", str(aux), str(instance_file)) == ["False", "True", "0"]
     assert sorted(aux.glob("round_*.dot"))
+
+
+@pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+def test_documents_are_read_as_utf8_whatever_the_locale(tmp_path, locale):
+    # JSON text is UTF-8 (RFC 8259), so the C locale's ASCII must not refuse
+    # a non-ASCII key, while bytes that are not UTF-8 stay "not text".  Under
+    # C, stderr writes the key's character as "\\xe9".
+    env = dict(os.environ, LC_ALL=locale, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    key = "\\xe9" if locale == "C" else "\xe9"
+    not_utf8 = "is not text: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+    for data, tail in [('{"r": 1, "domains": [1], "unary": [[0]], "\xe9": 1}'.encode(),
+                        f"unknown instance keys: ['{key}']"),
+                       (b'{"r": 1, "\xff": 1}', None)]:
+        path = tmp_path / "instance.json"
+        path.write_bytes(data)
+        for arg, stdin in ((str(path), None), ("-", data)):
+            res = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "zfree", "solve", arg],
+                                 input=stdin, capture_output=True, env=env)
+            expected = tail or f"{arg} {not_utf8}"
+            assert (res.returncode, res.stdout, res.stderr) == \
+                (1, b"", f"error: {expected}\n".encode())

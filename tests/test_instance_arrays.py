@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import zfree.instance
 from zfree import (ExtValue, GenConfig, Instance, ParseError, check_bottleneck,
                    dump_instance, evaluate_instance, generate_instance,
                    minimize_zfree, parse_instance)
@@ -120,6 +121,15 @@ def test_parse_and_constructor_build_the_same_arrays(label, domains, unary, bina
     if a is not None:
         assert (a.kind, a.indices, a.values, a.message) == (b.kind, b.indices, b.values,
                                                              b.message)
+
+
+@pytest.mark.parametrize("chunk", [1, 6, 50])
+def test_small_batches_and_bands_build_the_same_arrays(monkeypatch, chunk):
+    # Each instance above takes one read and one band; a smaller
+    # _CHUNK_CELLS splits it, down to a table a read and a row a band.
+    monkeypatch.setattr(zfree.instance, "_CHUNK_CELLS", chunk)
+    for case in variants()[::3]:
+        test_parse_and_constructor_build_the_same_arrays(*case)
 
 
 @pytest.mark.parametrize("cell, error", [
