@@ -32,10 +32,11 @@ chordless cycle whose minimum is unique.  That verdict is decided band by
 band, before anything overwrites floor.  A completion gives each
 undefined connected pair its floor value and pairs in different
 components the globally smallest defined value (zero when nothing is
-defined).  It is written into floor in place (_Forest.fill), so it takes
-no n x n array beyond floor, and it shares the partial matrix's pool.
-pipeline builds the same structure over the cross-variable pairs of an
-instance; the same fill makes its relaxation.
+defined, through the pool (ZERO,)).  It is written into floor in place
+(_Forest.fill), so it takes no n x n array beyond floor, and otherwise it
+shares the partial matrix's pool.  pipeline builds the same structure over
+the cross-variable pairs of an instance; the same fill makes its
+relaxation.
 
 parse_partial_matrix decodes its text as parse_instance does (orjson, with
 json.loads as the exact fallback), then checks a well-formed entries list
@@ -97,6 +98,24 @@ def _rank_arrays(n: int, store: dict):
     return ranks, pool
 
 
+def _defined(ranks):
+    """Rows, columns and ranks (lists) of the defined pairs (i, j), i < j,
+    of a rank matrix, ascending by pair."""
+    upper = np.triu(ranks, 1)
+    rows, cols = np.nonzero(upper)
+    return rows.tolist(), cols.tolist(), upper[rows, cols].tolist()
+
+
+def _first_negative(ranks, pool):
+    """The first pair (u, w) in flat order whose value in pool is negative,
+    or None.  Ranks 1..k hold the k negative values, and ranks is
+    symmetric, so u < w."""
+    k = bisect_left(pool, ZERO)
+    if not k:
+        return None
+    return divmod(int(np.argmax((ranks > 0) & (ranks <= k))), len(ranks))
+
+
 class _RankMatrix:
     """A symmetric matrix over vertices 0..n-1 stored as two arrays: ranks,
     the read-only n x n int32 matrix giving each defined pair the rank of
@@ -130,11 +149,9 @@ class _RankMatrix:
 
     def pairs(self):
         """Defined ((i, j), value) items, ascending by pair."""
-        upper = np.triu(self.ranks, 1)
-        rows, cols = np.nonzero(upper)
+        rows, cols, ks = _defined(self.ranks)
         by_rank = (None, *self.pool)
-        return list(zip(zip(rows.tolist(), cols.tolist()),
-                        map(by_rank.__getitem__, upper[rows, cols].tolist())))
+        return list(zip(zip(rows, cols), map(by_rank.__getitem__, ks)))
 
     @property
     def _entries(self) -> dict:
@@ -375,10 +392,12 @@ class _Forest:
         return self._cycle
 
     def fill(self):
-        """The completion's rank matrix, written over floor band by band and
-        returned read-only: a defined pair keeps its rank, an undefined pair
-        takes its floor rank, a pair across components rank 1 (the smallest
-        defined value) and the diagonal 0.  violation() is decided first,
+        """The completion as (ranks, pool).  Its ranks are written over
+        floor band by band and returned read-only: a defined pair keeps its
+        rank, an undefined pair takes its floor rank, a pair across
+        components rank 1 and the diagonal 0.  Rank 1 is the smallest
+        defined value, or 0 when nothing is defined: the pool is then
+        (ZERO,), or () for a single vertex.  violation() is decided first,
         from floor as built.  The only temporaries are band-sized masks."""
         self.violation()
         ranks, floor = self.ranks, self.floor
@@ -390,7 +409,7 @@ class _Forest:
                 np.maximum(band, 1, out=band)
         np.fill_diagonal(floor, 0)
         floor.flags.writeable = False
-        return floor
+        return floor, self.pool or ((ZERO,) if len(floor) > 1 else ())
 
     def _chordless(self, cycle: list[int]) -> list[int]:
         """Shrink a cycle of defined pairs whose closing pair (cycle[-1],
@@ -446,13 +465,10 @@ def _cycle_refutation(H: PartialMatrix, cycle: list[int]) -> Violation:
 def _check(H: PartialMatrix):
     """(violation, cycle, forest): the first refutation of H, the chordless
     cycle behind it (None for a negative entry), and the forest it was read
-    from (None when nothing is defined or an entry is negative)."""
-    pool = H.pool
-    # Ranks 1..k hold the k negative values; the first such pair in flat
-    # order has i < j, since ranks is symmetric.
-    k = bisect_left(pool, ZERO)
-    if k:
-        i, j = divmod(int(np.argmax((H.ranks > 0) & (H.ranks <= k))), H.n)
+    from (None when an entry is negative)."""
+    negative = _first_negative(H.ranks, H.pool)
+    if negative is not None:
+        i, j = negative
         v = H.value(i, j)
         return Violation(
             ViolationKind.NEGATIVE,
@@ -460,9 +476,7 @@ def _check(H: PartialMatrix):
             (v,),
             f"entry ({i + 1},{j + 1}) = {v} is negative",
         ), None, None
-    if not pool:
-        return None, None, None
-    forest = _Forest(H.ranks, pool)
+    forest = _Forest(H.ranks, H.pool)
     cycle = forest.violation()
     if cycle is None:
         return None, None, forest
@@ -491,9 +505,9 @@ def complete(H: PartialMatrix) -> CompletedMatrix:
     bottleneck (minimum) weight along their maximum-spanning-forest path;
     pairs in different components receive the smallest defined value; with
     no defined entries at all, everything becomes zero.  Defined entries are
-    never changed.  The completion's ranks are the forest's floor, filled in
-    place (_Forest.fill, as pipeline.build_relaxation fills it), over H's
-    pool.
+    never changed.  The completion is the (ranks, pool) of _Forest.fill:
+    the forest's floor filled in place, as pipeline.build_relaxation fills
+    it.
 
     Raises NotCompletableError when validate_partial refutes H, carrying its
     Violation and, unless an entry is negative, the chordless cycle.
@@ -501,13 +515,7 @@ def complete(H: PartialMatrix) -> CompletedMatrix:
     bad, cycle, forest = _check(H)
     if bad is not None:
         raise NotCompletableError(f"not completable: {bad}", violation=bad, cycle=cycle)
-
-    n = H.n
-    if forest is not None:
-        return CompletedMatrix._of(n, forest.fill(), forest.pool)
-    ranks = np.ones((n, n), dtype=np.int32)
-    np.fill_diagonal(ranks, 0)
-    return CompletedMatrix._of(n, ranks, (ZERO,) if n > 1 else ())
+    return CompletedMatrix._of(H.n, *forest.fill())
 
 
 def completable_oracle(H: PartialMatrix, *, max_n: int = 30):
@@ -695,20 +703,19 @@ def dump_matrix(matrix, *, indent: int | None = None) -> str:
     (i, j) and the JSON text of its value, each pool value formatted once.
     """
     n = matrix.n
-    upper = np.triu(matrix.ranks, 1)
-    rows, cols = np.nonzero(upper)
     if indent is None:
         head, sep, tail = f'{{"n": {n}, "entries": [', ", ", "]}"
         a, b, c, d = '{"i": ', ', "j": ', ', "value": ', "}"
+        empty = head + tail
     else:
         p1, p2, p3 = ("\n" + " " * (indent * k) for k in (1, 2, 3))
-        if not len(rows):
-            return f'{{{p1}"n": {n},{p1}"entries": []\n}}'
         head, sep, tail = f'{{{p1}"n": {n},{p1}"entries": [{p2}', f",{p2}", f"{p1}]\n}}"
         a, b, c, d = f'{{{p3}"i": ', f',{p3}"j": ', f',{p3}"value": ', f"{p2}}}"
+        empty = f'{{{p1}"n": {n},{p1}"entries": []\n}}'
     # An entry is left[i] + nums[j] + right[rank].
     nums = [str(k) for k in range(1, n + 1)]
     left = [a + k + b for k in nums]
     right = [None, *(c + json.dumps(format_value(v)) + d for v in matrix.pool)]
-    return head + sep.join([left[i] + nums[j] + right[k] for i, j, k in zip(
-        rows.tolist(), cols.tolist(), upper[rows, cols].tolist())]) + tail
+    text = sep.join([left[i] + nums[j] + right[k] for i, j, k in zip(*_defined(matrix.ranks))])
+    # One f-string: a + chain would copy the whole text once per operand.
+    return f"{head}{text}{tail}" if text else empty

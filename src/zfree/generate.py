@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instance import Instance
+from .instance import Instance, _check_size
 
 __all__ = ["GenConfig", "laminar_pair_values", "generate_instance"]
 
@@ -95,6 +95,8 @@ def generate_instance(cfg: GenConfig) -> Instance:
     for d in domains:
         offsets.append(total)
         total += d
+    # Instance() refuses this size too, but only after every pair value exists.
+    _check_size(total)
 
     unary = []
     for d in domains:

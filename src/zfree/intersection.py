@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import InvariantError, NotOneHotError
 from .instance import OneHotLayout
-from .quadratic import QuadFn
+from .quadratic import QuadFn, _support
 
 __all__ = [
     "ArcKind",
@@ -146,15 +146,6 @@ class ExchangeGraph:
 
     def arc_count(self) -> int:
         return self._size
-
-
-def _support(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        out.append(b.bit_length() - 1)
-    return out
 
 
 def _check_one_hot(layout: OneHotLayout, mask: int) -> None:

@@ -11,19 +11,19 @@ instance's own rank matrix (Instance.ranks: int32 value ranks of the cross
 pairs into Instance.pool, 0 within a variable, built with the instance).
 Prim's algorithm grows it from position 0 and keeps only the join order,
 the join key of each position (the rank it joined with; the cross pairs
-connect every position, so no key after the first is 0) and the int32
-matrix of tree-path minima (floor).  Ties go to the lowest position, and a
-position hangs off the earliest-joined position whose rank to it is its
-join key; those parents are derived only to close a rejection's witness
-cycle, so a valid solve never builds the tree.  The two matrices answer
-both questions the solve asks:
+of two or more variables connect every position, so no key after the
+first is 0) and the int32 matrix of tree-path minima (floor).  Ties go to
+the lowest position, and a position hangs off the earliest-joined position
+whose rank to it is its join key; those parents are derived only to close
+a rejection's witness cycle, so a valid solve never builds the tree.  The
+two matrices answer both questions the solve asks:
 
 - validity: the instance satisfies the join condition and is Z-free exactly
   when its induced partial matrix is completable, which holds exactly when
   no cross pair ranks below its floor value (see check_bottleneck);
 - completion: a within-variable pair gets its floor value.  The
   relaxation's ranks are floor itself with the cross ranks written over
-  it (_Forest.fill), over the forest's value pool; they agree entry for
+  it (_Forest.fill), over the pool the fill returns; they agree entry for
   entry with completion.complete on the induced partial matrix, which
   fills the same kind of forest the same way.
 
@@ -115,14 +115,12 @@ class SolveReport:
         return out
 
 
-def _build_forest(inst: Instance) -> _Forest | None:
-    """The shared spanning forest of inst; None for a single variable, which
-    has no cross pairs.  A join key of 0 after the first position would
-    start a second component."""
-    if inst.r == 1:
-        return None
+def _build_forest(inst: Instance) -> _Forest:
+    """The shared spanning forest of inst.  The cross pairs of two or more
+    variables connect every position, so a join key of 0 after the first
+    position would start a second component."""
     forest = _Forest(inst.ranks, inst.pool)
-    if not forest.keys[1:].all():
+    if inst.r > 1 and not forest.keys[1:].all():
         raise InvariantError("cross pairs left the position graph disconnected")
     return forest
 
@@ -169,8 +167,7 @@ def check_bottleneck(inst: Instance):
     shape check_jwp and check_zfree report.  Those exhaustive scans give the
     same verdict but may cite a different witness.
     """
-    forest = _build_forest(inst)
-    cycle = None if forest is None else forest.violation()
+    cycle = _build_forest(inst).violation()
     return None if cycle is None else _cycle_violation(inst, cycle)
 
 
@@ -183,9 +180,8 @@ def build_relaxation(inst: Instance, forest: _Forest | None = None) -> QuadFn:
     built here when not given.  The call takes forest.floor: _Forest.fill
     writes the cross ranks into it, band by band, over the within-variable
     tree-path minima it already holds, and that read-only matrix is the
-    relaxation's ranks over the forest's pool; no n x n array is allocated.
-    A single variable has no cross pairs and no forest: its relaxation is
-    inst.ranks (all 0, zero coefficients) over inst.pool, M-natural-convex.
+    relaxation's ranks over the pool fill returns; no n x n array is
+    allocated.
 
     The relaxation's M-natural verdict (QuadFn.mnatural_violation) is the
     forest's, which fill decides before it overwrites floor, and is always
@@ -195,15 +191,10 @@ def build_relaxation(inst: Instance, forest: _Forest | None = None) -> QuadFn:
     kernel (each finite value scaled by the LCM D of the denominators) is
     built here, once.
     """
-    linear = list(chain.from_iterable(inst.unary))
-    if inst.r == 1:
-        f, refuted = QuadFn(linear, inst.ranks, inst.pool), False
-    else:
-        if forest is None:
-            forest = _build_forest(inst)
-        f = QuadFn(linear, forest.fill(), forest.pool)
-        refuted = forest.violation() is not None
-    f._verdict = _REFUTED if refuted else None
+    if forest is None:
+        forest = _build_forest(inst)
+    f = QuadFn(chain.from_iterable(inst.unary), *forest.fill())
+    f._verdict = None if forest.violation() is None else _REFUTED
     f.kernel()   # scale once, here
     return f
 
@@ -251,7 +242,7 @@ def minimize_zfree(inst: Instance, *, check_properties: bool = True,
     timings["forest"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cycle = None if forest is None else forest.violation()
+    cycle = forest.violation()
     if cycle is not None and check_properties:
         timings["check"] = time.perf_counter() - t0
         return SolveReport(SolveStatus.REJECTED, violation=_cycle_violation(inst, cycle),
@@ -326,10 +317,11 @@ class CertifyResult:
 def certify(inst: Instance, max_n: int = 30) -> CertifyResult:
     """Run both input checks and the exhaustive completability test side by
     side.  The cycle search is exponential, so it is budgeted by max_n flat
-    positions; past that BudgetExceededError propagates."""
+    positions and runs first: past that BudgetExceededError propagates
+    before either check scans."""
+    cycle = completable_oracle(induced_partial_matrix(inst), max_n=max_n)
     jwp = check_jwp(inst)
     zfree = check_zfree(inst)
-    cycle = completable_oracle(induced_partial_matrix(inst), max_n=max_n)
     return CertifyResult(
         jwp_ok=jwp is None,
         zfree_ok=zfree is None,

@@ -5,11 +5,10 @@ x in {0,1}^n, with each unordered pair counted once.  Its pair coefficients
 are two arrays, as everywhere else in the package: ranks, the read-only
 symmetric n x n int32 matrix, and pool, the ascending tuple of distinct
 ExtValues.  Rank k >= 1 stands for pool[k - 1]; rank 0 is a zero
-coefficient (the diagonal, a pair from_coeffs is not given, every pair of
-a single-variable relaxation).  The solver works with the relaxation of
-an instance: linear part from the unary costs, pair part from the
-completed coefficient matrix (cross-variable pairs keep the binary costs,
-within-variable pairs come from completion).
+coefficient (the diagonal, a pair from_coeffs is not given).  The solver
+works with the relaxation of an instance: linear part from the unary
+costs, pair part from the completed coefficient matrix (cross-variable
+pairs keep the binary costs, within-variable pairs come from completion).
 
 The solver does not compute with the ExtValue coefficients.  QuadFn.kernel()
 scales f once into exact integers, reading each value's raw int or
@@ -35,12 +34,12 @@ the solve's check and greedy's cost nothing more.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from itertools import chain
 
 import numpy as np
 
-from .completion import _BAND, CompletedMatrix, PartialMatrix, _rank_arrays, _spanning_forest
+from .completion import (_BAND, CompletedMatrix, PartialMatrix, _first_negative, _rank_arrays,
+                         _spanning_forest)
 from .errors import InvariantError
 from .instance import Instance
 # check_mnatural_quadratic stays importable from here, next to the witness
@@ -172,10 +171,9 @@ class QuadFn:
         is the least of those over B.  V is nonnegative and anti-ultrametric
         (hence f M-natural-convex) exactly when B is empty."""
         n, pool, ranks = self.n, self.pool, self.ranks
-        k = bisect_left(pool, ZERO)
-        if k:   # ranks 1..k are negative; ranks is symmetric, so u < w
-            u, w = divmod(int(np.argmax((ranks > 0) & (ranks <= k))), n)
-            return _mnatural_violation((u, w), (self.pair(u, w),))
+        negative = _first_negative(ranks, pool)
+        if negative is not None:
+            return _mnatural_violation(negative, (self.pair(*negative),))
         # 0 is the smallest value: it takes rank 1 and the others move up
         # when it is not in the pool.
         full = np.maximum(ranks, 1) if pool[:1] == (ZERO,) else ranks + 1
@@ -229,18 +227,23 @@ class QuadFn:
         return f"QuadFn(n={self.n})"
 
 
+def _support(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out.append(b.bit_length() - 1)
+    return out
+
+
 def eval_quad(f: QuadFn, mask: int) -> ExtValue:
     """f at the 0/1 point given as a bitmask: the exact sum of its linear
     terms and of each pool value times the number of support pairs of its
     rank."""
     if mask < 0 or mask >> f.n:
         raise ValueError("mask has bits outside the flat range")
-    supp = []
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        supp.append(b.bit_length() - 1)
+    supp = _support(mask)
     total = 0
     for u in supp:
         raw = f.linear[u].raw

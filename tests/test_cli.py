@@ -6,8 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from zfree import (GenConfig, Instance, check_jwp, check_zfree, dump_instance,
-                   generate_instance)
+import zfree.generate
+import zfree.instance
+import zfree.pipeline
+from zfree import (BudgetExceededError, GenConfig, Instance, certify, check_jwp, check_zfree,
+                   dump_instance, generate_instance)
+from zfree.cli import main
 
 
 def run_cli(*args, stdin=None):
@@ -171,6 +175,37 @@ def test_usage_errors_exit_one(tmp_path):
 def test_gen_parameters_out_of_range_exit_one(args, message):
     res = run_cli("gen", *args)
     assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_gen_checks_the_size_before_drawing_costs(monkeypatch, capsys):
+    # 40000 bytes allow 100 positions; 60 variables of 2-5 values have more.
+    monkeypatch.setattr(zfree.instance, "MAX_RANK_BYTES", 40000)
+    monkeypatch.setattr(zfree.generate, "laminar_pair_values", _refuse)
+    with pytest.raises(ValueError) as refused:
+        Instance((5,) * 40, [])
+    with pytest.raises(ValueError) as exc:
+        generate_instance(GenConfig(r=40, domains=(5,) * 40))
+    assert str(exc.value) == str(refused.value)
+    assert main(["gen", "--r", "60", "--dmax", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith(", more than the 40000-byte limit\n")
+
+
+def test_certify_checks_its_budget_before_scanning(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(zfree.pipeline, "check_jwp", _refuse)
+    monkeypatch.setattr(zfree.pipeline, "check_zfree", _refuse)
+    inst = generate_instance(GenConfig(r=3, domains=(4, 4, 4), seed=5))
+    with pytest.raises(BudgetExceededError):
+        certify(inst, max_n=11)
+    path = tmp_path / "inst.json"
+    path.write_text(dump_instance(inst))
+    assert main(["certify", str(path), "--max-n", "11"]) == 4
+    assert capsys.readouterr().err == "error: chordless cycle search limited to n <= 11\n"
 
 
 def test_gen_edge_parameters_still_generate():

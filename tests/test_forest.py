@@ -12,11 +12,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from zfree import (ExtValue, GenConfig, PartialMatrix, SolveStatus, complete, generate_instance,
+from zfree import (ExtValue, GenConfig, Instance, PartialMatrix, SolveStatus, build_relaxation,
+                   check_bottleneck, complete, dump_matrix, generate_instance,
                    induced_partial_matrix, minimize_zfree)
 from zfree.completion import _Forest
 from zfree.errors import InvariantError
 from zfree.pipeline import _build_forest
+from zfree.values import ZERO
 
 
 def _closure(ranks):
@@ -244,15 +246,22 @@ def test_join_order_forest_matches_the_reference():
 def test_fill_writes_the_completion_over_floor():
     # The whole-matrix formula the fill replaced: a defined rank, else the
     # floor rank, else rank 1 across components; the diagonal 0.
+    # The pool comes back as given, or as (ZERO,) when nothing is defined.
+    empty = 0
     for ranks in _oracle_matrices():
-        f = _Forest(ranks, ())
+        pool = tuple(range(1, ranks.max() + 1))
+        f = _Forest(ranks, pool)
         want = np.where(ranks > 0, ranks, np.maximum(f.floor, 1))
         np.fill_diagonal(want, 0)
         floor = f.floor
-        assert f.fill() is floor and np.array_equal(floor, want)
+        filled, filled_pool = f.fill()
+        assert filled is floor and np.array_equal(floor, want)
         assert not floor.flags.writeable
+        assert filled_pool == (pool or ((ZERO,) if len(ranks) > 1 else ()))
+        empty += not pool
         # The verdict was decided before the fill and is kept.
         assert f.violation() == _Forest(ranks, ()).violation()
+    assert empty
 
 
 def test_forest_keeps_the_join_order():
@@ -340,3 +349,52 @@ def test_complete_peak_memory_is_its_floor():
     assert matrix.ranks.nbytes == 4 * n * n
     assert not matrix.ranks.flags.writeable
     assert peak <= 4 * n * n + 256 * n
+
+
+# Matrices with no defined pair complete through the forest too: every pair
+# is in a component of its own, so each gets rank 1 of the pool (ZERO,).
+EMPTY_COMPLETIONS = {
+    1: ([[0]], (), '{"n": 1, "entries": []}'),
+    2: ([[0, 1], [1, 0]], (ZERO,),
+        '{"n": 2, "entries": [{"i": 1, "j": 2, "value": 0}]}'),
+    5: ((np.ones((5, 5), dtype=int) - np.eye(5, dtype=int)).tolist(), (ZERO,),
+        '{"n": 5, "entries": [' + ", ".join(
+            f'{{"i": {i}, "j": {j}, "value": 0}}' for i in range(1, 6)
+            for j in range(i + 1, 6)) + "]}"),
+}
+
+
+@pytest.mark.parametrize("n", list(EMPTY_COMPLETIONS))
+def test_empty_matrix_completes_through_the_forest(n):
+    ranks, pool, text = EMPTY_COMPLETIONS[n]
+    matrix = complete(PartialMatrix(n))
+    assert (matrix.ranks.tolist(), matrix.pool, dump_matrix(matrix)) == (ranks, pool, text)
+    assert not matrix.ranks.flags.writeable
+
+
+# Single-variable instances and the reports they solved to when their
+# relaxation was built without a forest: (value index, value), no rounds.
+R1_REPORTS = [
+    (Instance((1,), [[4]]), 0, "4"),
+    (Instance((3,), [[2, 0, 1]]), 1, "0"),
+    (Instance((5,), [[4, "1/2", 0, 7, "5/2"]]), 2, "0"),
+    (generate_instance(GenConfig(r=1, domains=(7,), seed=3)), 2, "1"),
+]
+
+
+@pytest.mark.parametrize("inst, index, value", R1_REPORTS, ids=repr)
+def test_single_variable_goes_through_the_forest(inst, index, value):
+    assert check_bottleneck(inst) is None
+    f = build_relaxation(inst)
+    n = inst.n
+    assert f.ranks.tolist() == (np.ones((n, n), dtype=int) - np.eye(n, dtype=int)).tolist()
+    assert f.pool == ((ZERO,) if n > 1 else ())
+    assert f.mnatural_violation() is None
+    counters = {"pool_size": 0, "rounds": 0,
+                "arcs": {"exchange": 0, "reassign": 0, "source": 0, "sink": 0},
+                "search_pops": 0, "kernel_dtype": "int64"}
+    for check in (True, False):
+        report = minimize_zfree(inst, check_properties=check, verify_completion=True)
+        assert report.status is SolveStatus.OPTIMAL
+        assert (report.assignment, str(report.value)) == ((index,), value)
+        assert report.iterations == [] and report.counters == counters

@@ -47,10 +47,7 @@ def test_builders_share_their_arrays(inst):
     assert f.ranks is matrix.ranks and f.pool == matrix.pool
     forest = _build_forest(inst)
     g = build_relaxation(inst, forest)
-    if forest is None:
-        assert g.ranks is inst.ranks and g.pool == inst.pool
-    else:
-        assert g.ranks is forest.floor and g.pool == forest.pool
+    assert g.ranks is forest.floor and g.pool == f.pool
     # The completion reads the same kind of forest, so the two agree.
     n = inst.n
     assert [f.pair(u, w) for u in range(n) for w in range(n) if u != w] == \
