@@ -10,6 +10,8 @@ Every run then times, on that JSON text:
 - decode: the parsers' decoder alone (instance._fast_loads: the depth
   check and orjson), left out for a tree that has none;
 - parse_instance: the text to an Instance;
+- parse_instance.indent2: the same instance written with indent=2, as
+  `zfree gen` writes it, to an Instance;
 - forest: pipeline._build_forest on the parsed instance (the shared
   spanning forest; validity and completion read it);
 - parse_forest: the two above together;
@@ -76,6 +78,7 @@ or --no-check.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -92,8 +95,8 @@ from pathlib import Path
 import numpy as np
 
 from zfree import (GenConfig, InvariantError, complete, dump_instance, dump_matrix,
-                   generate_instance, induced_partial_matrix, instance_to_dict,
-                   minimize_zfree, parse_instance, parse_partial_matrix)
+                   generate_instance, induced_partial_matrix, instance_from_dict,
+                   instance_to_dict, minimize_zfree, parse_instance, parse_partial_matrix)
 from zfree.pipeline import _build_forest
 
 try:
@@ -106,17 +109,20 @@ RUNS = 5
 PASSES = 3   # passes per run; each stage keeps its best
 PEAK_RUNS = 3   # --peaks processes per side with --parent; each peak keeps its median
 
-# name: (r, domains, inf_share).  The shapes of the baseline table in
-# ROADMAP.md (wide domains; the criterion-8 top size; many variables at
-# n = 2000, up to r = 400), the size of perfbench's instances (r=6, d=21,
-# n=126), the largest size the solve once rescanned its relaxation at
-# (r=6, d=20, n=120), a many-variable shape with tiny domains and half
-# its instances carrying infinite costs, and the r=13 shape with infinite
-# costs (n=2002), whose "inf" cells keep its tables off the parser's int
-# path.
+# name: (r, domains, inf_share) or (r, domains, inf_share, scale).  The
+# shapes of the baseline table in ROADMAP.md (wide domains; the criterion-8
+# top size; many variables at n = 2000, up to r = 400), the size of
+# perfbench's instances (r=6, d=21, n=126), and at that size with every
+# finite pair cost times scale = 1237 (cells of 4 and 5 digits, which the
+# parser's text reader reads digit by digit), the largest size the solve
+# once rescanned its relaxation at (r=6, d=20, n=120), a many-variable
+# shape with tiny domains and half its instances carrying infinite costs,
+# and the r=13 shape with infinite costs (n=2002), whose "inf" cells keep
+# its tables off the parser's int paths.
 SHAPES = {
     "r6_d20": (6, (20,) * 6, 0.0),
     "r6_d21": (6, (21,) * 6, 0.0),
+    "r6_d21_x1237": (6, (21,) * 6, 0.0, 1237),
     "r6_d42": (6, (42,) * 6, 0.0),
     "r13_d154": (13, (154,) * 13, 0.0),
     "r40_d50": (40, (50,) * 40, 0.0),
@@ -182,12 +188,19 @@ def matrix_stages(text: str, decode_first: bool = False) -> dict:
     return row
 
 
+@functools.lru_cache(maxsize=1)
+def _indented(text: str) -> str:
+    """The instance text written with indent=2, as `zfree gen` writes it."""
+    return json.dumps(json.loads(text), indent=2)
+
+
 def one_pass(text: str, matrix: str | None, decode_first: bool = False):
     """One timed pass of every stage on an instance text (and its matrix
     text, if any): (seconds per stage, the solve's report)."""
     gc.collect()
     row = _decoders(text, "", decode_first)
     inst, row["parse_instance"] = _timed(parse_instance, text)
+    _, row["parse_instance.indent2"] = _timed(parse_instance, _indented(text))
     _, row["forest"] = _timed(_build_forest, inst)
     row["parse_forest"] = row["parse_instance"] + row["forest"]
     report, row["solve"] = _timed(minimize_zfree, inst)
@@ -249,19 +262,26 @@ def no_check_run(text: str) -> dict:
     return {"seconds": min(seconds), "error": error}
 
 
-def shape_texts(r: int, domains, inf_share: float):
-    """The shape's instance text and, up to MATRIX_MAX_N positions, the text
-    of its induced partial matrix (None above)."""
+def shape_texts(r: int, domains, inf_share: float, scale: int = 1):
+    """The shape's instance text, its finite pair costs times scale, and,
+    up to MATRIX_MAX_N positions, the text of its induced partial matrix
+    (None above)."""
     cfg = GenConfig(r=r, domains=tuple(domains), seed=SEED, inf_share=inf_share)
     source = generate_instance(cfg)
+    if scale != 1:
+        doc = instance_to_dict(source)
+        for entry in doc.get("binary", []):
+            entry["table"] = [[v * scale if isinstance(v, int) else v for v in row]
+                              for row in entry["table"]]
+        source = instance_from_dict(doc)
     matrix = (dump_matrix(induced_partial_matrix(source))
               if sum(domains) <= MATRIX_MAX_N else None)
     return dump_instance(source), matrix
 
 
-def _about(r, domains, inf_share, text, matrix) -> dict:
+def _about(r, domains, inf_share, scale, text, matrix) -> dict:
     return {"r": r, "n": sum(domains), "domains": sorted(set(domains)),
-            "inf_share": inf_share, "json_bytes": len(text),
+            "inf_share": inf_share, "scale": scale, "json_bytes": len(text),
             "matrix_json_bytes": None if matrix is None else len(matrix)}
 
 
@@ -270,15 +290,15 @@ def _outcome(report) -> dict:
             "counters": report.counters}
 
 
-def bench_shape(r: int, domains, inf_share: float) -> dict:
+def bench_shape(r: int, domains, inf_share: float, scale: int = 1) -> dict:
     """Time one shape over RUNS untraced runs, then measure its memory."""
-    text, matrix = shape_texts(r, domains, inf_share)
+    text, matrix = shape_texts(r, domains, inf_share, scale)
     stages: dict[str, list] = {}
     for _ in range(RUNS):
         row, report = one_run(text, matrix)
         for stage, seconds in row.items():
             stages.setdefault(stage, []).append(seconds)
-    return {**_about(r, domains, inf_share, text, matrix), **_outcome(report),
+    return {**_about(r, domains, inf_share, scale, text, matrix), **_outcome(report),
             "seconds": {stage: _summary(v) for stage, v in stages.items()},
             **peaks(text)}
 
@@ -317,9 +337,9 @@ def median_peaks(replies: list) -> dict:
             "peak_readings": readings}
 
 
-def compare_shape(trees: dict, r: int, domains, inf_share: float) -> dict:
+def compare_shape(trees: dict, r: int, domains, inf_share: float, scale: int = 1) -> dict:
     """Time one shape on both trees, alternately, run by run."""
-    text, matrix = shape_texts(r, domains, inf_share)
+    text, matrix = shape_texts(r, domains, inf_share, scale)
     with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp) / "instance.json", Path(tmp) / "matrix.json"]
         paths[0].write_text(text)
@@ -334,7 +354,7 @@ def compare_shape(trees: dict, r: int, domains, inf_share: float) -> dict:
             for reply in got:
                 for stage, seconds in reply["seconds"].items():
                     stages[side].setdefault(stage, []).append(seconds)
-        out = _about(r, domains, inf_share, text, matrix)
+        out = _about(r, domains, inf_share, scale, text, matrix)
         for side in trees:
             out[side] = {**replies[side][-1]["outcome"],
                          "seconds": {k: _summary(v) for k, v in stages[side].items()},

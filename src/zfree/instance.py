@@ -123,17 +123,15 @@ def _check_size(n: int, what: str = "one-hot positions") -> None:
 _KEYABLE = {int, str}
 
 # Int tables whose values all lie below this are ranked through one lookup
-# of this many entries (plus one per distinct cell of the other tables), a
-# bool and an int32 each: 5 MB, less than the ranks of 1200 positions.  A
-# per-table np.unique would cost more in call overhead on small tables.
+# of this many entries, a bool and an int32 each: 5 MB, less than the ranks
+# of 1200 positions.  A per-table np.unique would cost more in call overhead
+# on small tables.
 _LOOKUP_SIZE = 1 << 20
 
 # Int tables are read as int64 about _CHUNK_CELLS cells at a time (a larger
-# table on its own), and their codes ranked in bands of about as many cells
-# of ranks, whole rows from the diagonal on (a band's lookup takes 12 bytes
-# a cell: its codes as intp indices and its ranks).  An instance of up to
-# 128 positions takes one read and one band, and at n = 2000 the arrays
-# beside the rank matrix stay as small.
+# table on its own), and ranks is mirrored in bands of about as many cells,
+# whole rows from the diagonal on.  An instance of up to 128 positions takes
+# one read and one band.
 _CHUNK_CELLS = 1 << 14
 
 
@@ -158,21 +156,12 @@ def _rank_tables(layout: "OneHotLayout", tables: dict, raw_of, screened: bool):
     checked.  raw_of(cell) is a cell's raw value and keeps a raw value as
     it is.  screened says the tables come from a document that passed
     _int_text, so _all_int may sum a table instead of reading each cell's
-    type.  Each block above the diagonal first gets a code per cell:
-    value + 1 for the int tables (every cell exactly int, since numpy reads
-    True and 1.5 as 1), read as int64 _CHUNK_CELLS cells at a time (numpy
-    before 2.0 wraps an int past int32 without an error); 1 for an
-    omitted pair (cost 0); and a code past those per distinct cell of the
-    other tables (and of int tables too large for the lookup), decoded once.
-    One lookup then turns codes into ranks, in bands of about _CHUNK_CELLS
-    cells, and mirrors each.
+    type.  The int tables (every cell exactly int, since numpy reads True
+    and 1.5 as 1) are read together as int64, _CHUNK_CELLS cells at a time
+    (numpy before 2.0 wraps an int past int32 without an error); a batch
+    past int64, and the other tables, go to _rank by their rows.
     """
-    dom, off, n = layout.domains, layout.offsets, layout.n
-    ranks = np.zeros((n, n), dtype=np.int32)
-
-    def block(i, j):
-        return ranks[off[i]:off[i + 1], off[j]:off[j + 1]]
-
+    dom = layout.domains
     batches, filled, other = [], 0, []
     for (i, j), table in tables.items():
         size = dom[i] * dom[j]
@@ -184,37 +173,66 @@ def _rank_tables(layout: "OneHotLayout", tables: dict, raw_of, screened: bool):
         else:
             batches.append([(i, j)])
             filled = size
-    top = 0             # the largest int value written into a block, or 0
+    flats = []
     for batch in batches:
-        sizes = [dom[i] * dom[j] for i, j in batch]
         try:
             flat = np.fromiter(chain.from_iterable(chain.from_iterable(map(
-                tables.__getitem__, batch))), np.int64, sum(sizes))
-        except OverflowError:   # past int64: coded from the Python ints
+                tables.__getitem__, batch))), np.int64, sum(dom[i] * dom[j] for i, j in batch))
+        except OverflowError:   # past int64: ranked from the Python ints
             other += batch
             continue
         if flat.min() < 0:
             return None
-        starts = np.cumsum([0, *sizes[:-1]])
+        flats.append((batch, flat.astype(np.min_scalar_type(int(flat.max())))))
+    return _rank(layout, flats, [(p, tables[p]) for p in other], raw_of, tables.keys())
+
+
+def _rank(layout: "OneHotLayout", flats: list, other: list, raw_of, pairs):
+    """(ranks, pool) of an instance whose tables are flats, a list of
+    (batch, flat) with flat the nonnegative int cells of the tables of the
+    pairs in batch, row by row and table after table, in an unsigned dtype
+    as narrow as they allow (they are kept until the lookup), and other, a list
+    of (pair, rows) with rows a table as a list of rows; pairs are the
+    pairs that have a table.  None when raw_of raises on a cell of other or
+    its value is negative.
+
+    The lookup from each int value to its rank is made from the flat cells
+    themselves, which then take their ranks a batch at a time, before any
+    block is written.  A table with a value at _LOOKUP_SIZE or above goes
+    to other.  Each distinct cell of other is decoded once and coded in its
+    block, which the lookup of those codes then overwrites.
+    """
+    dom, off, n = layout.domains, layout.offsets, layout.n
+    ranks = np.zeros((n, n), dtype=np.int32)
+
+    def block(i, j):
+        return ranks[off[i]:off[i + 1], off[j]:off[j + 1]]
+
+    kept, top = [], 0
+    for batch, flat in flats:
+        sizes = [dom[i] * dom[j] for i, j in batch]
+        high = int(flat.max())
+        if high < _LOOKUP_SIZE:
+            kept.append((batch, sizes, flat))
+            top = max(top, high)
+            continue
+        starts = np.cumsum([0, *sizes[:-1]]).tolist()
         highs = np.maximum.reduceat(flat, starts).tolist()
-        flat += 1       # the codes; a table it wraps is past the lookup
-        for (i, j), start, size, high in zip(batch, starts.tolist(), sizes, highs):
+        for pair, start, size, high in zip(batch, starts, sizes, highs):
+            cells = flat[start:start + size]
             if high >= _LOOKUP_SIZE:
-                other.append((i, j))
+                other.append((pair, cells.reshape(dom[pair[0]], dom[pair[1]]).tolist()))
             else:
-                block(i, j)[...] = flat[start:start + size].reshape(dom[i], dom[j])
+                kept.append(([pair], [size], cells))
                 top = max(top, high)
-        del flat        # before the lookup's arrays
-    # A cell of the other tables (its raw value, where a bool or a float
-    # would share a key with an equal int) -> its code, and each code's value.
-    codes, raws = {}, []
-    try:
-        for i, j in other:
-            cells = list(chain.from_iterable(tables[(i, j)]))
+    codes, raws = {}, []     # a cell of other (its raw value where a bool or a
+    try:                     # float would share a key with an equal int) -> its code
+        for (i, j), rows in other:
+            cells = list(chain.from_iterable(rows))
             if not set(map(type, cells)) <= _KEYABLE:
                 cells = list(map(raw_of, cells))
             for cell in set(cells).difference(codes):
-                codes[cell] = top + 2 + len(raws)
+                codes[cell] = len(raws)
                 raws.append(raw_of(cell))
             block(i, j)[...] = np.fromiter(map(codes.__getitem__, cells), np.int32,
                                            len(cells)).reshape(dom[i], dom[j])
@@ -222,26 +240,35 @@ def _rank_tables(layout: "OneHotLayout", tables: dict, raw_of, screened: bool):
         return None
     if raws and min(raws) < 0:
         return None
-    r = len(dom)
-    for i, j in combinations(range(r), 2):
-        if (i, j) not in tables:
-            block(i, j)[...] = 1
+
+    seen = np.zeros(top + 1, dtype=bool)
+    for _, _, flat in kept:
+        seen[flat] = True
+    keys = np.flatnonzero(seen).tolist()
+    missing = [(i, j) for i, j in combinations(range(len(dom)), 2) if (i, j) not in pairs]
+    pool, rank_of = _ranked({*keys, *raws, *([0] if missing else [])})
+    lookup = np.zeros(top + 1, dtype=np.int32)
+    lookup[keys] = [rank_of[v] for v in keys]
+    for batch, sizes, flat in kept:
+        got, start = np.take(lookup, flat), 0
+        for (i, j), size in zip(batch, sizes):
+            block(i, j)[...] = got[start:start + size].reshape(dom[i], dom[j])
+            start += size
+    del kept, flats
+    if raws:
+        other_rank = np.array([rank_of[v] for v in raws], dtype=np.int32)
+        for (i, j), _ in other:
+            blk = block(i, j)
+            blk[...] = np.take(other_rank, blk)
+    for i, j in missing:
+        block(i, j)[...] = rank_of[0]
 
     # Bands of rows a:b from column a on.  Their cells below the diagonal
-    # still hold code 0, which looks up rank 0, and then take the ranks of
-    # the cells they mirror (numpy copies square.T before adding it).
+    # still hold 0 and then take the ranks of the cells they mirror (numpy
+    # copies square.T before adding it).
     rows = max(1, _CHUNK_CELLS // n)
-    bands = [(a, min(a + rows, n)) for a in range(0, n, rows)]
-    seen = np.zeros(top + 2 + len(raws), dtype=bool)
-    for a, b in bands:
-        seen[ranks[a:b, a:]] = True
-    keys = np.flatnonzero(seen[1:top + 2])
-    pool, rank_of = _ranked({*keys.tolist(), *raws})
-    lookup = np.zeros(len(seen), dtype=np.int32)
-    lookup[keys + 1] = [rank_of[v] for v in keys.tolist()]
-    lookup[top + 2:] = [rank_of[v] for v in raws]
-    for a, b in bands:
-        ranks[a:b, a:] = np.take(lookup, ranks[a:b, a:])
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
         square = ranks[a:b, a:b]
         square += square.T
         ranks[b:, a:b] = ranks[a:b, b:].T
@@ -513,6 +540,35 @@ def instance_from_dict(doc) -> Instance:
 def _instance_from_doc(doc, screened: bool) -> Instance:
     """instance_from_dict(doc); screened says doc was decoded from a text
     that passed _int_text, which _rank_tables may rely on."""
+    r, domains = _header(doc)
+    try:
+        _check_size(sum(domains))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    unary = _unary(doc, r, domains)
+    layout = OneHotLayout(domains)
+    tables, ranked = {}, None
+    try:
+        if _entries(doc, r, domains, tables, False):
+            ranked = _rank_tables(layout, tables, lambda v: _decode_value(v).raw, screened)
+    except ParseError:
+        _parse_tables(tables, domains)   # an earlier entry's bad cell comes first
+        raise
+    if ranked is None:
+        _parse_tables(tables, domains)
+        raise InvariantError("_rank_tables or a row check refused tables that parse cell by cell")
+    return _new_instance(domains, unary, tables, layout, ranked)
+
+
+def _new_instance(domains, unary, tables, layout, ranked) -> Instance:
+    inst = object.__new__(Instance)
+    inst._init(tuple(domains), tuple(unary), tables, layout, *ranked)
+    return inst
+
+
+def _header(doc) -> tuple:
+    """(r, domains) of a document, or the ParseError of the first defect of
+    its object, its keys, "r" or "domains"."""
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     unknown = set(doc) - {"r", "domains", "unary", "binary"}
@@ -529,11 +585,12 @@ def _instance_from_doc(doc, screened: bool) -> Instance:
     if (not isinstance(domains, list) or len(domains) != r
             or any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in domains)):
         raise ParseError(f"'domains' must list {r} positive integers")
-    try:
-        _check_size(sum(domains))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return r, domains
 
+
+def _unary(doc, r, domains) -> list:
+    """The unary rows of a document as ExtValue tuples, or the ParseError
+    of the first defect."""
     unary_doc = doc["unary"]
     if not isinstance(unary_doc, list) or len(unary_doc) != r:
         raise ParseError(f"'unary' must list {r} rows")
@@ -547,49 +604,47 @@ def _instance_from_doc(doc, screened: bool) -> Instance:
                 if not v.is_finite:
                     raise ParseError(f"unary[{i + 1}][{a + 1}]: unary costs must be finite")
         raise InvariantError("_read_unary refused unary rows that parse cell by cell")
+    return unary
 
+
+def _entries(doc, r, domains, tables: dict, placeholders: bool) -> bool:
+    """Check a document's binary entries in order, putting each one's table
+    into tables under its 0-based pair, or raise the ParseError of the
+    first entry with a defect in its keys, its pair or its row count.
+
+    With placeholders, entry k's table must be the int k, which stands for
+    a table _read_instance reads from the text.  Otherwise the tables are
+    lists, and False means that the last table put in has a row that is not
+    a list of d_j cells."""
     binary_doc = doc.get("binary", [])
     if not isinstance(binary_doc, list):
         raise ParseError("'binary' must be a list of pair entries")
-    layout = OneHotLayout(domains)
-    tables, ranked = {}, None
-    try:
-        for k, entry in enumerate(binary_doc):
-            if not isinstance(entry, dict):
-                raise ParseError(f"binary[{k}] must be an object")
-            unknown = set(entry) - {"i", "j", "table"}
-            if unknown:
-                raise ParseError(f"binary[{k}]: unknown keys {sorted(unknown)}")
-            try:
-                i, j, table = entry["i"], entry["j"], entry["table"]
-            except KeyError as exc:
-                raise ParseError(f"binary[{k}]: missing key {exc.args[0]!r}") from None
-            for name, v in (("i", i), ("j", j)):
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ParseError(f"binary[{k}].{name} must be an integer")
-            if not 1 <= i < j <= r:
-                raise ParseError(f"binary[{k}]: pair ({i},{j}) must satisfy 1 <= i < j <= r")
-            if (i - 1, j - 1) in tables:
-                raise ParseError(f"binary[{k}]: duplicate pair ({i},{j})")
-            di, dj = domains[i - 1], domains[j - 1]
-            if not isinstance(table, list) or len(table) != di:
-                raise ParseError(f"binary[{k}]: table must have {di} rows")
-            tables[(i - 1, j - 1)] = table
-            if set(map(type, table)) != {list} or set(map(len, table)) != {dj}:
-                break           # read again below
-        else:
-            ranked = _rank_tables(layout, tables, lambda v: _decode_value(v).raw,
-                                  screened)
-    except ParseError:
-        _parse_tables(tables, domains)   # an earlier entry's bad cell comes first
-        raise
-    if ranked is None:
-        _parse_tables(tables, domains)
-        raise InvariantError("_rank_tables or a row check refused tables that parse cell by cell")
-
-    inst = object.__new__(Instance)
-    inst._init(tuple(domains), tuple(unary), tables, layout, *ranked)
-    return inst
+    for k, entry in enumerate(binary_doc):
+        if not isinstance(entry, dict):
+            raise ParseError(f"binary[{k}] must be an object")
+        unknown = set(entry) - {"i", "j", "table"}
+        if unknown:
+            raise ParseError(f"binary[{k}]: unknown keys {sorted(unknown)}")
+        try:
+            i, j, table = entry["i"], entry["j"], entry["table"]
+        except KeyError as exc:
+            raise ParseError(f"binary[{k}]: missing key {exc.args[0]!r}") from None
+        for name, v in (("i", i), ("j", j)):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ParseError(f"binary[{k}].{name} must be an integer")
+        if not 1 <= i < j <= r:
+            raise ParseError(f"binary[{k}]: pair ({i},{j}) must satisfy 1 <= i < j <= r")
+        if (i - 1, j - 1) in tables:
+            raise ParseError(f"binary[{k}]: duplicate pair ({i},{j})")
+        di, dj = domains[i - 1], domains[j - 1]
+        if (not (type(table) is int and table == k) if placeholders
+                else not isinstance(table, list) or len(table) != di):
+            raise ParseError(f"binary[{k}]: table must have {di} rows")
+        tables[(i - 1, j - 1)] = table
+        if not placeholders and (set(map(type, table)) != {list}
+                                 or set(map(len, table)) != {dj}):
+            return False        # read again by the caller
+    return True
 
 
 # The deepest nesting of a document either parser accepts: a table row,
@@ -684,6 +739,201 @@ def _parse_json(text, build, screened_build=None):
     return build(doc)
 
 
+# ---------------------------------------------------------------------------
+# The text reader of parse_instance: a document whose pair tables are all
+# arrays of integer tokens has them read from its text by numpy, and only
+# the rest of it, the skeleton, decoded by orjson.
+
+_WS = b" \t\n\r"
+_DIGITS = b"0123456789"
+_TO_ZEROS = bytes.maketrans(_DIGITS, b"0" * 10)
+# The most digits a cell may have: 10**18 - 1 < 2**63.
+_MAX_DIGITS = 18
+
+
+def _cut_tables(data):
+    """(skeleton, spans) for the JSON text data, or None.
+
+    Each "table" key's span runs from just after the key to the last "]"
+    before the next quote or "}": its value, when that is an array of
+    arrays of numbers.  The skeleton is data with span k replaced by ":k".
+    None when data has no "table" key, or a span is followed by anything
+    but whitespace and commas, as a table with a string is.  A skeleton
+    with a backslash is left to json.loads by _fast_loads, so in a
+    skeleton it decodes every quote starts or ends a string, and a "table"
+    followed by ":" is a key.
+    """
+    spans, parts, prev = [], [], 0
+    key = data.find(b'"table"')
+    while key >= 0:
+        start = key + 7
+        stop = data.find(b'"', start)
+        if stop < 0:
+            stop = len(data)
+        brace = data.find(b"}", start, stop)
+        if brace >= 0:
+            stop = brace
+        end = data.rfind(b"]", start, stop) + 1
+        if not end or data[end:stop].strip(_WS + b","):
+            return None
+        parts += (data[prev:start], b":%d" % len(spans))
+        spans.append((start, end))
+        prev = end
+        key = data.find(b'"table"', stop)
+    if not spans:
+        return None
+    parts.append(data[prev:])
+    return b"".join(parts), spans
+
+
+def _template(di: int, dj: int, width: int) -> bytes:
+    """The compact text of a span of a di x dj table (":" and its array)
+    with every cell width zeros."""
+    row = b"[" + b",".join([b"0" * width] * dj) + b"]"
+    return b":[" + b",".join([row] * di) + b"]"
+
+
+def _cell_tokens(seg: bytes, shapes: list, templates: dict):
+    """The integer tokens of seg, the spans of tables of these shapes one
+    after the other, as _cell_values reads them: (v, starts, lens, width),
+    v the bytes of seg without whitespace less 48 (a digit's value; every
+    other byte is 10 or more), starts and lens each token's place in v,
+    width the longest token's length; starts and lens are None when every
+    token has width digits and v holds only the digits.  None unless each
+    span is a JSON array of its shape's rows of nonnegative integer tokens
+    of at most _MAX_DIGITS digits.
+
+    With its whitespace deleted, a span must have a token in every cell's
+    place of the compact template and nowhere else; no token of two or more
+    digits may start with 0; and whitespace may not split a token, so seg
+    must hold as many runs of digits as cells.
+    """
+    def template(width):
+        out = []
+        for s in shapes:
+            if (*s, width) not in templates:
+                templates[(*s, width)] = _template(*s, width)
+            out.append(templates[(*s, width)])
+        return b"".join(out)
+
+    cells = sum(di * dj for di, dj in shapes)
+    stripped = seg.translate(None, _WS)
+    width, extra = divmod(len(stripped) - sum(2 + di * (dj + 2) for di, dj in shapes), cells)
+    if (extra == 0 and 0 < width <= _MAX_DIGITS
+            and stripped.translate(_TO_ZEROS) == template(width)):
+        v = np.frombuffer(stripped.translate(None, b":[],"), np.uint8) - 48
+        if width > 1 and not v[::width].all():
+            return None
+        starts = lens = None
+    else:
+        tmpl = template(0)
+        if stripped.translate(None, _DIGITS) != tmpl:
+            return None
+        v = np.frombuffer(stripped, np.uint8) - 48
+        marks = np.flatnonzero(v >= 10)
+        t = np.frombuffer(tmpl, np.uint8)
+        slot = (t[:-1] != ord("]")) & (t[1:] != ord("["))   # after "[" or ",", before "," or "]"
+        lens = np.diff(marks)[slot] - 1
+        if lens.min() < 1 or lens.sum() != len(stripped) - len(tmpl):
+            return None
+        starts = marks[:-1][slot] + 1
+        width = int(lens.max())
+        if width > _MAX_DIGITS or ((v[starts] == 0) & (lens > 1)).any():
+            return None
+    if width > 1 and len(stripped) < len(seg):
+        digit = (np.frombuffer(seg, np.uint8) - 48) < 10
+        if np.count_nonzero(digit[1:] > digit[:-1]) != cells:
+            return None
+    return v, starts, lens, width
+
+
+def _cell_values(v, starts, lens, width: int):
+    """The values of the tokens _cell_tokens found, in order, in the
+    narrowest unsigned dtype that holds width digits."""
+    dtype = np.min_scalar_type(10 ** width - 1)
+    if starts is None:
+        digits = v.reshape(-1, width)
+        values = digits[:, 0].astype(dtype)
+        for k in range(1, width):
+            values *= 10
+            values += digits[:, k]
+        return values
+    values = v[starts].astype(dtype)
+    for k in range(1, width):
+        more = np.flatnonzero(lens > k)
+        values[more] = values[more] * 10 + v[starts[more] + k]
+    return values
+
+
+def _read_instance(text):
+    """parse_instance(text) read from the text, or None to leave text to the
+    whole-document route (_parse_json), which gives every error message.
+
+    The tables' spans are cut out (_cut_tables) and the skeleton decoded
+    (_fast_loads); its header, unary rows and entries are checked as
+    instance_from_dict checks them, each entry's table being its span's
+    placeholder.  Then each span is checked against its shape and read
+    (_cell_tokens, _cell_values), _CHUNK_CELLS cells at a time (a larger
+    table alone), and the cells ranked (_rank).  Any defect declines, with
+    one exception: a document whose skeleton is too large for
+    MAX_RANK_BYTES raises that ParseError once its spans pass their
+    checks, which read no cell, since the whole text is then valid JSON and
+    the route would raise it too.
+    """
+    if type(text) is str:
+        data = text.encode("utf-8", "surrogatepass")   # orjson then refuses them
+    elif type(text) is bytes or type(text) is bytearray:
+        data = text
+    else:
+        return None
+    cut = _cut_tables(data)
+    if cut is None:
+        return None
+    skeleton, spans = cut
+    doc = _fast_loads(skeleton)
+    if doc is None:
+        return None
+    tables, too_large = {}, None
+    try:
+        r, domains = _header(doc)
+        try:
+            _check_size(sum(domains))
+        except ValueError as exc:
+            too_large = ParseError(str(exc))
+        else:
+            unary = _unary(doc, r, domains)
+        _entries(doc, r, domains, tables, True)
+    except ParseError:
+        return None
+    flats, templates, chunks = [], {}, []
+    for (i, j), (start, end) in zip(tables, spans):
+        di, dj = domains[i], domains[j]
+        if 2 + di * (2 * dj + 2) > end - start:    # too short for one digit a cell
+            return None
+        size = di * dj
+        if chunks and filled + size <= _CHUNK_CELLS:
+            chunks[-1].append(((i, j), (start, end)))
+            filled += size
+        else:
+            chunks.append([((i, j), (start, end))])
+            filled = size
+    for chunk in chunks:
+        seg = b"".join([data[start:end] for _, (start, end) in chunk])
+        tokens = _cell_tokens(seg, [(domains[i], domains[j]) for (i, j), _ in chunk], templates)
+        if tokens is None:
+            return None
+        if too_large is None:
+            flats.append(([pair for pair, _ in chunk], _cell_values(*tokens)))
+    if too_large is not None:
+        raise too_large
+    del data, skeleton, doc, chunks, templates, tokens   # before ranks is allocated
+    layout = OneHotLayout(domains)
+    ranked = _rank(layout, flats, [], int, tables)
+    if ranked is None:
+        return None
+    return _new_instance(domains, unary, tables, layout, ranked)
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the JSON instance format from a str, bytes or bytearray.
     Raises ParseError on any defect, with the message and result
@@ -691,6 +941,9 @@ def parse_instance(text: str) -> Instance:
     when it reads it the same way, and a text whose numbers are all
     integer tokens, with no true, false or null, has its tables checked
     for int cells by their sums (see _parse_json and _int_text)."""
+    inst = _read_instance(text)
+    if inst is not None:
+        return inst
     return _parse_json(text, instance_from_dict, lambda doc: _instance_from_doc(doc, True))
 
 

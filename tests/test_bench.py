@@ -31,8 +31,9 @@ def test_bench_writes_every_stage(tmp_path, monkeypatch):
     shape = doc["shapes"]["r3"]
     assert (shape["r"], shape["n"], shape["status"]) == (3, 7, "optimal")
     stages = shape["seconds"]
-    for stage in ("json_loads", "decode", "parse_instance", "forest", "parse_forest", "solve",
-                  "end_to_end", "solve.forest", "solve.check", "solve.ssp"):
+    for stage in ("json_loads", "decode", "parse_instance", "parse_instance.indent2", "forest",
+                  "parse_forest", "solve", "end_to_end", "solve.forest", "solve.check",
+                  "solve.ssp"):
         s = stages[stage]
         assert len(s["runs"]) == 2 and s["min"] <= s["median"] <= s["max"]
     assert shape["parse_peak_mb"] > 0
@@ -68,9 +69,9 @@ def test_bench_times_a_parent_alternately(tmp_path, monkeypatch):
     for side in ("change", "parent"):
         got = shape[side]
         assert got["status"] == "optimal" and got["counters"]["kernel_dtype"] == "int64"
-        for stage in ("json_loads", "decode", "parse_instance", "forest", "solve", "end_to_end",
-                      "solve.forest", "solve.ssp", "matrix.decode", "matrix.complete",
-                      "matrix.end_to_end"):
+        for stage in ("json_loads", "decode", "parse_instance", "parse_instance.indent2",
+                      "forest", "solve", "end_to_end", "solve.forest", "solve.ssp",
+                      "matrix.decode", "matrix.complete", "matrix.end_to_end"):
             s = got["seconds"][stage]
             assert len(s["runs"]) == 2 and s["min"] <= s["median"] <= s["max"]
         assert got["parse_peak_mb"] > 0 and got["solve_alloc_peak_mb"] > 0
