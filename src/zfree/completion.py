@@ -38,10 +38,11 @@ shares the partial matrix's pool.  pipeline builds the same structure over
 the cross-variable pairs of an instance; the same fill makes its
 relaxation.
 
-parse_partial_matrix decodes its text as parse_instance does (orjson, with
-json.loads as the exact fallback), then checks a well-formed entries list
-in bulk (exact int indices as int64 arrays, repeated pairs by flat index,
-each distinct value decoded once) and writes ranks and pool directly.  A
+parse_partial_matrix decodes its text as parse_instance decodes a text it
+does not read itself (orjson, with json.loads as the exact fallback), then
+checks a well-formed entries list in bulk (exact int indices as int64
+arrays, repeated pairs by flat index, each distinct value decoded once)
+and writes ranks and pool directly.  A
 list with any defect is read again entry by entry, which raises the
 ParseError for its first defect, so the messages do not depend on the fast
 path.  dump_matrix writes the same bytes as json.dumps, with or without
@@ -588,8 +589,8 @@ def parse_partial_matrix(text: str) -> PartialMatrix:
     """Parse the JSON partial matrix format from a str, bytes or bytearray.
     Raises ParseError on defects.
 
-    The text is decoded the way parse_instance decodes an instance
-    (instance._parse_json: orjson, and json.loads for every error and for
+    The text is decoded the way parse_instance decodes a document it does
+    not read itself (instance._parse_json: orjson, and json.loads for every error and for
     what orjson reads differently), so the result and every message are
     those of the json.loads document."""
     return _parse_json(text, _matrix_from_dict)

@@ -25,22 +25,29 @@ tables from the two on first use and cache them, for the exhaustive
 oracles, the JSON writer and other callers.
 
 Instance() and instance_from_dict fill ranks and pool in one pass over the
-pair tables (_rank_tables), each with its own cell decoder: int tables are
-read together as int64 in batches of _CHUNK_CELLS cells, each distinct cell
-of the others is decoded once, and one lookup, applied in bands of about
-_CHUNK_CELLS cells, turns every cell into its rank; at n = 126 that is one
-read and one band.  Which tables are int tables is read from each cell's
-type, except in a document parse_instance decoded with orjson whose text
-passes a screen (_int_text: no number but integer tokens, no true, false or
-null), where a table's sum is an int exactly when its cells are.
-parse_instance decodes the text with orjson, json.loads as the fallback
-(_parse_json), and the unary rows together.  Rows or tables with a defect
-are read again cell by cell only to raise the ParseError for the first
-defect in document order, so the messages do not depend on the fast paths.
+pair tables (_rank_tables, then _rank), each with its own cell decoder: int
+tables are read together as int64 in batches of _CHUNK_CELLS cells, each
+distinct cell of the others is decoded once, and one lookup, made from the
+int cells themselves, gives every cell its rank before any block of ranks
+is written.  Which tables are int tables is read from each cell's type,
+except in a document parse_instance decoded with orjson whose text passes a
+screen (_int_text: no number but integer tokens, no true, false or null),
+where a table's sum is an int exactly when its cells are.
+
+parse_instance first reads the text itself (_read_instance): when every
+"table" value is an array of integer tokens, the tables' texts are cut out,
+orjson decodes the rest (the skeleton), and numpy reads each table's digits
+into its cells, so such a document gets no Python object per cell or per
+table row.  Any other text is decoded whole, by orjson with json.loads as
+the fallback (_parse_json).  Either way the unary rows are decoded
+together.  Rows or tables with a defect are read again cell by cell only to
+raise the ParseError for the first defect in document order, so the
+messages do not depend on the fast paths.
 
 MAX_RANK_BYTES caps the 4 n^2 bytes of ranks.  A larger instance is refused
 before anything is allocated: parse_instance raises ParseError as soon as
-"domains" is read, the constructor ValueError.
+"domains" is read (by the text reader, before any table cell is read), the
+constructor ValueError.
 """
 
 from __future__ import annotations
@@ -709,7 +716,8 @@ def _int_text(text) -> bool:
 
 def _parse_json(text, build, screened_build=None):
     """build(doc) for the JSON document in text (str, bytes or bytearray),
-    the one decoding path of parse_instance and parse_partial_matrix.
+    the whole-document decoding path of parse_partial_matrix and of
+    parse_instance (for a text _read_instance leaves to it).
 
     The document comes from orjson when _fast_loads gives one and build
     accepts it; screened_build, when given, builds it instead when its text
@@ -758,10 +766,10 @@ def _cut_tables(data):
     before the next quote or "}": its value, when that is an array of
     arrays of numbers.  The skeleton is data with span k replaced by ":k".
     None when data has no "table" key, or a span is followed by anything
-    but whitespace and commas, as a table with a string is.  A skeleton
-    with a backslash is left to json.loads by _fast_loads, so in a
-    skeleton it decodes every quote starts or ends a string, and a "table"
-    followed by ":" is a key.
+    but whitespace and commas, as a table with a string is.  _fast_loads
+    leaves a skeleton with a backslash to json.loads, so in every skeleton
+    it decodes each quote starts or ends a string, and a "table" followed
+    by ":" is a key.
     """
     spans, parts, prev = [], [], 0
     key = data.find(b'"table"')
@@ -937,10 +945,13 @@ def _read_instance(text):
 def parse_instance(text: str) -> Instance:
     """Parse the JSON instance format from a str, bytes or bytearray.
     Raises ParseError on any defect, with the message and result
-    instance_from_dict(json.loads(text)) gives; orjson decodes the text
-    when it reads it the same way, and a text whose numbers are all
-    integer tokens, with no true, false or null, has its tables checked
-    for int cells by their sums (see _parse_json and _int_text)."""
+    instance_from_dict(json.loads(text)) gives.  A text whose pair tables
+    are all arrays of integer tokens of at most 18 digits is read by
+    _read_instance: orjson decodes it without its tables, whose cells numpy
+    reads from the text.  Any other text is decoded whole, by orjson when
+    it reads it the same way, and a text whose numbers are all integer
+    tokens, with no true, false or null, has its tables checked for int
+    cells by their sums (see _parse_json and _int_text)."""
     inst = _read_instance(text)
     if inst is not None:
         return inst
