@@ -259,7 +259,8 @@ def _rank(layout: "OneHotLayout", flats: list, other: list, raw_of, pairs):
     for batch, sizes, flat in kept:
         got, start = np.take(lookup, flat), 0
         for (i, j), size in zip(batch, sizes):
-            block(i, j)[...] = got[start:start + size].reshape(dom[i], dom[j])
+            ranks[off[i]:off[i + 1], off[j]:off[j + 1]] = got[start:start + size].reshape(
+                dom[i], dom[j])
             start += size
     del kept, flats
     if raws:
@@ -753,6 +754,7 @@ def _parse_json(text, build, screened_build=None):
 # the rest of it, the skeleton, decoded by orjson.
 
 _WS = b" \t\n\r"
+_WS_COMMA = _WS + b","
 _DIGITS = b"0123456789"
 _TO_ZEROS = bytes.maketrans(_DIGITS, b"0" * 10)
 # The most digits a cell may have: 10**18 - 1 < 2**63.
@@ -771,37 +773,41 @@ def _cut_tables(data):
     it decodes each quote starts or ends a string, and a "table" followed
     by ":" is a key.
     """
+    find, rfind = data.find, data.rfind
     spans, parts, prev = [], [], 0
-    key = data.find(b'"table"')
+    key = find(b'"table"')
     while key >= 0:
         start = key + 7
-        stop = data.find(b'"', start)
+        stop = find(b'"', start)
         if stop < 0:
             stop = len(data)
-        brace = data.find(b"}", start, stop)
+        brace = find(b"}", start, stop)
         if brace >= 0:
             stop = brace
-        end = data.rfind(b"]", start, stop) + 1
-        if not end or data[end:stop].strip(_WS + b","):
+        end = rfind(b"]", start, stop) + 1
+        if not end or data[end:stop].strip(_WS_COMMA):
             return None
         parts += (data[prev:start], b":%d" % len(spans))
         spans.append((start, end))
         prev = end
-        key = data.find(b'"table"', stop)
+        key = find(b'"table"', stop)
     if not spans:
         return None
     parts.append(data[prev:])
     return b"".join(parts), spans
 
 
-def _template(di: int, dj: int, width: int) -> bytes:
-    """The compact text of a span of a di x dj table (":" and its array)
-    with every cell width zeros."""
-    row = b"[" + b",".join([b"0" * width] * dj) + b"]"
-    return b":[" + b",".join([row] * di) + b"]"
+def _template(shapes: list, width: int) -> bytes:
+    """The compact text of the spans of tables of these shapes one after
+    the other, each ":" and its array, with every cell width zeros."""
+    texts = {}
+    for di, dj in set(shapes):
+        row = b"[" + b",".join([b"0" * width] * dj) + b"]"
+        texts[di, dj] = b":[" + b",".join([row] * di) + b"]"
+    return b"".join([texts[shape] for shape in shapes])
 
 
-def _cell_tokens(seg: bytes, shapes: list, templates: dict):
+def _cell_tokens(seg: bytes, shapes: list):
     """The integer tokens of seg, the spans of tables of these shapes one
     after the other, as _cell_values reads them: (v, starts, lens, width),
     v the bytes of seg without whitespace less 48 (a digit's value; every
@@ -816,42 +822,41 @@ def _cell_tokens(seg: bytes, shapes: list, templates: dict):
     digits may start with 0; and whitespace may not split a token, so seg
     must hold as many runs of digits as cells.
     """
-    def template(width):
-        out = []
-        for s in shapes:
-            if (*s, width) not in templates:
-                templates[(*s, width)] = _template(*s, width)
-            out.append(templates[(*s, width)])
-        return b"".join(out)
-
     cells = sum(di * dj for di, dj in shapes)
     stripped = seg.translate(None, _WS)
     width, extra = divmod(len(stripped) - sum(2 + di * (dj + 2) for di, dj in shapes), cells)
-    if (extra == 0 and 0 < width <= _MAX_DIGITS
-            and stripped.translate(_TO_ZEROS) == template(width)):
-        v = np.frombuffer(stripped.translate(None, b":[],"), np.uint8) - 48
-        if width > 1 and not v[::width].all():
-            return None
-        starts = lens = None
-    else:
-        tmpl = template(0)
-        if stripped.translate(None, _DIGITS) != tmpl:
-            return None
-        v = np.frombuffer(stripped, np.uint8) - 48
-        marks = np.flatnonzero(v >= 10)
-        t = np.frombuffer(tmpl, np.uint8)
-        slot = (t[:-1] != ord("]")) & (t[1:] != ord("["))   # after "[" or ",", before "," or "]"
-        lens = np.diff(marks)[slot] - 1
-        if lens.min() < 1 or lens.sum() != len(stripped) - len(tmpl):
-            return None
-        starts = marks[:-1][slot] + 1
-        width = int(lens.max())
-        if width > _MAX_DIGITS or ((v[starts] == 0) & (lens > 1)).any():
-            return None
-    if width > 1 and len(stripped) < len(seg):
+    uniform = (extra == 0 and 0 < width <= _MAX_DIGITS
+               and stripped.translate(_TO_ZEROS) == _template(shapes, width))
+    if (width > 1 or not uniform) and len(stripped) < len(seg):
         digit = (np.frombuffer(seg, np.uint8) - 48) < 10
         if np.count_nonzero(digit[1:] > digit[:-1]) != cells:
             return None
+    del seg             # the caller holds no other reference to it
+    if uniform:
+        v = np.frombuffer(stripped.translate(None, b":[],"), np.uint8) - 48
+        if width > 1 and not v[::width].all():
+            return None
+        return v, None, None, width
+    tmpl = _template(shapes, 0)
+    if stripped.translate(None, _DIGITS) != tmpl:
+        return None
+    v = np.frombuffer(stripped, np.uint8) - 48
+    digits = len(stripped) - len(tmpl)
+    del stripped
+    # int32 positions: under MAX_RANK_BYTES a chunk's text is below 2**31 bytes.
+    marks = np.flatnonzero(v >= 10).astype(np.int32)
+    t = np.frombuffer(tmpl, np.uint8)
+    slot = (t[:-1] != ord("]")) & (t[1:] != ord("["))   # after "[" or ",", before "," or "]"
+    lens = np.diff(marks)[slot]     # in place from here: a chunk's arrays
+    lens -= 1                        # are the largest beside ranks
+    if lens.min() < 1 or lens.sum() != digits:
+        return None
+    starts = marks[:-1][slot]
+    del marks
+    starts += 1
+    width = int(lens.max())
+    if width > _MAX_DIGITS or ((v[starts] == 0) & (lens > 1)).any():
+        return None
     return v, starts, lens, width
 
 
@@ -913,28 +918,25 @@ def _read_instance(text):
         _entries(doc, r, domains, tables, True)
     except ParseError:
         return None
-    flats, templates, chunks = [], {}, []
-    for (i, j), (start, end) in zip(tables, spans):
-        di, dj = domains[i], domains[j]
-        if 2 + di * (2 * dj + 2) > end - start:    # too short for one digit a cell
-            return None
-        size = di * dj
-        if chunks and filled + size <= _CHUNK_CELLS:
-            chunks[-1].append(((i, j), (start, end)))
-            filled += size
-        else:
-            chunks.append([((i, j), (start, end))])
-            filled = size
-    for chunk in chunks:
-        seg = b"".join([data[start:end] for _, (start, end) in chunk])
-        tokens = _cell_tokens(seg, [(domains[i], domains[j]) for (i, j), _ in chunk], templates)
-        if tokens is None:
-            return None
-        if too_large is None:
-            flats.append(([pair for pair, _ in chunk], _cell_values(*tokens)))
+    pairs = list(tables)
+    shapes = [(domains[i], domains[j]) for i, j in pairs]
+    if any(2 + di * (2 * dj + 2) > end - start       # too short for a digit a cell
+           for (di, dj), (start, end) in zip(shapes, spans)):
+        return None
+    flats, first, filled = [], 0, 0
+    for k, (di, dj) in enumerate(shapes + [(_CHUNK_CELLS, 1)]):
+        if k > first and filled + di * dj > _CHUNK_CELLS:    # chunk first:k is full
+            tokens = _cell_tokens(b"".join([data[start:end] for start, end in spans[first:k]]),
+                                  shapes[first:k])
+            if tokens is None:
+                return None
+            if too_large is None:
+                flats.append((pairs[first:k], _cell_values(*tokens)))
+            first, filled = k, 0
+        filled += di * dj
     if too_large is not None:
         raise too_large
-    del data, skeleton, doc, chunks, templates, tokens   # before ranks is allocated
+    del data, skeleton, doc, tokens   # before ranks is allocated
     layout = OneHotLayout(domains)
     ranked = _rank(layout, flats, [], int, tables)
     if ranked is None:

@@ -167,6 +167,8 @@ DOCUMENTS = [
     ("unary inf", json.dumps(BASE).replace('"1/2"', '"inf"'), False),
     ("r too large", json.dumps(BASE).replace('"r": 4', '"r": 5'), False),
     ("huge domain", json.dumps(BASE).replace("[2, 3, 1, 1]", f"[2, {2**63 - 1}, 1, 1]"), False),
+    ("huge domain, compact", json.dumps(BASE, separators=(",", ":")).replace(
+        "[2,3,1,1]", f"[2,{2**63 - 1},1,1]"), False),
     ("trailing garbage", json.dumps(BASE) + "x", False),
     ("BOM", "﻿" + json.dumps(BASE), False),
 ]
