@@ -918,6 +918,8 @@ def _read_instance(text):
         _entries(doc, r, domains, tables, True)
     except ParseError:
         return None
+    if not tables:      # every span was dropped, as a repeated "binary" key drops one
+        return None
     pairs = list(tables)
     shapes = [(domains[i], domains[j]) for i, j in pairs]
     if any(2 + di * (2 * dj + 2) > end - start       # too short for a digit a cell

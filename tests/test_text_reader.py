@@ -160,6 +160,7 @@ DOCUMENTS = [
      json.dumps({k: BASE[k] for k in ("binary", "r", "domains", "unary")}), True),
     ("repeated binary", json.dumps(BASE)[:-1] + ', "binary": ' + json.dumps(BASE["binary"]) + "}",
      False),
+    ("repeated binary, the last empty", json.dumps(BASE)[:-1] + ', "binary": []}', False),
     ("repeated pair", json.dumps(BASE).replace('"i": 3, "j": 4', '"i": 1, "j": 2'), False),
     ("unknown entry key", json.dumps(BASE).replace('"i": 3,', '"i": 3, "x": 1,'), False),
     ("omitted tables", json.dumps({**BASE, "binary": BASE["binary"][:1]}), True),
