@@ -615,6 +615,10 @@ def _unary(doc, r, domains) -> list:
     return unary
 
 
+# The keys a binary entry may have.
+_ENTRY_KEYS = frozenset(("i", "j", "table"))
+
+
 def _entries(doc, r, domains, tables: dict, placeholders: bool) -> bool:
     """Check a document's binary entries in order, putting each one's table
     into tables under its 0-based pair, or raise the ParseError of the
@@ -630,27 +634,27 @@ def _entries(doc, r, domains, tables: dict, placeholders: bool) -> bool:
     for k, entry in enumerate(binary_doc):
         if not isinstance(entry, dict):
             raise ParseError(f"binary[{k}] must be an object")
-        unknown = set(entry) - {"i", "j", "table"}
-        if unknown:
-            raise ParseError(f"binary[{k}]: unknown keys {sorted(unknown)}")
+        if not entry.keys() <= _ENTRY_KEYS:
+            raise ParseError(f"binary[{k}]: unknown keys {sorted(entry.keys() - _ENTRY_KEYS)}")
         try:
             i, j, table = entry["i"], entry["j"], entry["table"]
         except KeyError as exc:
             raise ParseError(f"binary[{k}]: missing key {exc.args[0]!r}") from None
-        for name, v in (("i", i), ("j", j)):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ParseError(f"binary[{k}].{name} must be an integer")
+        if type(i) is not int or type(j) is not int:
+            for name, v in (("i", i), ("j", j)):
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ParseError(f"binary[{k}].{name} must be an integer")
         if not 1 <= i < j <= r:
             raise ParseError(f"binary[{k}]: pair ({i},{j}) must satisfy 1 <= i < j <= r")
-        if (i - 1, j - 1) in tables:
+        pair = (i - 1, j - 1)
+        if pair in tables:
             raise ParseError(f"binary[{k}]: duplicate pair ({i},{j})")
-        di, dj = domains[i - 1], domains[j - 1]
         if (not (type(table) is int and table == k) if placeholders
-                else not isinstance(table, list) or len(table) != di):
-            raise ParseError(f"binary[{k}]: table must have {di} rows")
-        tables[(i - 1, j - 1)] = table
+                else not isinstance(table, list) or len(table) != domains[i - 1]):
+            raise ParseError(f"binary[{k}]: table must have {domains[i - 1]} rows")
+        tables[pair] = table
         if not placeholders and (set(map(type, table)) != {list}
-                                 or set(map(len, table)) != {dj}):
+                                 or set(map(len, table)) != {domains[j - 1]}):
             return False        # read again by the caller
     return True
 
@@ -778,15 +782,18 @@ def _cut_tables(data):
     key = find(b'"table"')
     while key >= 0:
         start = key + 7
-        stop = find(b'"', start)
-        if stop < 0:
+        stop = find(b"}", start)
+        quote = find(b'"', start, len(data) if stop < 0 else stop)
+        if quote >= 0:
+            stop = quote
+        elif stop < 0:
             stop = len(data)
-        brace = find(b"}", start, stop)
-        if brace >= 0:
-            stop = brace
-        end = rfind(b"]", start, stop) + 1
-        if not end or data[end:stop].strip(_WS_COMMA):
-            return None
+        if data[stop - 1] == 93:       # "]"
+            end = stop
+        else:
+            end = rfind(b"]", start, stop) + 1
+            if not end or data[end:stop].strip(_WS_COMMA):
+                return None
         parts += (data[prev:start], b":%d" % len(spans))
         spans.append((start, end))
         prev = end
@@ -820,12 +827,16 @@ def _cell_tokens(seg: bytes, shapes: list):
     With its whitespace deleted, a span must have a token in every cell's
     place of the compact template and nowhere else; no token of two or more
     digits may start with 0; and whitespace may not split a token, so seg
-    must hold as many runs of digits as cells.
+    must hold as many runs of digits as cells.  Tokens of one width are
+    checked by one comparison with that width's template and read column by
+    column, which is faster than the general path's token positions.
     """
     cells = sum(di * dj for di, dj in shapes)
     stripped = seg.translate(None, _WS)
     width, extra = divmod(len(stripped) - sum(2 + di * (dj + 2) for di, dj in shapes), cells)
-    uniform = (extra == 0 and 0 < width <= _MAX_DIGITS
+    if width < 1:       # too short for a digit a cell; the templates below are then
+        return None     # no longer than stripped
+    uniform = (extra == 0 and width <= _MAX_DIGITS
                and stripped.translate(_TO_ZEROS) == _template(shapes, width))
     if (width > 1 or not uniform) and len(stripped) < len(seg):
         digit = (np.frombuffer(seg, np.uint8) - 48) < 10
@@ -885,9 +896,10 @@ def _read_instance(text):
     The tables' spans are cut out (_cut_tables) and the skeleton decoded
     (_fast_loads); its header, unary rows and entries are checked as
     instance_from_dict checks them, each entry's table being its span's
-    placeholder.  Then each span is checked against its shape and read
-    (_cell_tokens, _cell_values), _CHUNK_CELLS cells at a time (a larger
-    table alone), and the cells ranked (_rank).  Any defect declines, with
+    placeholder, and every span must be an entry's table (a repeated key
+    drops one), so that none goes unchecked.  Then each span is checked
+    against its shape and read (_cell_tokens, _cell_values), _CHUNK_CELLS
+    cells at a time (a larger table alone), and the cells ranked (_rank).  Any defect declines, with
     one exception: a document whose skeleton is too large for
     MAX_RANK_BYTES raises that ParseError once its spans pass their
     checks, which read no cell, since the whole text is then valid JSON and
@@ -918,13 +930,10 @@ def _read_instance(text):
         _entries(doc, r, domains, tables, True)
     except ParseError:
         return None
-    if not tables:      # every span was dropped, as a repeated "binary" key drops one
+    if len(tables) != len(spans):
         return None
     pairs = list(tables)
     shapes = [(domains[i], domains[j]) for i, j in pairs]
-    if any(2 + di * (2 * dj + 2) > end - start       # too short for a digit a cell
-           for (di, dj), (start, end) in zip(shapes, spans)):
-        return None
     flats, first, filled = [], 0, 0
     for k, (di, dj) in enumerate(shapes + [(_CHUNK_CELLS, 1)]):
         if k > first and filled + di * dj > _CHUNK_CELLS:    # chunk first:k is full

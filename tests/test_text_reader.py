@@ -18,9 +18,6 @@ import zfree.instance
 from zfree import (GenConfig, Instance, ParseError, dump_instance, generate_instance,
                    instance_from_dict, instance_to_dict, parse_instance)
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
 BASE = {"r": 4, "domains": [2, 3, 1, 1],
         "unary": [[0, "1/2"], [2, 0, 1], [3], [0]],
         "binary": [{"i": 1, "j": 2, "table": [[0, 1, 1], [1, 2, 1]]},
@@ -161,6 +158,14 @@ DOCUMENTS = [
     ("repeated binary", json.dumps(BASE)[:-1] + ', "binary": ' + json.dumps(BASE["binary"]) + "}",
      False),
     ("repeated binary, the last empty", json.dumps(BASE)[:-1] + ', "binary": []}', False),
+    ("table in a repeated unary, dropped", json.dumps(BASE)[:-1] + ', "unary": {"table": [[1]]}, '
+     '"unary": ' + json.dumps(BASE["unary"]) + "}", False),
+    ("invalid table in a repeated unary, dropped",
+     '{"r": 2, "domains": [1, 1], "unary": [[0], [0]], "binary": [{"i": 1, "j": 2, '
+     '"table": [[5]]}], "unary": {"table": [[1,,]]}, "unary": [[0], [0]]}', False),
+    ("invalid table in the unary of a document too large",
+     '{"r": 3, "domains": [1, 1, 16383], "unary": [[0], [0], [0]], "binary": [{"i": 1, "j": 2, '
+     '"table": [[5]]}], "unary": {"table": [[1,,]]}}', False),
     ("repeated pair", json.dumps(BASE).replace('"i": 3, "j": 4', '"i": 1, "j": 2'), False),
     ("unknown entry key", json.dumps(BASE).replace('"i": 3,', '"i": 3, "x": 1,'), False),
     ("omitted tables", json.dumps({**BASE, "binary": BASE["binary"][:1]}), True),
@@ -195,36 +200,6 @@ def test_the_cases_reach_accepted_and_refused_documents(monkeypatch):
     assert sum(isinstance(o[0], bytes) for o in outcomes) >= 8
     assert any(o[0] is ParseError and o[1].startswith("invalid JSON") for o in outcomes)
     assert any(o[0] is ParseError and "floats are not exact" in o[1] for o in outcomes)
-
-
-def _scaled(inst, scale, drop):
-    """inst's document with every finite pair cost times scale and the
-    tables whose index is in drop left out."""
-    doc = instance_to_dict(inst)
-    doc["binary"] = [{**e, "table": [[v if v == "inf" else v * scale if isinstance(v, int)
-                                      else v for v in row] for row in e["table"]]}
-                     for k, e in enumerate(doc.get("binary", [])) if k not in drop]
-    return doc
-
-
-@settings(max_examples=60, deadline=None)
-@given(r=st.integers(1, 5), dmax=st.integers(1, 5), seed=st.integers(0, 10**6),
-       inf_share=st.sampled_from([0.0, 0.5]),
-       scale=st.sampled_from([1, 3, 1237, 10**6 + 3, 2**40, 10**17]),
-       drop=st.sets(st.integers(0, 9), max_size=3))
-def test_generated_documents_read_as_json_loads_reads_them(r, dmax, seed, inf_share, scale,
-                                                           drop):
-    inst = generate_instance(GenConfig(r=r, dmax=dmax, seed=seed, inf_share=inf_share))
-    doc = _scaled(inst, scale, drop)
-    tables = [e["table"] for e in doc["binary"]]
-    # The reader takes tables of ints of at most 18 digits.
-    int_only = bool(tables) and all(type(v) is int and v < 10**18
-                                    for t in tables for row in t for v in row)
-    want = _outcome(instance_from_dict, doc)
-    assert isinstance(want[0], bytes)
-    for text in _texts(doc):
-        assert (zfree.instance._read_instance(text) is not None) is int_only
-        assert _outcome(parse_instance, text) == want
 
 
 def _perfbench_style():
