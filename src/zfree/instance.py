@@ -666,11 +666,21 @@ _MAX_DEPTH = 5
 _NOT_MARKS = bytes(range(256)).translate(None, b'[]{}"\\')
 
 
+def _utf8(text):
+    """text as the bytes orjson reads, or None when it is not a str, bytes or
+    bytearray (the types json.loads takes; orjson would also read a
+    memoryview).  A str's lone surrogates are kept, so orjson refuses them."""
+    if type(text) is str:
+        return text.encode("utf-8", "surrogatepass")
+    if type(text) is bytes or type(text) is bytearray:
+        return text
+    return None
+
+
 def _fast_loads(text):
     """The document orjson decodes from text, or None when text is left to
-    json.loads: text is not a str, bytes or bytearray (the types json.loads
-    takes; orjson would also read a memoryview), orjson refuses it, or its
-    nesting outside strings may pass _MAX_DEPTH.
+    json.loads: _utf8 gives None for it, orjson refuses it, or its nesting
+    outside strings may pass _MAX_DEPTH.
 
     The depth bound keeps orjson off deep documents: it has no depth limit
     and overflows the C stack on a million nested lists, where json.loads
@@ -682,11 +692,8 @@ def _fast_loads(text):
     as such; any other string leaves a quote or a backslash behind, and the
     text is then left to json.loads.
     """
-    if type(text) is str:
-        data = text.encode("utf-8", "surrogatepass")   # orjson then refuses them
-    elif type(text) is bytes or type(text) is bytearray:
-        data = text
-    else:
+    data = _utf8(text)
+    if data is None:
         return None
     brackets = data.translate(None, _NOT_MARKS).replace(b'""', b"")
     if b'"' in brackets or b"\\" in brackets:
@@ -722,7 +729,8 @@ def _int_text(text) -> bool:
 def _parse_json(text, build, screened_build=None):
     """build(doc) for the JSON document in text (str, bytes or bytearray),
     the whole-document decoding path of parse_partial_matrix and of
-    parse_instance (for a text _read_instance leaves to it).
+    parse_instance (for a text _read_instance leaves to it).  _fast_loads
+    and _int_text read one UTF-8 copy of a str, let go before build runs.
 
     The document comes from orjson when _fast_loads gives one and build
     accepts it; screened_build, when given, builds it instead when its text
@@ -735,12 +743,13 @@ def _parse_json(text, build, screened_build=None):
     from build on the json.loads document.  The two decoders agree on every
     other document, repeated keys included (the last one wins).
     """
-    doc = _fast_loads(text)
+    data = _utf8(text)
+    doc = _fast_loads(data)
+    screened = doc is not None and screened_build is not None and _int_text(data)
+    del data
     if doc is not None:
         try:
-            if screened_build is not None and _int_text(text):
-                return screened_build(doc)
-            return build(doc)
+            return screened_build(doc) if screened else build(doc)
         except ParseError:
             pass
     try:
@@ -905,11 +914,8 @@ def _read_instance(text):
     checks, which read no cell, since the whole text is then valid JSON and
     the route would raise it too.
     """
-    if type(text) is str:
-        data = text.encode("utf-8", "surrogatepass")   # orjson then refuses them
-    elif type(text) is bytes or type(text) is bytearray:
-        data = text
-    else:
+    data = _utf8(text)
+    if data is None:
         return None
     cut = _cut_tables(data)
     if cut is None:

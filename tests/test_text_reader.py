@@ -194,6 +194,18 @@ def test_a_table_with_a_string_is_declined_before_decoding():
     assert zfree.instance._cut_tables(json.dumps(BASE).encode()) is not None
 
 
+def test_a_declined_str_is_encoded_once_for_orjson_and_the_screen(monkeypatch):
+    text = json.dumps(BASE).replace(_TABLE, '[[0, "inf", 1], [1, 2, 1]]')
+    assert zfree.instance._read_instance(text) is None
+    seen = []
+    for name in ("_fast_loads", "_int_text"):
+        read = getattr(zfree.instance, name)
+        monkeypatch.setattr(zfree.instance, name,
+                            lambda data, read=read: seen.append(data) or read(data))
+    assert _outcome(parse_instance, text) == _outcome(instance_from_dict, json.loads(text))
+    assert len(seen) == 2 and type(seen[0]) is bytes and seen[1] is seen[0]
+
+
 def test_the_cases_reach_accepted_and_refused_documents(monkeypatch):
     outcomes = [_reference(monkeypatch, json.dumps(BASE).replace(_TABLE, table))
                 for _, table, _ in TABLES]
