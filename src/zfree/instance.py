@@ -908,11 +908,11 @@ def _read_instance(text):
     placeholder, and every span must be an entry's table (a repeated key
     drops one), so that none goes unchecked.  Then each span is checked
     against its shape and read (_cell_tokens, _cell_values), _CHUNK_CELLS
-    cells at a time (a larger table alone), and the cells ranked (_rank).  Any defect declines, with
-    one exception: a document whose skeleton is too large for
-    MAX_RANK_BYTES raises that ParseError once its spans pass their
-    checks, which read no cell, since the whole text is then valid JSON and
-    the route would raise it too.
+    cells at a time (a larger table alone), and the cells ranked (_rank).
+    Any defect declines, with one exception: a document whose skeleton is
+    too large for MAX_RANK_BYTES raises that ParseError once its spans pass
+    their checks, which read no cell, since the whole text is then valid
+    JSON and the route would raise it too.
     """
     data = _utf8(text)
     if data is None:
