@@ -33,7 +33,10 @@ perfbench writes it (dump_matrix without indent):
 
 The solve's SolveReport.counters (pool size, rounds, arcs by kind, search
 pops, kernel dtype) are recorded once per shape; they are the same in every
-run.
+run.  So is parse_route, the route parse_instance takes on the shape's text
+and on its indent=2 form ("reader" when instance._read_instance reads it
+from the text, "whole" when it is decoded whole), read with this file's
+tree, also with --parent.
 
 Runs are untraced.  A run makes PASSES passes over the stages in one
 process and keeps each stage's best, since contention only ever adds time
@@ -103,6 +106,10 @@ try:
     from zfree.instance import _fast_loads
 except ImportError:   # a parent tree from before the orjson decoder
     _fast_loads = None
+try:
+    from zfree.instance import _read_instance
+except ImportError:   # a tree from before the text reader
+    _read_instance = None
 
 SEED = 7
 RUNS = 5
@@ -279,10 +286,22 @@ def shape_texts(r: int, domains, inf_share: float, scale: int = 1):
     return dump_instance(source), matrix
 
 
+def parse_routes(text: str) -> dict | None:
+    """The route parse_instance takes on the text and on its indent=2 form,
+    by stage: "reader" (instance._read_instance takes it) or "whole" (it
+    is decoded whole); None for a tree without the reader."""
+    if _read_instance is None:
+        return None
+    return {stage: "reader" if _read_instance(t) is not None else "whole"
+            for stage, t in (("parse_instance", text),
+                             ("parse_instance.indent2", _indented(text)))}
+
+
 def _about(r, domains, inf_share, scale, text, matrix) -> dict:
     return {"r": r, "n": sum(domains), "domains": sorted(set(domains)),
             "inf_share": inf_share, "scale": scale, "json_bytes": len(text),
-            "matrix_json_bytes": None if matrix is None else len(matrix)}
+            "matrix_json_bytes": None if matrix is None else len(matrix),
+            "parse_route": parse_routes(text)}
 
 
 def _outcome(report) -> dict:

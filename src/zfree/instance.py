@@ -25,29 +25,26 @@ tables from the two on first use and cache them, for the exhaustive
 oracles, the JSON writer and other callers.
 
 Instance() and instance_from_dict fill ranks and pool in one pass over the
-pair tables (_rank_tables, then _rank), each with its own cell decoder: int
-tables are read together as int64 in batches of _CHUNK_CELLS cells, each
-distinct cell of the others is decoded once, and one lookup, made from the
-int cells themselves, gives every cell its rank before any block of ranks
-is written.  Which tables are int tables is read from each cell's type,
-except in a document parse_instance decoded with orjson whose text passes a
-screen (_int_text: no number but integer tokens, no true, false or null),
-where a table's sum is an int exactly when its cells are.
+pair tables (_rank_tables, then _rank), each with its own cell decoder: the
+tables whose cells are all of type int are read together as int64 in
+batches of _CHUNK_CELLS cells, each distinct cell of the others is decoded
+once, and one lookup, made from the int cells themselves, gives every cell
+its rank before any block of ranks is written.
 
-parse_instance first reads the text itself (_read_instance): when every
-"table" value is an array of integer tokens, the tables' texts are cut out,
-orjson decodes the rest (the skeleton), and numpy reads each table's digits
-into its cells, so such a document gets no Python object per cell or per
-table row.  Any other text is decoded whole, by orjson with json.loads as
-the fallback (_parse_json).  Either way the unary rows are decoded
-together.  Rows or tables with a defect are read again cell by cell only to
-raise the ParseError for the first defect in document order, so the
-messages do not depend on the fast paths.
+parse_instance first reads the text itself (_read_instance): the tables'
+texts are cut out and orjson decodes the rest (the skeleton); numpy reads
+the digits of each table of integer tokens, so such a table gets no Python
+object per cell or per row, and orjson decodes each table that holds
+strings on its own.  A text the reader declines is decoded whole, by orjson
+with json.loads as the fallback (_parse_json).  Either way the unary rows
+are decoded together.  Rows or tables with a defect are read again cell by
+cell only to raise the ParseError for the first defect in document order,
+so the messages do not depend on the fast paths.
 
 MAX_RANK_BYTES caps the 4 n^2 bytes of ranks.  A larger instance is refused
 before anything is allocated: parse_instance raises ParseError as soon as
-"domains" is read (by the text reader, before any table cell is read), the
-constructor ValueError.
+"domains" is read (the text reader checks the tables' texts first but
+ranks no cell), the constructor ValueError.
 """
 
 from __future__ import annotations
@@ -142,28 +139,13 @@ _LOOKUP_SIZE = 1 << 20
 _CHUNK_CELLS = 1 << 14
 
 
-def _all_int(table, size: int, screened: bool) -> bool:
-    """Whether every cell of table, size cells, is exactly an int.  In a
-    screened document (_int_text) a cell is an int, a float (orjson's for
-    an int token past 2**64), a str, a list or a dict, so the table's sum
-    is an int exactly when every cell is; else each cell's type is read."""
-    if not screened:
-        return countOf(map(type, chain.from_iterable(table)), int) == size
-    try:
-        return type(sum(map(sum, table))) is int
-    except TypeError:
-        return False
-
-
-def _rank_tables(layout: "OneHotLayout", tables: dict, raw_of, screened: bool):
+def _rank_tables(layout: "OneHotLayout", tables: dict, raw_of):
     """(ranks, pool) of an instance's pair tables, ranks read-only; None
     when a cell has a defect: raw_of raises on it, or its value is negative.
 
     tables maps pairs (i, j), i < j, to d_i x d_j lists of rows, shapes
     checked.  raw_of(cell) is a cell's raw value and keeps a raw value as
-    it is.  screened says the tables come from a document that passed
-    _int_text, so _all_int may sum a table instead of reading each cell's
-    type.  The int tables (every cell exactly int, since numpy reads True
+    it is.  The int tables (every cell's type int, since numpy reads True
     and 1.5 as 1) are read together as int64, _CHUNK_CELLS cells at a time
     (numpy before 2.0 wraps an int past int32 without an error); a batch
     past int64, and the other tables, go to _rank by their rows.
@@ -172,7 +154,7 @@ def _rank_tables(layout: "OneHotLayout", tables: dict, raw_of, screened: bool):
     batches, filled, other = [], 0, []
     for (i, j), table in tables.items():
         size = dom[i] * dom[j]
-        if not _all_int(table, size, screened):
+        if countOf(map(type, chain.from_iterable(table)), int) != size:
             other.append((i, j))
         elif batches and filled + size <= _CHUNK_CELLS:
             batches[-1].append((i, j))
@@ -358,7 +340,7 @@ class Instance:
         except (TypeError, ValueError):
             _check_cells(tables)    # an earlier table's defect comes first
             raise
-        ranked = _rank_tables(layout, tables, lambda v: ExtValue.of(v).raw, False)
+        ranked = _rank_tables(layout, tables, lambda v: ExtValue.of(v).raw)
         if ranked is None:
             _check_cells(tables)
             raise InvariantError("_rank_tables refused tables that pass cell by cell")
@@ -542,12 +524,6 @@ def instance_from_dict(doc) -> Instance:
     They are read again row by row and cell by cell only to raise the
     ParseError for the first defect in document order; a re-read that
     finds none raises InvariantError."""
-    return _instance_from_doc(doc, False)
-
-
-def _instance_from_doc(doc, screened: bool) -> Instance:
-    """instance_from_dict(doc); screened says doc was decoded from a text
-    that passed _int_text, which _rank_tables may rely on."""
     r, domains = _header(doc)
     try:
         _check_size(sum(domains))
@@ -558,7 +534,7 @@ def _instance_from_doc(doc, screened: bool) -> Instance:
     tables, ranked = {}, None
     try:
         if _entries(doc, r, domains, tables, False):
-            ranked = _rank_tables(layout, tables, lambda v: _decode_value(v).raw, screened)
+            ranked = _rank_tables(layout, tables, _raw)
     except ParseError:
         _parse_tables(tables, domains)   # an earlier entry's bad cell comes first
         raise
@@ -566,6 +542,11 @@ def _instance_from_doc(doc, screened: bool) -> Instance:
         _parse_tables(tables, domains)
         raise InvariantError("_rank_tables or a row check refused tables that parse cell by cell")
     return _new_instance(domains, unary, tables, layout, ranked)
+
+
+def _raw(cell):
+    """The raw value of a document's cell; ValueError for a cell with a defect."""
+    return _decode_value(cell).raw
 
 
 def _new_instance(domains, unary, tables, layout, ranked) -> Instance:
@@ -708,50 +689,28 @@ def _fast_loads(text):
         return None
 
 
-# The bytes a document may hold outside its strings and still pass
-# _int_text: digits, "-", ",", ":", brackets, braces and JSON whitespace.
-_INT_TEXT = b"0123456789-,:[]{} \t\n\r"
-
-
-def _int_text(text) -> bool:
-    """Whether text, which _fast_loads decoded, has no number but integer
-    tokens and no true, false or null.
-
-    On that route no string holds a backslash, so every quote starts or
-    ends a string.  Once the bytes of _INT_TEXT are removed, the pieces
-    between the quotes that lie outside strings must then be empty: no
-    letter, ".", "+" or other byte is left there.
-    """
-    data = text.encode() if type(text) is str else text
-    return not any(data.translate(None, _INT_TEXT).split(b'"')[::2])
-
-
-def _parse_json(text, build, screened_build=None):
+def _parse_json(text, build):
     """build(doc) for the JSON document in text (str, bytes or bytearray),
     the whole-document decoding path of parse_partial_matrix and of
-    parse_instance (for a text _read_instance leaves to it).  _fast_loads
-    and _int_text read one UTF-8 copy of a str, let go before build runs.
+    parse_instance (for a text _read_instance declines).
 
     The document comes from orjson when _fast_loads gives one and build
-    accepts it; screened_build, when given, builds it instead when its text
-    passes _int_text.  Otherwise json.loads decodes the text again and build
-    runs on that: so json.loads alone gives every error (invalid JSON,
-    nesting too deep, its TypeError for other input types) and decodes what
-    orjson does not read the same way (ints outside [-2**63, 2**64), which
-    orjson makes floats that every field refuses; lone surrogates; NaN,
-    Infinity and 1e400; a UTF-8 BOM in bytes), and every ParseError comes
-    from build on the json.loads document.  The two decoders agree on every
-    other document, repeated keys included (the last one wins).
+    accepts it.  Otherwise that document is let go, json.loads decodes the
+    text again and build runs on that: so json.loads alone gives every
+    error (invalid JSON, nesting too deep, its TypeError for other input
+    types) and decodes what orjson does not read the same way (ints outside
+    [-2**63, 2**64), which orjson makes floats that every field refuses;
+    lone surrogates; NaN, Infinity and 1e400; a UTF-8 BOM in bytes), and
+    every ParseError comes from build on the json.loads document.  The two
+    decoders agree on every other document, repeated keys included (the
+    last one wins).
     """
-    data = _utf8(text)
-    doc = _fast_loads(data)
-    screened = doc is not None and screened_build is not None and _int_text(data)
-    del data
+    doc = _fast_loads(text)
     if doc is not None:
         try:
-            return screened_build(doc) if screened else build(doc)
+            return build(doc)
         except ParseError:
-            pass
+            doc = None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -762,9 +721,9 @@ def _parse_json(text, build, screened_build=None):
 
 
 # ---------------------------------------------------------------------------
-# The text reader of parse_instance: a document whose pair tables are all
-# arrays of integer tokens has them read from its text by numpy, and only
-# the rest of it, the skeleton, decoded by orjson.
+# The text reader of parse_instance: a document's pair tables are cut out of
+# its text and the rest of it, the skeleton, decoded by orjson; numpy reads
+# the tables of integer tokens, orjson each of the others on its own.
 
 _WS = b" \t\n\r"
 _WS_COMMA = _WS + b","
@@ -775,34 +734,40 @@ _MAX_DIGITS = 18
 
 
 def _cut_tables(data):
-    """(skeleton, spans) for the JSON text data, or None.
+    """(skeleton, spans, quoted) for the JSON text data, or None.
 
-    Each "table" key's span runs from just after the key to the last "]"
-    before the next quote or "}": its value, when that is an array of
-    arrays of numbers.  The skeleton is data with span k replaced by ":k".
-    None when data has no "table" key, or a span is followed by anything
-    but whitespace and commas, as a table with a string is.  _fast_loads
-    leaves a skeleton with a backslash to json.loads, so in every skeleton
-    it decodes each quote starts or ends a string, and a "table" followed
-    by ":" is a key.
+    Each "table" key's span (start, end) runs from just after the key to
+    the last "]" before the next quote or "}": its value, when that is an
+    array of arrays of numbers and the quote is a key.  When no "]"
+    precedes the quote, or more than whitespace and commas lie between
+    them, the quote is a cell's: the span runs to the last "]" before the
+    "}" instead, and its index is put in quoted.  The skeleton is data with
+    span k replaced by ":k".  None when data has no "table" key, or a
+    quoted span has no "]".  _fast_loads leaves a skeleton with a backslash
+    to json.loads, so in every skeleton it decodes each quote starts or
+    ends a string, and a "table" followed by ":" is a key.
     """
     find, rfind = data.find, data.rfind
-    spans, parts, prev = [], [], 0
+    spans, quoted, parts, prev = [], [], [], 0
     key = find(b'"table"')
     while key >= 0:
         start = key + 7
-        stop = find(b"}", start)
-        quote = find(b'"', start, len(data) if stop < 0 else stop)
-        if quote >= 0:
-            stop = quote
-        elif stop < 0:
-            stop = len(data)
+        brace = find(b"}", start)
+        if brace < 0:
+            brace = len(data)
+        stop = find(b'"', start, brace)
+        if stop < 0:
+            stop = brace
         if data[stop - 1] == 93:       # "]"
             end = stop
         else:
             end = rfind(b"]", start, stop) + 1
             if not end or data[end:stop].strip(_WS_COMMA):
-                return None
+                quoted.append(len(spans))
+                stop = brace
+                end = rfind(b"]", start, stop) + 1
+                if not end:
+                    return None
         parts += (data[prev:start], b":%d" % len(spans))
         spans.append((start, end))
         prev = end
@@ -810,7 +775,7 @@ def _cut_tables(data):
     if not spans:
         return None
     parts.append(data[prev:])
-    return b"".join(parts), spans
+    return b"".join(parts), spans, quoted
 
 
 def _template(shapes: list, width: int) -> bytes:
@@ -898,6 +863,17 @@ def _cell_values(v, starts, lens, width: int):
     return values
 
 
+def _table_rows(span: bytes, di: int, dj: int):
+    """The rows of a quoted span, decoded by _fast_loads, or None unless
+    the span is ":" and an array of di arrays of dj values."""
+    span = span.lstrip(_WS)
+    rows = _fast_loads(span[1:]) if span[:1] == b":" else None
+    if (type(rows) is not list or len(rows) != di or set(map(type, rows)) != {list}
+            or set(map(len, rows)) != {dj}):
+        return None
+    return rows
+
+
 def _read_instance(text):
     """parse_instance(text) read from the text, or None to leave text to the
     whole-document route (_parse_json), which gives every error message.
@@ -906,13 +882,15 @@ def _read_instance(text):
     (_fast_loads); its header, unary rows and entries are checked as
     instance_from_dict checks them, each entry's table being its span's
     placeholder, and every span must be an entry's table (a repeated key
-    drops one), so that none goes unchecked.  Then each span is checked
-    against its shape and read (_cell_tokens, _cell_values), _CHUNK_CELLS
-    cells at a time (a larger table alone), and the cells ranked (_rank).
+    drops one), so that none goes unchecked.  Each quoted span is decoded
+    and its shape checked (_table_rows); the others are checked against
+    their shapes and read (_cell_tokens, _cell_values), _CHUNK_CELLS cells
+    at a time (a larger table alone).  Then the cells are ranked (_rank).
     Any defect declines, with one exception: a document whose skeleton is
     too large for MAX_RANK_BYTES raises that ParseError once its spans pass
-    their checks, which read no cell, since the whole text is then valid
-    JSON and the route would raise it too.
+    their checks, since the whole text is then valid JSON and the route
+    would raise it too; those checks rank no cell and hold one decoded
+    quoted span at a time.
     """
     data = _utf8(text)
     if data is None:
@@ -920,7 +898,7 @@ def _read_instance(text):
     cut = _cut_tables(data)
     if cut is None:
         return None
-    skeleton, spans = cut
+    skeleton, spans, quoted = cut
     doc = _fast_loads(skeleton)
     if doc is None:
         return None
@@ -940,7 +918,18 @@ def _read_instance(text):
         return None
     pairs = list(tables)
     shapes = [(domains[i], domains[j]) for i, j in pairs]
-    flats, first, filled = [], 0, 0
+    other = []
+    for k in quoted:
+        rows = _table_rows(data[spans[k][0]:spans[k][1]], *shapes[k])
+        if rows is None:
+            return None
+        if too_large is None:
+            other.append((pairs[k], rows))
+        del rows    # so a document too large holds one quoted table at a time
+    if quoted:      # numpy reads the other spans
+        ints = sorted(set(range(len(spans))).difference(quoted))
+        pairs, shapes, spans = ([seq[k] for k in ints] for seq in (pairs, shapes, spans))
+    flats, tokens, first, filled = [], None, 0, 0
     for k, (di, dj) in enumerate(shapes + [(_CHUNK_CELLS, 1)]):
         if k > first and filled + di * dj > _CHUNK_CELLS:    # chunk first:k is full
             tokens = _cell_tokens(b"".join([data[start:end] for start, end in spans[first:k]]),
@@ -955,7 +944,7 @@ def _read_instance(text):
         raise too_large
     del data, skeleton, doc, tokens   # before ranks is allocated
     layout = OneHotLayout(domains)
-    ranked = _rank(layout, flats, [], int, tables)
+    ranked = _rank(layout, flats, other, _raw, tables)
     if ranked is None:
         return None
     return _new_instance(domains, unary, tables, layout, ranked)
@@ -964,17 +953,14 @@ def _read_instance(text):
 def parse_instance(text: str) -> Instance:
     """Parse the JSON instance format from a str, bytes or bytearray.
     Raises ParseError on any defect, with the message and result
-    instance_from_dict(json.loads(text)) gives.  A text whose pair tables
-    are all arrays of integer tokens of at most 18 digits is read by
-    _read_instance: orjson decodes it without its tables, whose cells numpy
-    reads from the text.  Any other text is decoded whole, by orjson when
-    it reads it the same way, and a text whose numbers are all integer
-    tokens, with no true, false or null, has its tables checked for int
-    cells by their sums (see _parse_json and _int_text)."""
+    instance_from_dict(json.loads(text)) gives.  The text is read by
+    _read_instance: orjson decodes it without its tables, and each table
+    is read by numpy from its digits or, when it holds strings, by orjson.
+    A text the reader declines is decoded whole (_parse_json)."""
     inst = _read_instance(text)
     if inst is not None:
         return inst
-    return _parse_json(text, instance_from_dict, lambda doc: _instance_from_doc(doc, True))
+    return _parse_json(text, instance_from_dict)
 
 
 def instance_to_dict(inst: Instance) -> dict:

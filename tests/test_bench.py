@@ -30,6 +30,8 @@ def test_bench_writes_every_stage(tmp_path, monkeypatch):
     assert set(doc["machine"]) == {"cores", "numpy", "python"}
     shape = doc["shapes"]["r3"]
     assert (shape["r"], shape["n"], shape["status"]) == (3, 7, "optimal")
+    assert shape["parse_route"] == {"parse_instance": "reader",
+                                    "parse_instance.indent2": "reader"}
     stages = shape["seconds"]
     for stage in ("json_loads", "decode", "parse_instance", "parse_instance.indent2", "forest",
                   "parse_forest", "solve", "end_to_end", "solve.forest", "solve.check",
@@ -66,6 +68,7 @@ def test_bench_times_a_parent_alternately(tmp_path, monkeypatch):
     assert set(digests) == {"change", "parent"} and digests["change"] == digests["parent"]
     shape = doc["shapes"]["r3"]
     assert (shape["r"], shape["n"]) == (3, 7) and shape["matrix_json_bytes"] > 0
+    assert set(shape["parse_route"].values()) == {"reader"}
     for side in ("change", "parent"):
         got = shape[side]
         assert got["status"] == "optimal" and got["counters"]["kernel_dtype"] == "int64"

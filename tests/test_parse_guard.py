@@ -20,10 +20,10 @@ json.loads; for an instance, instance_from_dict(json.loads(text)) too."""
 import contextlib
 import io
 import json
-import operator
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -164,52 +164,8 @@ def test_a_long_string_cell_is_not_widened_across_its_table():
     assert np.array_equal(inst.ranks, built.ranks) and inst.pool == built.pool
 
 
-# ---------------------------------------------------------------------------
-# The int-text screen: a document orjson decodes whose text holds no number
-# but integer tokens, and no true, false or null, has its tables checked
-# for int cells by their sums instead of by each cell's type.
-
-_UNARY_HALVES = '"unary": [[0, "1/2"], [2, 0], ["1/2", 0, 3]]'
-# (cell, whether the text passes the screen)
-SCREENED_CELLS = [("true", False), ("false", False), ("null", False), ("1.0", False),
-                  ("1e2", False), ("1E2", False), ("-0", True), (str(2**64), True),
-                  ('"5"', True), ('"inf"', True)]
-
-
-def _screen_texts(cell: str) -> list:
-    """The document with cell, as is and beside unary "1/2" strings."""
-    text = _with_cell(cell)
-    return [text, text.replace(_UNARY, _UNARY_HALVES)]
-
-
-@pytest.mark.parametrize("cell, screened", SCREENED_CELLS, ids=[c[0] for c in SCREENED_CELLS])
-def test_the_screen_gives_what_json_loads_gives(cell, screened):
-    for text in _screen_texts(cell):
-        assert zfree.instance._int_text(text) is screened
-        got = _outcome(parse_instance, text)
-        assert got == _outcome(instance_from_dict, json.loads(text))
-        for data in (text.encode(), bytearray(text.encode())):
-            assert zfree.instance._int_text(data) is screened
-            assert _outcome(parse_instance, data) == got
-
-
-def test_int_tables_of_a_screened_document_skip_the_type_count(monkeypatch):
-    counted = []
-    monkeypatch.setattr(zfree.instance, "countOf",
-                        lambda cells, kind: counted.append(kind) or operator.countOf(cells, kind))
-    half_cell = json.dumps(BASE).replace(_TABLE, '[[0, 1, 1], [1, "1/2", 1]]')
-    for text in (json.dumps(BASE), json.dumps(BASE).replace(_UNARY, _UNARY_HALVES),
-                 half_cell, half_cell.replace(_UNARY, _UNARY_HALVES)):
-        assert zfree.instance._int_text(text)
-        inst = parse_instance(text)
-        assert counted == []
-        assert _outcome(lambda t: inst, text) == _outcome(instance_from_dict, json.loads(text))
-        assert counted == [int] * len(BASE["binary"])
-        counted.clear()
-
-
 def test_the_api_still_refuses_a_true_cell():
-    # True sums as 1, so only a screened text may take a table's sum.
+    # numpy reads True as 1, so each cell's type is counted before it does.
     doc = json.loads(json.dumps(BASE))
     doc["binary"][1]["table"][1][1] = True
     with pytest.raises(ParseError, match=r"^binary\[1\]\.table\[2\]\[2\]: booleans are not "):
@@ -368,6 +324,36 @@ def test_the_fast_decode_takes_plain_shallow_documents_only():
     # orjson makes this int a float, so the document goes to json.loads
     assert fast(_fill(_INSTANCE, _INSTANCE_AT, "C", str(2**64)))["binary"][0]["table"][0][1] \
         == float(2**64)
+
+
+class _Document(dict):
+    """A decoded document that a weak reference can watch."""
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_instance, _fill(_INSTANCE, _INSTANCE_AT, "C", "-1")),
+    (parse_partial_matrix, _fill(_MATRIX, _MATRIX_AT, "V", "-1"))], ids=["instance", "matrix"])
+def test_orjsons_document_is_let_go_before_json_loads_decodes_again(monkeypatch, parse, text):
+    # orjson reads the -1 cell, the builder refuses it, and json.loads then
+    # decodes the text again for the error: orjson's document is gone by then.
+    want = _json_path(monkeypatch, parse, text)
+    assert want[0] is ParseError and "negative" in want[1]
+    decoded, checked = [], []
+    fast, loads = zfree.instance._fast_loads, json.loads
+
+    def watched(data):
+        doc = _Document(fast(data))
+        decoded.append(weakref.ref(doc))
+        return doc
+
+    def after_release(data):
+        checked.append([ref() is None for ref in decoded])
+        return loads(data)
+
+    monkeypatch.setattr(zfree.instance, "_fast_loads", watched)
+    monkeypatch.setattr(zfree.instance.json, "loads", after_release)
+    assert _outcome(parse, text) == want
+    assert len(checked) == 1 and checked[0] and all(checked[0])
 
 
 def test_a_million_nested_lists_fail_cleanly():

@@ -1,8 +1,9 @@
 """The text reader of parse_instance against json.loads.
 
-A document whose pair tables are all arrays of integer tokens has them read
-from its text (instance._read_instance): the tables are cut out, orjson
-decodes the rest, the skeleton, and numpy reads the cells.  Whatever the
+A document has its pair tables read from its text
+(instance._read_instance): the tables are cut out, orjson decodes the rest,
+the skeleton, numpy reads the cells of the tables of integer tokens, and
+orjson decodes each table that holds strings on its own.  Whatever the
 reader takes must give the arrays and pool that instance_from_dict gives on
 the json.loads document, and whatever it declines goes to the
 whole-document route, so every error is the one json.loads and
@@ -10,6 +11,7 @@ instance_from_dict give.  Each case below also pins whether the reader
 takes the text."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -101,14 +103,41 @@ TABLES = [
     ("past the lookup", f"[[0, {2**40}, 1], [1, {2**20}, {2**20 - 1}]]", True),
     ("four and five digits", "[[1237, 12370, 2474], [99999, 1000, 1237]]", True),
     ("negative", "[[0, -1, 1], [1, 2, 1]]", False),
+    ("-0", "[[0, -0, 1], [1, 2, 1]]", False),
     ("1.0", "[[0, 1.0, 1], [1, 2, 1]]", False),
     ("1e2", "[[0, 1e2, 1], [1, 2, 1]]", False),
-    ('"inf"', '[[0, "inf", 1], [1, 2, 1]]', False),
-    ('"1/2"', '[[0, "1/2", 1], [1, 2, 1]]', False),
-    ('"x"', '[[0, "x", 1], [1, 2, 1]]', False),
+    ("1E2", "[[0, 1E2, 1], [1, 2, 1]]", False),
     ("true", "[[0, true, 1], [1, 2, 1]]", False),
+    ("false", "[[0, false, 1], [1, 2, 1]]", False),
     ("null", "[[0, null, 1], [1, 2, 1]]", False),
     ("an object", '[[0, {"a": 1}, 1], [1, 2, 1]]', False),
+    # Tables that hold strings: orjson decodes each on its own.
+    ('"inf"', '[[0, "inf", 1], [1, 2, 1]]', True),
+    ('"1/2"', '[[0, "1/2", 1], [1, 2, 1]]', True),
+    ('"5"', '[[0, "5", 1], [1, 2, 1]]', True),
+    ('"inf" first', '[["inf", 1, 1], [1, 2, 1]]', True),
+    ('"inf" last', '[[0, 1, 1], [1, 2, "inf"]]', True),
+    ("only strings", '[["inf", "inf", "1/3"], ["2/4", "7", "inf"]]', True),
+    ('"x"', '[[0, "x", 1], [1, 2, 1]]', False),
+    ('"]"', '[[0, "]", 1], [1, 2, 1]]', False),
+    ('"}"', '[[0, "}", 1], [1, 2, 1]]', False),
+    ('"\\":"', '[[0, "\\":", 1], [1, 2, 1]]', False),
+    ('"table"', '[[0, "table", 1], [1, 2, 1]]', False),
+    ('"\\ud800"', '[[0, "\\ud800", 1], [1, 2, 1]]', False),
+    ('"-1/2"', '[[0, "-1/2", 1], [1, 2, 1]]', False),
+    ('"1/0"', '[[0, "1/0", 1], [1, 2, 1]]', False),
+    ('"inf" and a nested cell', '[[0, "inf", [1]], [1, 2, 1]]', False),
+    ('"inf" and NaN', '[[0, "inf", NaN], [1, 2, 1]]', False),
+    ('"inf" and 1.5', '[[0, "inf", 1.5], [1, 2, 1]]', False),
+    ('"inf" and true', '[[0, "inf", true], [1, 2, 1]]', False),
+    ('"inf" and -1', '[[0, "inf", -1], [1, 2, 1]]', False),
+    ('"inf" and 2**63', f'[[0, "inf", {2**63}], [1, 2, 1]]', True),
+    ('"inf" and 2**64', f'[[0, "inf", {2**64}], [1, 2, 1]]', False),
+    ('"inf", too few cells', '[[0, "inf"], [1, 2, 1]]', False),
+    ('"inf", too many rows', '[[0, "inf", 1], [1, 2, 1], [1, 1, 1]]', False),
+    ('"inf", a bare row', '[[0, "inf", 1], 5]', False),
+    ('"inf", unclosed', '[[0, "inf", 1], [1, 2, 1]', False),
+    ('"inf", trailing comma', '[[0, "inf", 1], [1, 2, 1],]', False),
     ("too few rows", "[[0, 1, 1]]", False),
     ("too many cells", "[[0, 1, 1, 1], [1, 2, 1, 1]]", False),
     ("too few cells", "[[0, 1], [1, 2]]", False),
@@ -128,7 +157,20 @@ def test_a_table_text_gives_what_json_loads_gives(monkeypatch, label, table, tak
 
 # (label, text, whether the reader takes it)
 DOCUMENTS = [
-    ("inf at d=1", json.dumps(BASE).replace(_ONE, '[["inf"]]'), False),
+    ("inf at d=1", json.dumps(BASE).replace(_ONE, '[["inf"]]'), True),
+    ("inf table first in its entry", json.dumps(BASE).replace(
+        '{"i": 3, "j": 4, "table": [[7]]}', '{"table": [["inf"]], "i": 3, "j": 4}'), True),
+    ("space before the colons after an inf table", json.dumps(BASE).replace(
+        '{"i": 3, "j": 4, "table": [[7]]}', '{"table" : [["inf"]], "i" : 3, "j" : 4}'), True),
+    ("space before the colons after an int table", json.dumps(BASE).replace(
+        '{"i": 3, "j": 4, "table": [[7]]}', '{"table" : [[7]], "i" : 3, "j" : 4}'), True),
+    ("no colon before an inf table", json.dumps(BASE).replace(_ONE, '[["inf"]]').replace(
+        '"table": [["inf"]]', '"table" [["inf"]]'), False),
+    ("inf table with a repeated table key", json.dumps(BASE).replace(
+        '"table": [[7]]', '"table": [["inf"]], "table": [[7]]'), False),
+    ("inf table in a repeated binary, dropped",
+     json.dumps({**BASE, "binary": [{"i": 1, "j": 3, "table": [["inf"], [1]]}]})[:-1]
+     + ', "binary": ' + json.dumps(BASE["binary"]) + "}", False),
     ("empty 1x1", json.dumps(BASE).replace(_ONE, "[[]]"), False),
     ("bare 1x1", json.dumps(BASE).replace(_ONE, "[7]"), False),
     ("1x1 split", json.dumps(BASE).replace(_ONE, "[[7 7]]"), False),
@@ -185,25 +227,15 @@ def test_a_document_gives_what_json_loads_gives(monkeypatch, label, text, taken)
     _check(monkeypatch, text, taken)
 
 
-def test_a_table_with_a_string_is_declined_before_decoding():
-    # The cut itself declines, so a document with "inf" cells costs the
-    # reader one search per table up to the first such table.
-    for cell in ('"inf"', '"1/2"'):
-        text = json.dumps(BASE).replace(_TABLE, f"[[0, 1, 1], [1, {cell}, 1]]")
-        assert zfree.instance._cut_tables(text.encode()) is None
-    assert zfree.instance._cut_tables(json.dumps(BASE).encode()) is not None
-
-
-def test_a_declined_str_is_encoded_once_for_orjson_and_the_screen(monkeypatch):
-    text = json.dumps(BASE).replace(_TABLE, '[[0, "inf", 1], [1, 2, 1]]')
-    assert zfree.instance._read_instance(text) is None
-    seen = []
-    for name in ("_fast_loads", "_int_text"):
-        read = getattr(zfree.instance, name)
-        monkeypatch.setattr(zfree.instance, name,
-                            lambda data, read=read: seen.append(data) or read(data))
-    assert _outcome(parse_instance, text) == _outcome(instance_from_dict, json.loads(text))
-    assert len(seen) == 2 and type(seen[0]) is bytes and seen[1] is seen[0]
+def test_a_table_with_a_string_is_cut_whole_as_a_quoted_span():
+    doc = json.loads(json.dumps(BASE))
+    doc["binary"][0]["table"][1][1] = "inf"
+    for text in _texts(doc):
+        data = text.encode()
+        _, spans, quoted = zfree.instance._cut_tables(data)
+        assert quoted == [0]
+        assert [json.loads(data[start:end].lstrip()[1:]) for start, end in spans] == [
+            entry["table"] for entry in doc["binary"]]
 
 
 def test_the_cases_reach_accepted_and_refused_documents(monkeypatch):
@@ -234,23 +266,41 @@ def _refuse(*args, **kwargs):
     raise AssertionError("called on a document that is too large")
 
 
+class _Rows(list):
+    """A table's rows that a weak reference can watch."""
+
+
+@pytest.mark.parametrize("strings", [False, True], ids=["ints", "strings"])
 @pytest.mark.parametrize("fmt", range(4))
-def test_a_document_too_large_is_refused_before_any_cell_is_read(monkeypatch, fmt):
+def test_a_document_too_large_is_refused_before_any_cell_is_read(monkeypatch, fmt, strings):
     # 1600 bytes allow 20 positions; the document has 21.
     doc = instance_to_dict(generate_instance(GenConfig(r=3, domains=(7, 7, 7), seed=4)))
+    if strings:     # tables 1 and 3 hold strings, table 2 only ints
+        for entry in doc["binary"][::2]:
+            entry["table"][0][0] = "inf"
     text = _texts(doc)[fmt]
     monkeypatch.setattr(zfree.instance, "MAX_RANK_BYTES", 1600)
     want = _outcome(instance_from_dict, json.loads(text))
     assert want == (ParseError, "21 one-hot positions need a 1764-byte rank matrix, "
                                 "more than the 1600-byte limit")
-    lengths = []
+    lengths, decoded = [], []
     loads = zfree.instance.orjson.loads
     monkeypatch.setattr(zfree.instance.orjson, "loads",
                         lambda data: lengths.append(len(data)) or loads(data))
+    table_rows = zfree.instance._table_rows
+
+    def one_at_a_time(*args):
+        assert all(ref() is None for ref in decoded)
+        rows = _Rows(table_rows(*args))
+        decoded.append(weakref.ref(rows))
+        return rows
+
+    monkeypatch.setattr(zfree.instance, "_table_rows", one_at_a_time)
     monkeypatch.setattr(zfree.instance, "_cell_values", _refuse)
     monkeypatch.setattr(zfree.instance, "_rank", _refuse)
     assert _outcome(parse_instance, text) == want
-    assert len(lengths) == 1 and lengths[0] < len(text) // 2
+    assert len(decoded) == (2 if strings else 0) and len(lengths) == 1 + len(decoded)
+    assert max(lengths) < len(text) // 2
 
 
 @pytest.mark.parametrize("table, label", [
@@ -259,17 +309,23 @@ def test_a_document_too_large_is_refused_before_any_cell_is_read(monkeypatch, fm
 def test_a_document_too_large_with_a_bad_table_gives_the_json_loads_error(monkeypatch, table,
                                                                         label):
     # A table the reader cannot check leaves the text to the whole-document
-    # route, which gives its JSON error or the size error as before.
+    # route, which gives its JSON error or the size error as before; a
+    # table that holds strings is checked, so the reader raises the size
+    # error itself.
     doc = instance_to_dict(generate_instance(GenConfig(r=3, domains=(7, 7, 7), seed=4)))
     first = json.dumps(doc["binary"][0]["table"][0])
     text = json.dumps(doc).replace("[" + first, table, 1)
     assert text != json.dumps(doc)
     monkeypatch.setattr(zfree.instance, "MAX_RANK_BYTES", 1600)
-    monkeypatch.setattr(zfree.instance, "_cell_values", _refuse)
-    assert zfree.instance._read_instance(text) is None
     want = _reference(monkeypatch, text)
     assert want[0] is ParseError and want[1].startswith(
         "21 one-hot" if label == "string" else "invalid JSON")
+    monkeypatch.setattr(zfree.instance, "_cell_values", _refuse)
+    monkeypatch.setattr(zfree.instance, "_rank", _refuse)
+    if label == "string":
+        assert _outcome(zfree.instance._read_instance, text) == want
+    else:
+        assert zfree.instance._read_instance(text) is None
     assert _outcome(parse_instance, text) == want
 
 
