@@ -741,11 +741,13 @@ def _cut_tables(data):
     array of arrays of numbers and the quote is a key.  When no "]"
     precedes the quote, or more than whitespace and commas lie between
     them, the quote is a cell's: the span runs to the last "]" before the
-    "}" instead, and its index is put in quoted.  The skeleton is data with
-    span k replaced by ":k".  None when data has no "table" key, or a
-    quoted span has no "]".  _fast_loads leaves a skeleton with a backslash
-    to json.loads, so in every skeleton it decodes each quote starts or
-    ends a string, and a "table" followed by ":" is a key.
+    "}" instead, and its index is put in quoted.  The next key is sought
+    from the span's end, so a key repeated after a quoted span is cut too.
+    The skeleton is data with span k replaced by ":k".  None when data has
+    no "table" key, or a quoted span has no "]".  _fast_loads leaves a
+    skeleton with a backslash to json.loads, so in every skeleton it
+    decodes each quote starts or ends a string, and a "table" followed by
+    ":" is a key.
     """
     find, rfind = data.find, data.rfind
     spans, quoted, parts, prev = [], [], [], 0
@@ -771,7 +773,7 @@ def _cut_tables(data):
         parts += (data[prev:start], b":%d" % len(spans))
         spans.append((start, end))
         prev = end
-        key = find(b'"table"', stop)
+        key = find(b'"table"', end)
     if not spans:
         return None
     parts.append(data[prev:])

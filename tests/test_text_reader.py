@@ -168,6 +168,10 @@ DOCUMENTS = [
         '"table": [["inf"]]', '"table" [["inf"]]'), False),
     ("inf table with a repeated table key", json.dumps(BASE).replace(
         '"table": [[7]]', '"table": [["inf"]], "table": [[7]]'), False),
+    ("inf table then a scalar table key", json.dumps(BASE).replace(
+        '"table": [[7]]', '"table": [["inf"]], "table": 2'), False),
+    ("inf table then table 0 in the first entry", json.dumps(BASE).replace(
+        f'"table": {_TABLE}', '"table": [["inf", 1, 1], [1, 2, 1]], "table": 0'), False),
     ("inf table in a repeated binary, dropped",
      json.dumps({**BASE, "binary": [{"i": 1, "j": 3, "table": [["inf"], [1]]}]})[:-1]
      + ', "binary": ' + json.dumps(BASE["binary"]) + "}", False),
